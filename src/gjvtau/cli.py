@@ -14,8 +14,7 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,6 +61,7 @@ class RunConfig:
     c_list: tuple[UPoly, ...] = (UPOLY_ZERO, UPOLY_ONE)
     out: Path = Path(".")
     cache_path: Path | None = None
+    table: dict = field(default_factory=dict)  # counts read from cache_path
     kp2: bool = False
     inject_corruption: bool = False
     checks_filter: str | None = None
@@ -88,7 +88,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_hurwitz(cfg: RunConfig) -> int:
-    table = load_hurwitz_cache(cfg.cache_path) if cfg.cache_path else {}
     series = cutjoin_series(cfg.dmax, cfg.Mmax)
     rows = []
     all_agree = True
@@ -101,7 +100,7 @@ def cmd_hurwitz(cfg: RunConfig) -> int:
             g = 0
             while 2 * g - 1 + n <= cfg.Mmax:
                 idx = HurwitzIndex(g, parts)
-                hb = hurwitz_number(idx, table, dcap=cfg.dmax)
+                hb = hurwitz_number(idx, cfg.table, dcap=cfg.dmax)
                 hs = extract_hurwitz(series, idx).h
                 agree = hb == hs
                 all_agree = all_agree and agree
@@ -128,7 +127,7 @@ def cmd_hurwitz(cfg: RunConfig) -> int:
         ],
     )
     if cfg.cache_path:
-        save_hurwitz_cache(cfg.cache_path, table)
+        save_hurwitz_cache(cfg.cache_path, cfg.table)
     return 0 if all_agree else 1
 
 
@@ -167,14 +166,13 @@ def cmd_tau(cfg: RunConfig, route: str) -> int:
 
 def _two_route_records(cfg: RunConfig):
     """Both extraction routes; returns (merged records, mismatches)."""
-    table = load_hurwitz_cache(cfg.cache_path) if cfg.cache_path else {}
     G = extract_G(cfg.W, cfg.W // 2 + 1)
     merged: dict = {}
     for rec in extract_intersections_tbasis(G):
         merged[rec.key()] = {"rec": rec, "routes": ["tbasis"]}
     mismatches = []
     for g, n in INTERSECTION_GRIDS:
-        grid = hurwitz_grid(g, n, dmax=cfg.dmax + 1, table=table)
+        grid = hurwitz_grid(g, n, dmax=cfg.dmax + 1, table=cfg.table)
         for rec in extract_intersections_polyfit(g, n, grid, dmax=cfg.dmax + 1):
             got = merged.get(rec.key())
             if got is None:
@@ -191,7 +189,7 @@ def _two_route_records(cfg: RunConfig):
                         }
                     )
     if cfg.cache_path:
-        save_hurwitz_cache(cfg.cache_path, table)
+        save_hurwitz_cache(cfg.cache_path, cfg.table)
     return merged, mismatches
 
 
@@ -391,15 +389,19 @@ def cmd_verify(cfg: RunConfig) -> int:
         try:
             return fn(cfg)
         except Exception as e:  # a crashed check is a failed check
-            return [CheckReport(fn.__name__, FAIL, 0, detail={"error": repr(e)})]
+            name = fn.__name__.removeprefix("_check_")
+            return [CheckReport(name, FAIL, 0, detail={"error": repr(e)})]
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        groups = list(pool.map(run, _battery(cfg)))
     reports = sorted(
-        (r for grp in groups for r in grp), key=lambda r: r.name
+        (r for fn in _battery(cfg) for r in run(fn)), key=lambda r: r.name
     )
     if cfg.checks_filter:
         keys = [k.strip() for k in cfg.checks_filter.split(",") if k.strip()]
+        unmatched = [k for k in keys if not any(k in r.name for r in reports)]
+        if unmatched:
+            print(f"--checks matches no check: {', '.join(unmatched)}",
+                  file=sys.stderr)
+            return 2
         reports = [r for r in reports if any(k in r.name for k in keys)]
     _write_json(cfg.out / "verify.json", [r.to_json_obj() for r in reports])
     _write_csv(
@@ -468,6 +470,11 @@ def main(argv=None) -> int:
     except ValueError as e:
         parser.error(f"bad --c: {e}")
     cache = args.hurwitz_cache or os.environ.get("GJV_CACHE")
+    try:
+        table = load_hurwitz_cache(cache) if cache else {}
+    except (OSError, ValueError) as e:
+        print(f"bad hurwitz cache: {e}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -481,6 +488,7 @@ def main(argv=None) -> int:
         c_list=c_list,
         out=out,
         cache_path=Path(cache) if cache else None,
+        table=table,
         kp2=args.kp2,
         inject_corruption=args.inject_corruption,
         checks_filter=args.checks,

@@ -161,9 +161,6 @@ class UPoly:
                 return c
         return Fraction(0)
 
-    def is_const(self) -> bool:
-        return not self.terms or self.terms == ((0, self.terms[0][1]),)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: UPoly) -> UPoly:
@@ -487,11 +484,6 @@ class TruncatedSeries:
         if not self.terms:
             return None
         return min(mono_weight(m) for m in self.terms)
-
-    def max_weight(self) -> int:
-        if not self.terms:
-            return 0
-        return max(mono_weight(m) for m in self.terms)
 
     def min_u_exp(self) -> int:
         """Smallest u-exponent appearing anywhere (0 for the zero series)."""

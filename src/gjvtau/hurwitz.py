@@ -176,10 +176,21 @@ def load_hurwitz_cache(path: str | Path) -> dict[tuple[int, tuple[int, ...]], Ra
     p = Path(path)
     if not p.exists():
         return {}
+    try:
+        recs = json.loads(p.read_text())
+    except ValueError as e:
+        raise ValueError(f"{p}: not JSON ({e})") from e
+    if not isinstance(recs, list):
+        raise ValueError(f"{p}: not a list of records")
     table: dict[tuple[int, tuple[int, ...]], Rat] = {}
-    for rec in json.loads(p.read_text()):
-        idx = HurwitzIndex(rec["g"], tuple(rec["parts"]))
-        table[idx.key()] = Fraction(rec["h"])
+    for i, rec in enumerate(recs):
+        if not (isinstance(rec, dict) and {"g", "parts", "h"} <= rec.keys()):
+            raise ValueError(f"{p}: record {i} lacks g, parts or h")
+        try:
+            idx = HurwitzIndex(rec["g"], tuple(rec["parts"]))
+            table[idx.key()] = Fraction(rec["h"])
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{p}: record {i}: {e}") from e
     return table
 
 

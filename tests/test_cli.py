@@ -104,3 +104,30 @@ def test_tau_routes_write_series(tmp_path):
                    "--mmax", "3", "--c", "1") == 0
         data = json.loads((tmp_path / f"tau_{route}.json").read_text())
         assert data["family"] == "t" and data["terms"]
+
+
+def test_verify_filter_matching_nothing_is_a_usage_error(tmp_path, capsys):
+    assert run(tmp_path, "verify", "--W", "4", "--checks", "nonexistent") == 2
+    assert "nonexistent" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
+def test_crashed_check_keeps_its_battery_name(tmp_path):
+    # a wrong but well-formed cached count makes the polyfit route raise
+    cache = tmp_path / "poisoned.json"
+    cache.write_text('[{"g":0,"parts":[1,1,1],"h":"7"}]')
+    code = run(tmp_path, "verify", "--W", "4", "--hurwitz-cache", str(cache),
+               "--checks", "intersection_routes")
+    assert code == 1
+    (row,) = json.loads((tmp_path / "verify.json").read_text())
+    assert row["check"] == "intersection_routes"
+    assert row["status"] == "fail" and "ValueError" in row["error"]
+
+
+def test_malformed_cache_exits_2_naming_the_file(tmp_path, capsys):
+    for i, text in enumerate(("{not json", '{"g":0}', '[{"g":0,"parts":[1]}]')):
+        cache = tmp_path / f"bad{i}.json"
+        cache.write_text(text)
+        assert run(tmp_path, "hurwitz", "--hurwitz-cache", str(cache)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(cache) in err

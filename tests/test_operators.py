@@ -183,9 +183,10 @@ def test_o_operator_suite_high_n():
     }
 
 
-def test_weighted_o_sum_equals_bracket_action():
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_weighted_o_sum_equals_bracket_action(n):
     # sum_i i*O_i(s) == [n d/dx_n, M](s), checked on a non-monomial input
-    n, W = 4, 8
+    W = 8
     s = qmono([(1, 1), (3, 1)], W=W) + qmono([(2, 2)], W=W)
     acts = o_actions(n, s, W)
     weighted = sum(
