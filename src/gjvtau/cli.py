@@ -26,9 +26,9 @@ from .gjv import (
     change_of_variables,
     extract_G,
     extract_intersections_polyfit,
-    extract_intersections_tbasis,
     hurwitz_grid,
     intersection_F,
+    tbasis_records,
     verify_lambda_square,
     verify_proposition,
     verify_second_derivative,
@@ -166,9 +166,8 @@ def cmd_tau(cfg: RunConfig, route: str) -> int:
 
 def _two_route_records(cfg: RunConfig):
     """Both extraction routes; returns (merged records, mismatches)."""
-    G = extract_G(cfg.W, cfg.W // 2 + 1)
     merged: dict = {}
-    for rec in extract_intersections_tbasis(G):
+    for rec in tbasis_records(cfg.W):
         merged[rec.key()] = {"rec": rec, "routes": ["tbasis"]}
     mismatches = []
     for g, n in INTERSECTION_GRIDS:
@@ -329,9 +328,8 @@ def _check_hurwitz_anchors(cfg: RunConfig) -> list[CheckReport]:
 def _check_g_structure(cfg: RunConfig) -> list[CheckReport]:
     # certified layers of G must reduce to u^(2j+1) * T-monomials; the
     # reduction raises on any even or negative u-power it is asked to emit
-    G = extract_G(cfg.W, cfg.W // 2 + 1)
     try:
-        n = len(extract_intersections_tbasis(G))
+        n = len(tbasis_records(cfg.W))
         return [boolean_report("g_structure", True, cfg.W, records=n)]
     except ArithmeticError as e:
         return [boolean_report("g_structure", False, cfg.W, error=str(e))]

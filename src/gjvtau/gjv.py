@@ -9,6 +9,7 @@ is asserted coefficient by coefficient where both certificates overlap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,6 @@ from .hurwitz import (
 from .operators import (
     CutJoin,
     Lambda,
-    OperatorExponential,
     Sum,
     exponential_apply,
     scaled,
@@ -53,6 +53,21 @@ def _clip_u_above(s: TruncatedSeries, hi: int) -> TruncatedSeries:
     out = s.map_coeffs(lambda c: c.clip_above(hi)).with_band(s.umin, hi)
     u_hi = hi if s.u_hi is None else min(s.u_hi, hi)
     return out.with_u_hi(u_hi)
+
+
+def _tau_head(W: int, lo: int, hi: int) -> TruncatedSeries:
+    """(q_1 + q_1 q_2)/u + q_1^2, the part of tau outside the G image."""
+    return TruncatedSeries(
+        "q",
+        W,
+        {
+            mono_var(1): _U_INV,
+            mono((1, 1), (2, 1)): _U_INV,
+            mono((1, 2)): UPoly.const(1),
+        },
+        umin=lo,
+        umax=hi,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +183,7 @@ def assemble_tau_exponential(
         scaled(CutJoin(1), UPoly.u(1, 2)),
         scaled(CutJoin(0), UPoly.u(2)),
     )
-    return exponential_apply(OperatorExponential(mixed), seed)
+    return exponential_apply(mixed, seed)
 
 
 def assemble_tau_from_g(
@@ -179,17 +194,7 @@ def assemble_tau_from_g(
     lo = min(G.umin, -1, c.min_exp() if c else 0)
     hi = max(G.umax, 0, c.max_exp() if c else 0)
     g = G.with_band(lo, hi)
-    head = TruncatedSeries(
-        "q",
-        W,
-        {
-            mono_var(1): _U_INV,
-            mono((1, 1), (2, 1)): _U_INV,
-            mono((1, 2)): UPoly.const(1),
-        },
-        umin=lo,
-        umax=hi,
-    )
+    head = _tau_head(W, lo, hi)
     if c:
         head = head + TruncatedSeries.const("q", W, c, umin=lo, umax=hi)
     square = Sum(Lambda(0), scaled(Lambda(1), _U_INV))
@@ -207,18 +212,7 @@ def extract_G(W: int, Mmax: int) -> TruncatedSeries:
     over all weights.
     """
     X = change_of_variables(cutjoin_series(W, Mmax), W)
-    head = TruncatedSeries(
-        "q",
-        W,
-        {
-            mono_var(1): _U_INV,
-            mono((1, 1), (2, 1)): _U_INV,
-            mono((1, 2)): UPoly.const(1),
-        },
-        umin=X.umin,
-        umax=X.umax,
-    )
-    X = X - head
+    X = X - _tau_head(W, X.umin, X.umax)
     if X.weight_slice(0):
         raise ArithmeticError("weight-0 component left over; cannot invert on it")
     raise_w = scaled(Lambda(1), _U_INV)
@@ -478,7 +472,7 @@ def extract_intersections_polyfit(
 
 
 def _exp_join(s: TruncatedSeries) -> TruncatedSeries:
-    return exponential_apply(OperatorExponential(CutJoin(2)), s)
+    return exponential_apply(CutJoin(2), s)
 
 
 def exp_join_of_q1(W: int) -> TruncatedSeries:
@@ -538,12 +532,17 @@ def verify_second_derivative(F: TruncatedSeries) -> CheckReport:
     return residual_report("q1_second_derivative", residual, detail={"W": F.W})
 
 
-def intersection_F(W: int, *, Mmax: int | None = None) -> TruncatedSeries:
+@functools.lru_cache(maxsize=1)
+def tbasis_records(W: int) -> tuple[IntersectionNumber, ...]:
+    """The T-basis records to weight W, computed once per W and shared by
+    every check that reads them."""
+    # Mmax = W // 2 + 1 is the smallest order making every emitted record exact
+    return tuple(extract_intersections_tbasis(extract_G(W, W // 2 + 1)))
+
+
+def intersection_F(W: int) -> TruncatedSeries:
     """F to weight W via the count series, the G solve and the T-reduction."""
-    if Mmax is None:
-        Mmax = W // 2 + 1  # smallest order making every emitted record exact
-    records = extract_intersections_tbasis(extract_G(W, Mmax))
-    return extract_F(records, W)
+    return extract_F(tbasis_records(W), W)
 
 
 def verify_proposition(n: int, W: int) -> CheckReport:

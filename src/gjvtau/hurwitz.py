@@ -23,7 +23,7 @@ from .exactalg import (
     UPOLY_ZERO,
     mono,
 )
-from .operators import CutJoin, OperatorExponential, exponential_apply
+from .operators import CutJoin, exponential_apply, scaled
 
 DCAP_DEFAULT = 6
 DCAP_HARD = 7
@@ -68,7 +68,6 @@ class HurwitzIndex:
 class HurwitzValue:
     index: HurwitzIndex
     h: Rat
-    route: str = "bruteforce"
 
     def to_json_obj(self) -> dict:
         return {
@@ -226,8 +225,7 @@ def cutjoin_series(W: int, Mmax: int, c: UPoly = UPOLY_ZERO) -> TruncatedSeries:
     )
     if c:
         seed = seed + TruncatedSeries.const("p", W, c, umin=umin, umax=umax)
-    e = OperatorExponential(CutJoin(0), UPoly.u(2))
-    out = exponential_apply(e, seed, max_order=Mmax)
+    out = exponential_apply(scaled(CutJoin(0), UPoly.u(2)), seed, max_order=Mmax)
     # orders beyond Mmax are cut, so nothing above u^(2*Mmax) is trustworthy
     hi = 2 * Mmax if out.u_hi is None else min(out.u_hi, 2 * Mmax)
     return out.with_u_hi(hi)
@@ -246,7 +244,7 @@ def extract_hurwitz(series: TruncatedSeries, idx: HurwitzIndex) -> HurwitzValue:
     coeff = series.coefficient_of(mono(*mults.items()))
     aut = prod(factorial(r) for r in mults.values())
     h = coeff.coeff(2 * m) / Fraction(d * d) * aut * d * factorial(m)
-    return HurwitzValue(idx, h, route="cutjoin")
+    return HurwitzValue(idx, h)
 
 
 def h01_h02_closed_forms(

@@ -6,10 +6,10 @@ Laurent polynomial in u, plus Sum/Compose).  Application streams term by term:
 for every monomial we enumerate the finitely many index pairs that act
 nontrivially, so no infinite operator sum is ever materialized.
 
-Every node declares its weight-shift and u-shift envelopes.  Application
-propagates the reliability metadata of the series: an operator whose minimum
-weight shift is negative (a derivative) lowers the weight up to which the
-result is exact, and a scalar with negative u-powers lowers ``u_hi``.
+Every leaf declares its exact weight shift and its u-shift envelope.
+Application propagates the reliability metadata of the series: an operator
+whose weight shift is negative (a derivative) lowers the weight up to which
+the result is exact, and a scalar with negative u-powers lowers ``u_hi``.
 
 Operator equality is extensional: two operators are considered equal at
 truncation W iff their actions agree on every monomial of weight <= W,
@@ -31,7 +31,6 @@ from gjvtau.exactalg import (
     UPoly,
     mono,
     mono_div_var,
-    mono_exp,
     mono_mul,
     mono_var,
     mono_weight,
@@ -56,26 +55,27 @@ def _acc(out: Terms, m: Monomial, c: UPoly) -> None:
 
 
 class Operator:
-    """Base class; subclasses implement act_terms and the shift envelopes."""
+    """Base class.  A leaf implements act_terms (Partial: apply) and
+    weight_shift; Sum and Compose apply their parts instead."""
 
     def act_terms(self, terms: Terms, W: int) -> Terms:
         raise NotImplementedError
 
-    def weight_shift(self) -> tuple[int, int]:
-        """(min, max) weight shift over all summands."""
-        raise NotImplementedError
+    def weight_shift(self) -> int:
+        """The exact weight shift; a Sum has none."""
+        raise NotImplementedError(f"{type(self).__name__} has no single weight shift")
 
     def u_shift(self) -> tuple[int, int]:
-        raise NotImplementedError
+        """(min, max) u-exponent shift."""
+        return (0, 0)
 
     def apply(self, s: TruncatedSeries) -> TruncatedSeries:
         out = self.act_terms(s.terms, s.W)
-        wlo, _ = self.weight_shift()
         ulo, _ = self.u_shift()
         u_hi = None if s.u_hi is None else s.u_hi + ulo
         return TruncatedSeries(
             s.family, s.W, out, umin=s.umin, umax=s.umax,
-            reliable=s.reliable + wlo, u_hi=u_hi,
+            reliable=s.reliable + self.weight_shift(), u_hi=u_hi,
         )
 
     def __call__(self, s: TruncatedSeries) -> TruncatedSeries:
@@ -92,19 +92,11 @@ class Partial(Operator):
         if self.n < 1:
             raise ValueError("derivative index must be >= 1")
 
-    def act_terms(self, terms: Terms, W: int) -> Terms:
-        out: Terms = {}
-        for m, c in terms.items():
-            e = mono_exp(m, self.n)
-            if e:
-                _acc(out, mono_div_var(m, self.n), c.scale(Fraction(e)))
-        return out
+    def apply(self, s: TruncatedSeries) -> TruncatedSeries:
+        return s.partial(self.n)
 
     def weight_shift(self):
-        return (-self.n, -self.n)
-
-    def u_shift(self):
-        return (0, 0)
+        return -self.n
 
 
 @dataclass(frozen=True)
@@ -134,10 +126,7 @@ class Lambda(Operator):
         return out
 
     def weight_shift(self):
-        return (self.a, self.a)
-
-    def u_shift(self):
-        return (0, 0)
+        return self.a
 
 
 @dataclass(frozen=True)
@@ -162,10 +151,7 @@ class CutPart(Operator):
         return out
 
     def weight_shift(self):
-        return (self.k, self.k)
-
-    def u_shift(self):
-        return (0, 0)
+        return self.k
 
 
 @dataclass(frozen=True)
@@ -192,10 +178,7 @@ class JoinPart(Operator):
         return out
 
     def weight_shift(self):
-        return (self.k, self.k)
-
-    def u_shift(self):
-        return (0, 0)
+        return self.k
 
 
 @dataclass(frozen=True)
@@ -215,10 +198,7 @@ class CutJoin(Operator):
         return out
 
     def weight_shift(self):
-        return (self.k, self.k)
-
-    def u_shift(self):
-        return (0, 0)
+        return self.k
 
 
 @dataclass(frozen=True)
@@ -233,7 +213,7 @@ class ScalarMul(Operator):
         return {m: v * self.c for m, v in terms.items()}
 
     def weight_shift(self):
-        return (0, 0)
+        return 0
 
     def u_shift(self):
         if not self.c:
@@ -255,10 +235,7 @@ class MulVar(Operator):
         return out
 
     def weight_shift(self):
-        return (self.i, self.i)
-
-    def u_shift(self):
-        return (0, 0)
+        return self.i
 
 
 class Sum(Operator):
@@ -269,13 +246,6 @@ class Sum(Operator):
     def __init__(self, *ops: Operator):
         object.__setattr__(self, "ops", tuple(ops))
 
-    def act_terms(self, terms: Terms, W: int) -> Terms:
-        out: Terms = {}
-        for op in self.ops:
-            for m, c in op.act_terms(terms, W).items():
-                _acc(out, m, c)
-        return out
-
     def apply(self, s: TruncatedSeries) -> TruncatedSeries:
         # summand by summand, so reliability folds through the series add
         out = TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax,
@@ -283,18 +253,6 @@ class Sum(Operator):
         for op in self.ops:
             out = out + op.apply(s)
         return out
-
-    def weight_shift(self):
-        if not self.ops:
-            return (0, 0)
-        los, his = zip(*(op.weight_shift() for op in self.ops))
-        return (min(los), max(his))
-
-    def u_shift(self):
-        if not self.ops:
-            return (0, 0)
-        los, his = zip(*(op.u_shift() for op in self.ops))
-        return (min(los), max(his))
 
     def __eq__(self, other):
         return isinstance(other, Sum) and self.ops == other.ops
@@ -313,27 +271,16 @@ class Compose(Operator):
             raise ValueError("composition of zero operators is not defined")
         object.__setattr__(self, "ops", tuple(ops))
 
-    def act_terms(self, terms: Terms, W: int) -> Terms:
-        for op in reversed(self.ops):
-            terms = op.act_terms(terms, W)
-            if not terms:
-                break
-        return dict(terms)
-
     def apply(self, s: TruncatedSeries) -> TruncatedSeries:
         # step by step: an intermediate that leaves the truncation box and
         # would be pulled back by a later derivative must cost reliability,
-        # which the total shift envelope cannot see
+        # which the total weight shift cannot see
         for op in reversed(self.ops):
             s = op.apply(s)
         return s
 
     def weight_shift(self):
-        lo = hi = 0
-        for op in self.ops:
-            l, h = op.weight_shift()
-            lo, hi = lo + l, hi + h
-        return (lo, hi)
+        return sum(op.weight_shift() for op in self.ops)
 
     def u_shift(self):
         lo = hi = 0
@@ -394,19 +341,6 @@ def ops_equal(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperatorExponential:
-    """exp(t * base)."""
-
-    base: Operator
-    t: UPoly | None = None
-
-    def operator(self) -> Operator:
-        if self.t is None:
-            return self.base
-        return scaled(self.base, self.t)
-
-
 def _summands(op: Operator) -> list[Operator]:
     if isinstance(op, Sum):
         out: list[Operator] = []
@@ -417,7 +351,7 @@ def _summands(op: Operator) -> list[Operator]:
 
 
 def exponential_apply(
-    e: OperatorExponential | Operator,
+    op: Operator,
     s: TruncatedSeries,
     *,
     max_order: int | None = None,
@@ -430,13 +364,12 @@ def exponential_apply(
     u_hi), or every summand raises weight by >= 1 without raising u (terms
     leave through the weight ceiling).  Anything else needs max_order.
     """
-    op = e.operator() if isinstance(e, OperatorExponential) else e
     parts = _summands(op)
     shifts = [(p.weight_shift(), p.u_shift()) for p in parts]
     clip = False
     if max_order is None:
-        box = all(wl >= 0 and ul >= 0 and wl + ul >= 1 for (wl, _), (ul, _) in shifts)
-        raising = all(wl >= 1 and uh <= 0 for (wl, _), (_, uh) in shifts)
+        box = all(w >= 0 and ul >= 0 and w + ul >= 1 for w, (ul, _) in shifts)
+        raising = all(w >= 1 and uh <= 0 for w, (_, uh) in shifts)
         if not (box or raising):
             probe = op.apply(s)
             if probe.is_zero():
@@ -466,7 +399,7 @@ def exponential_apply(
     else:
         if max_order is None and not cur.is_zero():
             raise OperatorGradingError("exponential did not terminate within the box cap")
-    wlo = min((wl for (wl, _), _ in shifts), default=0)
+    wlo = min((w for w, _ in shifts), default=0)
     rel = s.reliable if wlo >= 0 else s.reliable + wlo * cap
     u_hi = total.u_hi
     if clip:
@@ -474,12 +407,9 @@ def exponential_apply(
     return total.with_reliable(min(rel, total.reliable)).with_u_hi(u_hi)
 
 
-def conjugate(
-    e: OperatorExponential, a: Operator, *, W: int, depth_cap: int = 8
-) -> Operator:
-    """exp(-X) a exp(X) for X = t*base, as Sum_k (ad_X)^k(a) / k! where
-    ad_X(y) = [y, X]; the chain must vanish extensionally within depth_cap."""
-    x = e.operator()
+def conjugate(x: Operator, a: Operator, *, W: int, depth_cap: int = 8) -> Operator:
+    """exp(-X) a exp(X) as Sum_k (ad_X)^k(a) / k! where ad_X(y) = [y, X];
+    the chain must vanish extensionally within depth_cap."""
     out: list[Operator] = [a]
     cur = a
     for k in range(1, depth_cap + 1):
@@ -663,8 +593,8 @@ def verify_conjugations(W: int) -> dict[str, bool]:
     """exp(-L1/u) (.) exp(L1/u) moves u^2*M0 onto M2 + 2u*M1 + u^2*M0 and
     u*Lambda0 onto u*Lambda0 + Lambda1; checked both through the bracket
     chain and by direct three-step application to every basis monomial."""
-    x = OperatorExponential(Lambda(1), UPoly.u(-1))
-    xm = OperatorExponential(Lambda(1), UPoly.u(-1, -1))
+    x = scaled(Lambda(1), UPoly.u(-1))
+    xm = scaled(Lambda(1), UPoly.u(-1, -1))
     m0c = conjugate(x, scaled(CutJoin(0), UPoly.u(2)), W=W)
     l0c = conjugate(x, scaled(Lambda(0), UPoly.u(1)), W=W)
     target_m = Sum(scaled(CutJoin(0), UPoly.u(2)), scaled(CutJoin(1), UPoly.u(1, 2)),

@@ -23,15 +23,6 @@ class CheckReport:
     first_failure: str | None = None
     detail: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
-    @property
-    def ok(self) -> bool:
-        # vacuous is "nothing certified", which is not a failure
-        return self.status != FAIL
-
     def to_json_obj(self) -> dict:
         out = {
             "check": self.name,

@@ -6,15 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjvtau.exactalg import TruncatedSeries, UPOLY_ONE, UPoly, mono, mono_var
+from gjvtau.exactalg import (
+    TruncatedSeries,
+    UPOLY_ONE,
+    UPoly,
+    mono,
+    mono_var,
+    mono_weight,
+    monomials_up_to_weight,
+)
 from gjvtau.operators import (
     Compose,
     CutJoin,
     CutPart,
     JoinPart,
     Lambda,
-    OperatorExponential,
+    MulVar,
     OperatorGradingError,
+    Partial,
+    ScalarMul,
     Sum,
     bracket_closed_form,
     bracket_order_bound,
@@ -79,6 +89,31 @@ def test_sum_and_compose_act_pointwise(s):
     assert scaled(a, Fraction(3, 2)).apply(s) == a.apply(s).scale(Fraction(3, 2))
 
 
+SHIFT_OPS = [
+    Partial(1), Partial(3), Lambda(-1), Lambda(0), Lambda(1), MulVar(2),
+    ScalarMul(UPoly.u(-1) + UPoly.u(2, 3)),
+    *(cls(k) for cls in (CutPart, JoinPart, CutJoin) for k in (0, 1, 2)),
+    pytest.param(scaled(CutJoin(1), UPoly.u(1, 2)), id="2u*CutJoin(k=1)"),
+]
+
+
+@pytest.mark.parametrize("op", SHIFT_OPS, ids=repr)
+def test_declared_shifts_match_the_action(op):
+    # Operator.apply's reliable weight and exponential_apply's grading both
+    # trust weight_shift and u_shift, so check them against what op does
+    W = 9
+    dw = op.weight_shift()
+    ulo, uhi = op.u_shift()
+    acted = False
+    for m in monomials_up_to_weight(6):
+        out = op.apply(TruncatedSeries.monomial("q", W, m))
+        for m_out, c in out.terms.items():
+            acted = True
+            assert mono_weight(m_out) == mono_weight(m) + dw, (m, m_out)
+            assert ulo <= c.min_exp() and c.max_exp() <= uhi, (m, c)
+    assert acted
+
+
 # ---------------------------------------------------------------------------
 # commutator and conjugation batteries
 # ---------------------------------------------------------------------------
@@ -107,8 +142,7 @@ def test_conjugation_suite():
 
 def test_conjugate_of_commuting_pair_is_identity():
     # [M2, M2] = 0, so conjugation by exp(M2) fixes M2
-    e = OperatorExponential(CutJoin(2))
-    out = conjugate(e, CutJoin(2), W=6)
+    out = conjugate(CutJoin(2), CutJoin(2), W=6)
     assert ops_equal(out.apply, CutJoin(2).apply, W=6)
 
 
@@ -120,8 +154,8 @@ def test_conjugate_of_commuting_pair_is_identity():
 def test_exponential_roundtrip():
     s = TruncatedSeries("q", 6, {mono((1, 1), (2, 1)): UPoly.u(1),
                                  mono_var(3): UPOLY_ONE})
-    e = exponential_apply(OperatorExponential(CutJoin(2)), s)
-    back = exponential_apply(OperatorExponential(CutJoin(2), UPoly.const(-1)), e)
+    e = exponential_apply(CutJoin(2), s)
+    back = exponential_apply(scaled(CutJoin(2), -1), e)
     assert back == s
     assert back.reliable == 6
 
