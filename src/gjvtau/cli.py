@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +43,7 @@ from .hurwitz import (
     h01_h02_closed_forms,
     hurwitz_number,
     load_hurwitz_cache,
+    profiles,
     save_hurwitz_cache,
 )
 from .operators import Lambda, verify_commutators, verify_conjugations, verify_O_operators
@@ -54,17 +54,17 @@ INTERSECTION_GRIDS = ((0, 3), (0, 4), (1, 1), (1, 2))
 
 @dataclass
 class RunConfig:
-    W: int = 8
-    Mmax: int = 4
-    K: int = 7
-    dmax: int = 5
-    c_list: tuple[UPoly, ...] = (UPOLY_ZERO, UPOLY_ONE)
-    out: Path = Path(".")
-    cache_path: Path | None = None
-    table: dict = field(default_factory=dict)  # counts read from cache_path
-    kp2: bool = False
-    inject_corruption: bool = False
-    checks_filter: str | None = None
+    W: int
+    Mmax: int
+    K: int
+    dmax: int
+    c_list: tuple[UPoly, ...]
+    out: Path
+    cache_path: Path | None
+    table: dict  # counts read from cache_path
+    kp2: bool
+    inject_corruption: bool
+    checks_filter: str | None
 
 
 def _parse_c_list(text: str) -> tuple[UPoly, ...]:
@@ -92,11 +92,7 @@ def cmd_hurwitz(cfg: RunConfig) -> int:
     rows = []
     all_agree = True
     for n in range(1, cfg.dmax + 1):
-        for parts in itertools.combinations_with_replacement(
-            range(1, cfg.dmax + 1), n
-        ):
-            if sum(parts) > cfg.dmax:
-                continue
+        for parts in profiles(n, cfg.dmax):
             g = 0
             while 2 * g - 1 + n <= cfg.Mmax:
                 idx = HurwitzIndex(g, parts)
@@ -309,9 +305,7 @@ def _check_hurwitz_anchors(cfg: RunConfig) -> list[CheckReport]:
     layer0 = series.u_layer(0) == l0.apply(l0.apply(h01)).u_layer(0)
     agree = True
     for n in range(1, 5):
-        for parts in itertools.combinations_with_replacement(range(1, 5), n):
-            if sum(parts) > 4:
-                continue
+        for parts in profiles(n, 4):
             for g in (0, 1):
                 idx = HurwitzIndex(g, parts)
                 if idx.m > 4:
@@ -366,7 +360,7 @@ def _check_intersection_routes(cfg: RunConfig) -> list[CheckReport]:
     ]
 
 
-def _battery(cfg: RunConfig):
+def _battery():
     return [
         _check_tbasis_table,
         _check_commutators,
@@ -391,7 +385,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             return [CheckReport(name, FAIL, 0, detail={"error": repr(e)})]
 
     reports = sorted(
-        (r for fn in _battery(cfg) for r in run(fn)), key=lambda r: r.name
+        (r for fn in _battery() for r in run(fn)), key=lambda r: r.name
     )
     if cfg.checks_filter:
         keys = [k.strip() for k in cfg.checks_filter.split(",") if k.strip()]

@@ -14,7 +14,8 @@ Truncation discards weights above ``W`` silently (that is the ring we compute
 in); the ``u``-exponent band, by contrast, is a hard error when exceeded,
 because silently dropping ``u`` powers would corrupt the ``1/u`` structure the
 downstream identities depend on.  Operations that *can* clip the band soundly
-(graded exponentials) do so explicitly and record it in ``u_hi``.
+(graded exponentials) do so explicitly through
+:meth:`TruncatedSeries.clip_u_above`, which records the clip in ``u_hi``.
 
 Each series also carries ``reliable``: the weight up to which its entries are
 known to be exact.  Operations that shift weight downward (derivatives by a
@@ -78,13 +79,9 @@ class UPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, Rat] | Iterable[tuple[int, Rat]] = ()):
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = terms
+    def __init__(self, terms: Mapping[int, Rat]):
         acc: dict[int, Rat] = {}
-        for e, c in items:
+        for e, c in terms.items():
             c = Fraction(c)
             if c:
                 acc[e] = acc.get(e, Fraction(0)) + c
@@ -169,18 +166,10 @@ class UPoly:
             acc[e] = acc.get(e, Fraction(0)) + c
         return UPoly(acc)
 
-    def __sub__(self, other: UPoly) -> UPoly:
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, Fraction(0)) - c
-        return UPoly(acc)
-
     def __neg__(self) -> UPoly:
         return UPoly({e: -c for e, c in self.terms})
 
-    def __mul__(self, other: UPoly | Rat | int) -> UPoly:
-        if isinstance(other, (Fraction, int)):
-            return self.scale(Fraction(other))
+    def __mul__(self, other: UPoly) -> UPoly:
         acc: dict[int, Rat] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
@@ -188,11 +177,9 @@ class UPoly:
                 acc[e] = acc.get(e, Fraction(0)) + c1 * c2
         return UPoly(acc)
 
-    __rmul__ = __mul__
-
     def scale(self, c: Rat) -> UPoly:
         if not c:
-            return UPoly()
+            return UPOLY_ZERO
         return UPoly({e: v * c for e, v in self.terms})
 
     def shift(self, k: int) -> UPoly:
@@ -238,7 +225,7 @@ class UPoly:
         return UPoly({int(e): Fraction(c) for e, c in data})
 
 
-UPOLY_ZERO = UPoly()
+UPOLY_ZERO = UPoly({})
 UPOLY_ONE = UPoly.const(1)
 U = UPoly.u()
 
@@ -297,12 +284,12 @@ def mono_exp(m: Monomial, i: int) -> int:
     return 0
 
 
-def mono_div_var(m: Monomial, i: int, k: int = 1) -> Monomial:
-    """Divide by x_i^k; the exponent must be present."""
+def mono_div_var(m: Monomial, i: int) -> Monomial:
+    """Divide by x_i; the variable must be present."""
     acc = dict(m)
-    if acc.get(i, 0) < k:
-        raise ValueError(f"monomial {m} not divisible by variable {i}^{k}")
-    acc[i] -= k
+    if not acc.get(i):
+        raise ValueError(f"monomial {m} not divisible by variable {i}")
+    acc[i] -= 1
     if acc[i] == 0:
         del acc[i]
     return tuple(sorted(acc.items()))
@@ -322,9 +309,8 @@ def mono_str(m: Monomial, family: str = "q") -> str:
     )
 
 
-def monomials_of_weight(w: int, family_max_index: int | None = None) -> Iterator[Monomial]:
+def monomials_of_weight(w: int) -> Iterator[Monomial]:
     """All monomials of total weight exactly w (partitions of w)."""
-    cap = family_max_index if family_max_index is not None else w
 
     def gen(remaining: int, max_part: int) -> Iterator[list[int]]:
         if remaining == 0:
@@ -334,7 +320,7 @@ def monomials_of_weight(w: int, family_max_index: int | None = None) -> Iterator
             for rest in gen(remaining - part, part):
                 yield [part] + rest
 
-    for parts in gen(w, cap):
+    for parts in gen(w, w):
         acc: dict[int, int] = {}
         for p in parts:
             acc[p] = acc.get(p, 0) + 1
@@ -366,7 +352,7 @@ class TruncatedSeries:
         self,
         family: str,
         W: int,
-        terms: Mapping[Monomial, UPoly] | Iterable[tuple[Monomial, UPoly]] = (),
+        terms: Mapping[Monomial, UPoly],
         *,
         umin: int | None = None,
         umax: int | None = None,
@@ -380,9 +366,8 @@ class TruncatedSeries:
         lo, hi = band_for_weight(W)
         umin = lo if umin is None else umin
         umax = hi if umax is None else umax
-        items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Monomial, UPoly] = {}
-        for m, c in items:
+        for m, c in terms.items():
             if not c:
                 continue
             if mono_weight(m) > W:
@@ -406,7 +391,7 @@ class TruncatedSeries:
 
     @staticmethod
     def zero(family: str, W: int, **kw) -> TruncatedSeries:
-        return TruncatedSeries(family, W, (), **kw)
+        return TruncatedSeries(family, W, {}, **kw)
 
     @staticmethod
     def monomial(
@@ -440,6 +425,16 @@ class TruncatedSeries:
     def with_u_hi(self, u_hi: int | None) -> TruncatedSeries:
         return TruncatedSeries(self.family, self.W, self.terms, umin=self.umin,
                                umax=self.umax, reliable=self.reliable, u_hi=u_hi)
+
+    def clip_u_above(self, hi: int) -> TruncatedSeries:
+        """Drop u-exponents above hi: the band top becomes hi, and the entries
+        are exact at most up to u^hi."""
+        return TruncatedSeries(
+            self.family, self.W,
+            {m: c.clip_above(hi) for m, c in self.terms.items()},
+            umin=self.umin, umax=hi, reliable=self.reliable,
+            u_hi=self._merge_u_hi(self.u_hi, hi),
+        )
 
     def _check_family(self, other: TruncatedSeries) -> None:
         if self.family != other.family:
@@ -593,13 +588,13 @@ class TruncatedSeries:
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         return self.mul(other)
 
-    def pow(self, n: int, **band_kw) -> TruncatedSeries:
+    def pow(self, n: int) -> TruncatedSeries:
         if n < 0:
             raise ValueError("negative powers of a series are not defined here")
         out = TruncatedSeries.const(self.family, self.W, UPOLY_ONE,
                                     umin=self.umin, umax=self.umax)
         for _ in range(n):
-            out = out.mul(self, **band_kw)
+            out = out.mul(self)
         return out
 
     def partial(self, i: int) -> TruncatedSeries:
@@ -658,16 +653,16 @@ class TruncatedSeries:
         return json.dumps(self.to_json_obj(), separators=(",", ":"), sort_keys=True)
 
     @staticmethod
-    def from_json_obj(data: dict, **kw) -> TruncatedSeries:
+    def from_json_obj(data: dict) -> TruncatedSeries:
         terms = {
             mono(*[tuple(p) for p in t["mono"]]): UPoly.from_json(t["coef"])
             for t in data["terms"]
         }
-        return TruncatedSeries(data["family"], data["W"], terms, **kw)
+        return TruncatedSeries(data["family"], data["W"], terms)
 
     @staticmethod
-    def from_json(text: str, **kw) -> TruncatedSeries:
-        return TruncatedSeries.from_json_obj(json.loads(text), **kw)
+    def from_json(text: str) -> TruncatedSeries:
+        return TruncatedSeries.from_json_obj(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +674,6 @@ def substitute_linear(
     s: TruncatedSeries,
     rule: Mapping[int, TruncatedSeries],
     *,
-    W: int | None = None,
     umin: int | None = None,
     umax: int | None = None,
 ) -> TruncatedSeries:
@@ -689,7 +683,7 @@ def substitute_linear(
     and weight-compatible: the image of variable ``b`` may only contain target
     weights >= b.  That makes the substitution exact on a weight-W truncation.
     """
-    W = s.W if W is None else W
+    W = s.W
     target_family: str | None = None
     # slope: most negative u-exponent per unit of image weight, across all
     # image terms; a degree-d product then shifts u by >= slope * weight, and

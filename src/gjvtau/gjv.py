@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
+from typing import Callable
 
 from .exactalg import (
     FamilyError,
@@ -34,6 +35,7 @@ from .hurwitz import (
     cutjoin_series,
     extract_hurwitz,
     hurwitz_number,
+    profiles,
 )
 from .operators import (
     CutJoin,
@@ -46,13 +48,6 @@ from .report import CheckReport, residual_report
 
 _U = UPoly.u()
 _U_INV = UPoly.u(-1)
-
-
-def _clip_u_above(s: TruncatedSeries, hi: int) -> TruncatedSeries:
-    """Drop u-exponents above hi and narrow the band accordingly."""
-    out = s.map_coeffs(lambda c: c.clip_above(hi)).with_band(s.umin, hi)
-    u_hi = hi if s.u_hi is None else min(s.u_hi, hi)
-    return out.with_u_hi(u_hi)
 
 
 def _tau_head(W: int, lo: int, hi: int) -> TruncatedSeries:
@@ -75,70 +70,60 @@ def _tau_head(W: int, lo: int, hi: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def change_of_variables(
+def _change_family(
     s: TruncatedSeries,
-    W: int | None = None,
-    *,
-    umin: int | None = None,
-    umax: int | None = None,
+    source: str,
+    target: str,
+    image: Callable[[int, int], UPoly],
+    reach: tuple[int, int],
 ) -> TruncatedSeries:
-    """p_b -> sum_{i>=b} u^-i (-1)^(i-b) C(i-1, b-1) q_i, truncated at W.
+    """x_b -> sum_{b<=i<=W} image(b, i) y_i from the source to the target
+    family, truncated at s.W.
+
+    reach is the (lowest, highest) u-exponent the images add per unit of
+    weight; the band is widened by W times it beyond the operand's range.
+    """
+    if s.family != source:
+        raise FamilyError(
+            f"change of variables from the {source}-family got a "
+            f"{s.family}-family series"
+        )
+    W = s.W
+    lo, hi = band_for_weight(W)
+    mn = min((c.min_exp() for c in s.terms.values()), default=0)
+    mx = max((c.max_exp() for c in s.terms.values()), default=0)
+    lo, hi = min(lo, mn + reach[0] * W), max(hi, mx + reach[1] * W)
+    rule = {
+        b: TruncatedSeries(
+            target,
+            W,
+            {mono_var(i): image(b, i) for i in range(b, W + 1)},
+            umin=lo,
+            umax=hi,
+        )
+        for b in range(1, W + 1)
+    }
+    return substitute_linear(s, rule, umin=lo, umax=hi)
+
+
+def change_of_variables(s: TruncatedSeries) -> TruncatedSeries:
+    """p_b -> sum_{i>=b} u^-i (-1)^(i-b) C(i-1, b-1) q_i, truncated at s.W.
 
     Exact on the truncation: every image term has weight >= b, so dropped
     source monomials only touch weights beyond W.  beta is already carried
     as u^2 in the coefficients, so no rewriting is needed here.
     """
-    if s.family != "p":
-        raise FamilyError("change of variables expects a p-family series")
-    W = s.W if W is None else W
-    lo, hi = band_for_weight(W)
-    mn = min((c.min_exp() for c in s.terms.values()), default=0)
-    mx = max((c.max_exp() for c in s.terms.values()), default=0)
-    lo = min(lo, mn - W) if umin is None else umin
-    hi = max(hi, mx) if umax is None else umax
-    rule = {
-        b: TruncatedSeries(
-            "q",
-            W,
-            {
-                mono_var(i): UPoly.u(-i, (-1) ** (i - b) * comb(i - 1, b - 1))
-                for i in range(b, W + 1)
-            },
-            umin=lo,
-            umax=hi,
-        )
-        for b in range(1, W + 1)
-    }
-    return substitute_linear(s, rule, W=W, umin=lo, umax=hi)
+    return _change_family(
+        s, "p", "q",
+        lambda b, i: UPoly.u(-i, (-1) ** (i - b) * comb(i - 1, b - 1)), (-1, 0),
+    )
 
 
-def inverse_change_of_variables(
-    s: TruncatedSeries,
-    W: int | None = None,
-    *,
-    umin: int | None = None,
-    umax: int | None = None,
-) -> TruncatedSeries:
-    """q_b -> u^b sum_{i>=b} C(i-1, b-1) p_i; exact inverse up to weight W."""
-    if s.family != "q":
-        raise FamilyError("inverse change of variables expects a q-family series")
-    W = s.W if W is None else W
-    lo, hi = band_for_weight(W)
-    mn = min((c.min_exp() for c in s.terms.values()), default=0)
-    mx = max((c.max_exp() for c in s.terms.values()), default=0)
-    lo = min(lo, mn) if umin is None else umin
-    hi = max(hi, mx + W) if umax is None else umax
-    rule = {
-        b: TruncatedSeries(
-            "p",
-            W,
-            {mono_var(i): UPoly.u(b, comb(i - 1, b - 1)) for i in range(b, W + 1)},
-            umin=lo,
-            umax=hi,
-        )
-        for b in range(1, W + 1)
-    }
-    return substitute_linear(s, rule, W=W, umin=lo, umax=hi)
+def inverse_change_of_variables(s: TruncatedSeries) -> TruncatedSeries:
+    """q_b -> u^b sum_{i>=b} C(i-1, b-1) p_i; exact inverse up to weight s.W."""
+    return _change_family(
+        s, "q", "p", lambda b, i: UPoly.u(b, comb(i - 1, b - 1)), (0, 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +142,7 @@ def build_tbasis(K: int, W: int) -> list[TruncatedSeries]:
     return basis
 
 
-def assemble_tau_exponential(
-    c: UPoly,
-    W: int,
-    *,
-    umin: int | None = None,
-    umax: int | None = None,
-) -> TruncatedSeries:
+def assemble_tau_exponential(c: UPoly, W: int) -> TruncatedSeries:
     """exp(M2 + 2u*M1 + u^2*M0) applied to c(u) + q_1/u.
 
     Every summand raises weight + u-exponent by exactly 2 and lowers neither,
@@ -173,8 +152,6 @@ def assemble_tau_exponential(
     lo, hi = band_for_weight(W)
     if c:
         lo, hi = min(lo, c.min_exp()), max(hi, c.max_exp())
-    lo = lo if umin is None else umin
-    hi = hi if umax is None else umax
     seed = TruncatedSeries("q", W, {mono_var(1): _U_INV}, umin=lo, umax=hi)
     if c:
         seed = seed + TruncatedSeries.const("q", W, c, umin=lo, umax=hi)
@@ -186,11 +163,9 @@ def assemble_tau_exponential(
     return exponential_apply(mixed, seed)
 
 
-def assemble_tau_from_g(
-    c: UPoly, G: TruncatedSeries, W: int | None = None
-) -> TruncatedSeries:
+def assemble_tau_from_g(c: UPoly, G: TruncatedSeries) -> TruncatedSeries:
     """c + (q_1 + q_1 q_2)/u + q_1^2 + (Lambda_0 + Lambda_1/u)^2 G."""
-    W = G.W if W is None else W
+    W = G.W
     lo = min(G.umin, -1, c.min_exp() if c else 0)
     hi = max(G.umax, 0, c.max_exp() if c else 0)
     g = G.with_band(lo, hi)
@@ -211,7 +186,7 @@ def extract_G(W: int, Mmax: int) -> TruncatedSeries:
     the flat u_hi = 2*Mmax - W recorded on the result is the safe minimum
     over all weights.
     """
-    X = change_of_variables(cutjoin_series(W, Mmax), W)
+    X = change_of_variables(cutjoin_series(W, Mmax))
     X = X - _tau_head(W, X.umin, X.umax)
     if X.weight_slice(0):
         raise ArithmeticError("weight-0 component left over; cannot invert on it")
@@ -242,7 +217,7 @@ def verify_tau_routes(
     if G is None:
         G = extract_G(W, Mmax=W + 1)
     _, hi = band_for_weight(W)
-    t1 = _clip_u_above(assemble_tau_from_g(c, G), hi)
+    t1 = assemble_tau_from_g(c, G).clip_u_above(hi)
     t2 = assemble_tau_exponential(c, W)
     return residual_report(
         "tau_routes", t1 - t2, reliable=W, detail={"c": str(c), "W": W}
@@ -301,9 +276,7 @@ def _record_sort_key(r: IntersectionNumber) -> tuple:
     return (2 * r.j + sum(r.degrees), r.n, r.j, r.degrees)
 
 
-def extract_intersections_tbasis(
-    G: TruncatedSeries, K: int | None = None, *, emit_cap: int | None = None
-) -> list[IntersectionNumber]:
+def extract_intersections_tbasis(G: TruncatedSeries) -> list[IntersectionNumber]:
     """Greedy triangular reduction of G against T-monomials.
 
     Needs G from extract_G(W, Mmax) with 2*Mmax >= W + 1: an emitted record
@@ -311,8 +284,6 @@ def extract_intersections_tbasis(
     those entries are complete once weight + u-exponent <= 2*Mmax.
     """
     W = G.W
-    K = W - 1 if K is None else K
-    emit_cap = G.reliable if emit_cap is None else min(emit_cap, G.reliable)
     basis = build_tbasis(W - 1, W)
     residue = G
     records: list[IntersectionNumber] = []
@@ -333,7 +304,7 @@ def extract_intersections_tbasis(
         for exp, val in c_k.terms:
             # only layers inside the emit region are certified; beyond it the
             # coefficients may be truncation artifacts and are dropped
-            if exp + mono_weight(m) - 1 > emit_cap:
+            if exp + mono_weight(m) - 1 > G.reliable:
                 continue
             if exp < 1 or exp % 2 == 0:
                 raise ArithmeticError(
@@ -341,8 +312,6 @@ def extract_intersections_tbasis(
                     f"carries u^{exp}"
                 )
             j = (exp - 1) // 2
-            if any(k > K for k in ks):
-                continue
             records.append(IntersectionNumber(j, ks, (-1) ** j * val * aut))
     return sorted(records, key=_record_sort_key)
 
@@ -372,27 +341,28 @@ def _monomial_symmetric(lam: tuple[int, ...], b: tuple[int, ...]) -> Rat:
     )
 
 
+# the largest degree the profile grids count by factorisations
+GRID_BRUTE_CAP = 5
+
+
 def hurwitz_grid(
     g: int,
     n: int,
     *,
     dmax: int = DCAP_DEFAULT,
-    brute_cap: int = 5,
     table: dict | None = None,
 ) -> dict[tuple[int, tuple[int, ...]], Rat]:
     """Counts for every nondecreasing profile of length n with sum <= dmax.
 
-    Degrees above brute_cap come from the cut-and-join series instead of the
-    factorisation count; the overlap region is asserted equal in the tests.
+    Degrees above GRID_BRUTE_CAP come from the cut-and-join series instead of
+    the factorisation count; the overlap region is asserted equal in the tests.
     """
     out: dict[tuple[int, tuple[int, ...]], Rat] = {}
     series: TruncatedSeries | None = None
     m = 2 * g - 1 + n
-    for parts in itertools.combinations_with_replacement(range(1, dmax + 1), n):
-        if sum(parts) > dmax:
-            continue
+    for parts in profiles(n, dmax):
         idx = HurwitzIndex(g, parts)
-        if idx.d <= brute_cap:
+        if idx.d <= GRID_BRUTE_CAP:
             out[idx.key()] = hurwitz_number(idx, table)
         else:
             if series is None:
@@ -404,7 +374,7 @@ def hurwitz_grid(
 def extract_intersections_polyfit(
     g: int,
     n: int,
-    hvalues: dict[tuple[int, tuple[int, ...]], Rat] | None = None,
+    hvalues: dict[tuple[int, tuple[int, ...]], Rat],
     *,
     dmax: int = DCAP_DEFAULT,
 ) -> list[IntersectionNumber]:
@@ -418,8 +388,6 @@ def extract_intersections_polyfit(
     D = 4 * g - 3 + n
     if D < 0:
         return []
-    if hvalues is None:
-        hvalues = hurwitz_grid(g, n, dmax=dmax)
     unknowns: list[tuple[int, tuple[int, ...]]] = []
     for j in range(g + 1):
         if D - 2 * j < 0:
@@ -427,9 +395,7 @@ def extract_intersections_polyfit(
         unknowns.extend((j, lam) for lam in _partitions_padded(D - 2 * j, n))
     m = 2 * g - 1 + n
     rows: list[tuple[tuple[int, ...], list[Rat], Rat]] = []
-    for parts in itertools.combinations_with_replacement(range(1, dmax + 1), n):
-        if sum(parts) > dmax:
-            continue
+    for parts in profiles(n, dmax):
         h = hvalues.get((g, parts))
         if h is None:
             raise KeyError(f"missing count for g={g}, profile {parts}")
@@ -471,13 +437,9 @@ def extract_intersections_polyfit(
 # ---------------------------------------------------------------------------
 
 
-def _exp_join(s: TruncatedSeries) -> TruncatedSeries:
-    return exponential_apply(CutJoin(2), s)
-
-
 def exp_join_of_q1(W: int) -> TruncatedSeries:
     """exp(M2) q_1 at truncation W; the right-hand side of the F identities."""
-    return _exp_join(TruncatedSeries.variable("q", W, 1))
+    return exponential_apply(CutJoin(2), TruncatedSeries.variable("q", W, 1))
 
 
 def extract_F(records, W: int) -> TruncatedSeries:
@@ -567,7 +529,7 @@ def verify_proposition(n: int, W: int) -> CheckReport:
         "q", W, mono((1, n - 1)) if n > 1 else (), UPoly.const(1)
     )
     lhs = E.partial(n).scale(n)
-    rhs = Lambda(2 - n).apply(E) + _exp_join(power)
+    rhs = Lambda(2 - n).apply(E) + exponential_apply(CutJoin(2), power)
     return residual_report(
         f"proposition_n{n}", lhs - rhs, detail={"n": n, "W": W}
     )

@@ -119,7 +119,7 @@ def check_kp(
     """Residual of kp(D) tau.tau, certified up to the residual's own u_hi."""
     r = hirota_apply(kp, tau, tau)
     if r.u_hi is not None:
-        r = r.map_coeffs(lambda c: c.clip_above(r.u_hi))
+        r = r.clip_u_above(r.u_hi)
     return residual_report(
         kp.name,
         r,
@@ -132,16 +132,14 @@ def check_kp(
     )
 
 
-def check_linearized_kp(
-    s: TruncatedSeries, kp: HirotaPolynomial = KP1, *, tau_label: str = "tau"
-) -> CheckReport:
-    """The single-function shadow: kp with D_i read as plain d/dt_i."""
+def check_linearized_kp(s: TruncatedSeries, *, tau_label: str = "tau") -> CheckReport:
+    """The single-function shadow: KP1 with D_i read as plain d/dt_i."""
     memo: dict = {}
     residual = TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax)
-    for coef, avec in kp.terms:
+    for coef, avec in KP1.terms:
         residual = residual + _multi_partial(s, avec, memo).scale(coef)
     return residual_report(
-        "linearized_" + kp.name,
+        "linearized_" + KP1.name,
         residual,
         detail={"tau": tau_label, "W": s.W, "convention": T_CONVENTION},
     )

@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial, prod
 from pathlib import Path
+from typing import Iterator
 
 from .exactalg import (
     Rat,
@@ -75,6 +77,14 @@ class HurwitzValue:
             "parts": list(self.index.parts),
             "h": str(self.h),
         }
+
+
+def profiles(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing profiles of n parts with degree <= d, in the order of
+    combinations_with_replacement over 1..d."""
+    for parts in combinations_with_replacement(range(1, d + 1), n):
+        if sum(parts) <= d:
+            yield parts
 
 
 def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -247,9 +257,7 @@ def extract_hurwitz(series: TruncatedSeries, idx: HurwitzIndex) -> HurwitzValue:
     return HurwitzValue(idx, h)
 
 
-def h01_h02_closed_forms(
-    W: int, *, dcap: int = DCAP_DEFAULT
-) -> tuple[TruncatedSeries, TruncatedSeries]:
+def h01_h02_closed_forms(W: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """The two unstable legs of H, assembled from brute-force values.
 
     Coefficient of p_(b1..bn) * beta^m is h / (|Aut| * d * m!); the first
@@ -259,12 +267,12 @@ def h01_h02_closed_forms(
         raise ValueError("need W >= 2")
     h01: dict = {}
     for d in range(1, W + 1):
-        h = hurwitz_number(HurwitzIndex(0, (d,)), dcap=dcap)
+        h = hurwitz_number(HurwitzIndex(0, (d,)))
         h01[mono((d, 1))] = UPoly.const(h / d)
     h02: dict = {}
     for b1 in range(1, W):
         for b2 in range(b1, W - b1 + 1):
-            h = hurwitz_number(HurwitzIndex(0, (b1, b2)), dcap=dcap)
+            h = hurwitz_number(HurwitzIndex(0, (b1, b2)))
             aut = 2 if b1 == b2 else 1
             m = mono((b1, 2)) if b1 == b2 else mono((b1, 1), (b2, 1))
             h02[m] = UPoly.u(2, h / (aut * (b1 + b2)))

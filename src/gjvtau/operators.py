@@ -254,12 +254,6 @@ class Sum(Operator):
             out = out + op.apply(s)
         return out
 
-    def __eq__(self, other):
-        return isinstance(other, Sum) and self.ops == other.ops
-
-    def __hash__(self):
-        return hash(("Sum", self.ops))
-
 
 class Compose(Operator):
     """Composition, applied right to left: Compose(a, b)(s) = a(b(s))."""
@@ -289,12 +283,6 @@ class Compose(Operator):
             lo, hi = lo + l, hi + h
         return (lo, hi)
 
-    def __eq__(self, other):
-        return isinstance(other, Compose) and self.ops == other.ops
-
-    def __hash__(self):
-        return hash(("Compose", self.ops))
-
 
 ZERO_OP = Sum()
 
@@ -315,9 +303,6 @@ def ops_equal(
     *,
     W: int,
     headroom: int = 0,
-    family: str = "q",
-    umin: int | None = None,
-    umax: int | None = None,
 ) -> bool:
     """Extensional equality on every monomial of weight <= W, compared over
     the common reliable weight of the two results.
@@ -328,7 +313,7 @@ def ops_equal(
     """
     Wi = W + headroom
     for m in monomials_up_to_weight(W):
-        s = TruncatedSeries.monomial(family, Wi, m, umin=umin, umax=umax)
+        s = TruncatedSeries.monomial("q", Wi, m)
         fa, fb = f(s), g(s)
         rel = min(fa.reliable, fb.reliable)
         if fa.up_to_weight(rel) != fb.up_to_weight(rel):
@@ -387,8 +372,7 @@ def exponential_apply(
     for k in range(1, cap + 1):
         if clip:
             wide = cur.with_band(s.umin, s.umax + step_up)
-            nxt = op.apply(wide).scale(Fraction(1, k))
-            nxt = nxt.map_coeffs(lambda c: c.clip_above(s.umax)).with_band(s.umin, s.umax)
+            nxt = op.apply(wide).scale(Fraction(1, k)).clip_u_above(s.umax)
         else:
             nxt = op.apply(cur).scale(Fraction(1, k))
         if nxt.is_zero():
@@ -401,24 +385,27 @@ def exponential_apply(
             raise OperatorGradingError("exponential did not terminate within the box cap")
     wlo = min((w for w, _ in shifts), default=0)
     rel = s.reliable if wlo >= 0 else s.reliable + wlo * cap
-    u_hi = total.u_hi
     if clip:
-        u_hi = s.umax if u_hi is None else min(u_hi, s.umax)
-    return total.with_reliable(min(rel, total.reliable)).with_u_hi(u_hi)
+        total = total.clip_u_above(s.umax)
+    return total.with_reliable(min(rel, total.reliable))
 
 
-def conjugate(x: Operator, a: Operator, *, W: int, depth_cap: int = 8) -> Operator:
+# the longest bracket chain conjugate expands before giving up
+CONJUGATE_DEPTH = 8
+
+
+def conjugate(x: Operator, a: Operator, *, W: int) -> Operator:
     """exp(-X) a exp(X) as Sum_k (ad_X)^k(a) / k! where ad_X(y) = [y, X];
-    the chain must vanish extensionally within depth_cap."""
+    the chain must vanish extensionally within CONJUGATE_DEPTH."""
     out: list[Operator] = [a]
     cur = a
-    for k in range(1, depth_cap + 1):
+    for k in range(1, CONJUGATE_DEPTH + 1):
         cur = commutator(cur, x)
         if ops_equal(cur, ZERO_OP, W=W, headroom=2):
             return Sum(*out)
         out.append(scaled(cur, Fraction(1, factorial(k))))
     raise OperatorGradingError(
-        f"conjugation bracket chain did not vanish within depth {depth_cap}"
+        f"conjugation bracket chain did not vanish within depth {CONJUGATE_DEPTH}"
     )
 
 

@@ -65,6 +65,9 @@ def test_verify_battery_reports_the_known_failures(tmp_path, capsys):
     assert reports["proposition_n5"]["status"] == "vacuous"
     assert reports["proposition_n4"]["status"] == "pass"
     assert reports["proposition_n4"]["reliable_weight"] == 2
+    # the default --c is 0|1|u^-1+2: one tau_routes report per choice
+    assert {k for k in reports if k.startswith("tau_routes")} == {
+        "tau_routes_c0", "tau_routes_c1", "tau_routes_c2"}
     assert "FAIL" in capsys.readouterr().out
 
 

@@ -208,6 +208,19 @@ def test_json_golden():
     assert TruncatedSeries.from_json(s.to_json()) == s
 
 
+def test_clip_u_above_drops_high_exponents_and_records_the_clip():
+    s = TruncatedSeries(
+        "q", 4, {mono_var(1): UPoly.parse("u^-1 + 2*u^3"), mono_var(2): UPoly.u(5)}
+    ).with_reliable(3)
+    out = s.clip_u_above(2)
+    assert out.terms == {mono_var(1): UPoly.u(-1)}
+    assert (out.umin, out.umax) == (s.umin, 2)
+    assert out.reliable == 3
+    assert s.u_hi is None and out.u_hi == 2
+    assert s.with_u_hi(7).clip_u_above(2).u_hi == 2
+    assert s.with_u_hi(1).clip_u_above(2).u_hi == 1
+
+
 # ---------------------------------------------------------------------------
 # linear substitution
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from gjvtau.hurwitz import (
     hurwitz_bruteforce,
     hurwitz_number,
     load_hurwitz_cache,
+    profiles,
     save_hurwitz_cache,
 )
 from gjvtau.operators import Lambda
@@ -51,6 +52,14 @@ def test_part_order_is_immaterial():
     a = hurwitz_bruteforce(HurwitzIndex(1, (1, 2, 3)))
     b = hurwitz_bruteforce(HurwitzIndex(1, (3, 2, 1)))
     assert a.h == b.h
+
+
+def test_profiles_are_bounded_and_in_grid_order():
+    # polyfit rows follow this order, so it decides which profile an
+    # inconsistent-system error names
+    assert list(profiles(2, 4)) == [(1, 1), (1, 2), (1, 3), (2, 2)]
+    assert list(profiles(3, 3)) == [(1, 1, 1)]
+    assert list(profiles(2, 1)) == []
 
 
 def test_routes_agree_on_a_grid():
