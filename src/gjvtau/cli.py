@@ -361,40 +361,64 @@ def _check_intersection_routes(cfg: RunConfig) -> list[CheckReport]:
 
 
 def _battery():
+    """The verify battery as (name, report-name prefixes, check) entries: each
+    report a check returns starts with one of its prefixes, and a check that
+    crashes yields one failed report under the entry's name instead."""
     return [
-        _check_tbasis_table,
-        _check_commutators,
-        _check_conjugations,
-        _check_tau_routes,
-        _check_f_identities,
-        _check_propositions,
-        _check_o_operators,
-        _check_hurwitz_anchors,
-        _check_g_structure,
-        _check_kp,
-        _check_intersection_routes,
+        ("tbasis_table", ("tbasis_table",), _check_tbasis_table),
+        ("commutators", ("commutator_",), _check_commutators),
+        ("conjugations", ("conjugation_",), _check_conjugations),
+        ("tau_routes", ("tau_routes_",), _check_tau_routes),
+        ("f_identities", ("string_equation", "lambda_square", "q1_second_derivative"),
+         _check_f_identities),
+        ("propositions", ("proposition_",), _check_propositions),
+        ("o_operators", ("o_operators_",), _check_o_operators),
+        ("hurwitz_anchors", ("hurwitz_anchor_", "hurwitz_route_agreement"),
+         _check_hurwitz_anchors),
+        ("g_structure", ("g_structure",), _check_g_structure),
+        ("kp", ("kp1_", "kp2_", "linearized_kp"), _check_kp),
+        ("intersections_routes", ("intersections_routes",), _check_intersection_routes),
     ]
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    def run(fn) -> list[CheckReport]:
-        try:
-            return fn(cfg)
-        except Exception as e:  # a crashed check is a failed check
-            name = fn.__name__.removeprefix("_check_")
-            return [CheckReport(name, FAIL, 0, detail={"error": repr(e)})]
+    """Run the battery.  With --checks, a comma-separated list of keys, run
+    only the entries with a report name that can start with a key, and keep
+    the reports that do, plus the report of any such entry that crashed."""
+    keys = [k.strip() for k in (cfg.checks_filter or "").split(",") if k.strip()]
 
-    reports = sorted(
-        (r for fn in _battery() for r in run(fn)), key=lambda r: r.name
-    )
-    if cfg.checks_filter:
-        keys = [k.strip() for k in cfg.checks_filter.split(",") if k.strip()]
-        unmatched = [k for k in keys if not any(k in r.name for r in reports)]
-        if unmatched:
-            print(f"--checks matches no check: {', '.join(unmatched)}",
-                  file=sys.stderr)
-            return 2
-        reports = [r for r in reports if any(k in r.name for k in keys)]
+    def unmatched(found) -> bool:
+        missing = [k for k in keys if k not in found]
+        if missing:
+            print(f"--checks matches no check: {', '.join(missing)}", file=sys.stderr)
+        return bool(missing)
+
+    entries = []
+    for name, prefixes, fn in _battery():
+        chosen = {k for k in keys
+                  if any(p.startswith(k) or k.startswith(p) for p in prefixes)}
+        if chosen or not keys:
+            entries.append((name, fn, chosen))
+    if unmatched(set().union(*(chosen for _, _, chosen in entries))):
+        return 2
+    reports, matched = [], set()
+    for name, fn, chosen in entries:
+        try:
+            got = fn(cfg)
+        except Exception as e:  # a crashed check is a failed check
+            reports.append(CheckReport(name, FAIL, 0, detail={"error": repr(e)}))
+            matched |= chosen
+            continue
+        for r in got:
+            hits = {k for k in chosen if r.name.startswith(k)}
+            if hits or not keys:
+                reports.append(r)
+                matched |= hits
+    # a key can select an entry that writes no report starting with it,
+    # such as kp2 without --kp2
+    if unmatched(matched):
+        return 2
+    reports.sort(key=lambda r: r.name)
     _write_json(cfg.out / "verify.json", [r.to_json_obj() for r in reports])
     _write_csv(
         cfg.out / "verify.csv",
@@ -430,7 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="JSON cache path (env GJV_CACHE is the fallback)")
     common.add_argument("--kp2", action="store_true",
                         help="also run the next bilinear equation")
-    common.add_argument("--checks", default=None, help=argparse.SUPPRESS)
+    common.add_argument("--checks", default=None,
+                        help="verify: comma-separated check-name prefixes to run")
     common.add_argument("--inject-corruption", action="store_true",
                         help=argparse.SUPPRESS)
     p = argparse.ArgumentParser(

@@ -588,15 +588,6 @@ class TruncatedSeries:
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         return self.mul(other)
 
-    def pow(self, n: int) -> TruncatedSeries:
-        if n < 0:
-            raise ValueError("negative powers of a series are not defined here")
-        out = TruncatedSeries.const(self.family, self.W, UPOLY_ONE,
-                                    umin=self.umin, umax=self.umax)
-        for _ in range(n):
-            out = out.mul(self)
-        return out
-
     def partial(self, i: int) -> TruncatedSeries:
         """d/dx_i.  Weight drops by i, so the reliable weight drops too."""
         if i < 1:
@@ -718,17 +709,32 @@ def substitute_linear(
                            umin=lo, umax=hi)
         for b, img in rule.items()
     }
-    out = TruncatedSeries.zero(target_family, W, umin=lo, umax=hi)
-    for m, c in s.terms.items():
-        term = TruncatedSeries.const(target_family, W, c, umin=lo, umax=hi)
-        for i, e in m:
+    # Spelled as nondecreasing indices (q1^2 q3 -> (1, 1, 3)) and visited in
+    # sorted order, the source monomials walk their prefix trie depth first.
+    # path[k] is the image of the current word's first k indices, so each
+    # product of images is formed once per distinct prefix, not once per term.
+    words = sorted((tuple(i for i, e in m for _ in range(e)), c)
+                   for m, c in s.terms.items())
+    path = [TruncatedSeries.const(target_family, W, UPOLY_ONE)]
+    prev: tuple[int, ...] = ()
+    acc: dict[Monomial, UPoly] = {}
+    for word, c in words:
+        k = 0
+        while k < min(len(prev), len(word)) and prev[k] == word[k]:
+            k += 1
+        del path[k + 1:]
+        for i in word[k:]:
             if i not in images:
                 raise KeyError(f"substitution rule missing variable {i}")
-            for _ in range(e):
-                term = term.mul(images[i], umin=lo, umax=hi)
-        out = out + term
+            path.append(path[-1].mul(images[i], umin=lo, umax=hi))
+        prev = word
+        for m, v in path[-1].terms.items():
+            term = c * v
+            term.check_band(lo, hi)
+            acc[m] = acc.get(m, UPOLY_ZERO) + term
     rel = min(s.reliable, min((img.reliable for img in rule.values()), default=W), W)
     u_hi = s.u_hi
     if u_hi is not None:
         u_hi += math.floor(slope * W)  # slope <= 0, so this only lowers it
-    return out.with_reliable(rel).with_u_hi(u_hi)
+    return TruncatedSeries(target_family, W, acc, umin=lo, umax=hi,
+                           reliable=rel, u_hi=u_hi)

@@ -10,6 +10,9 @@ must stay in exact agreement (the tests enforce this on a d <= 5 grid).
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -176,12 +179,36 @@ def hurwitz_number(
     return h
 
 
+def hurwitz_closed_form(idx: HurwitzIndex) -> Rat:
+    """h = r! * d^(r-1) * [t^(2g)] prod_i S(b_i t) / S(t), with r = 2g-1+n and
+    S(t) = sinh(t/2)/(t/2): the one-part double Hurwitz numbers of
+    Goulden-Jackson-Vakil (Thm 3.1, arXiv:math/0309440), in exact arithmetic
+    (d^(r-1) is 1/d at g = 0, n = 1)."""
+    g = idx.g
+
+    def sinhc(b: int) -> list[Rat]:
+        # S(b t) in powers of t^2, through t^(2g)
+        return [Fraction(b ** (2 * k), 4 ** k * factorial(2 * k + 1))
+                for k in range(g + 1)]
+
+    num = [Fraction(1)] + [Fraction(0)] * g
+    for b in idx.parts:
+        sb = sinhc(b)
+        num = [sum(num[j] * sb[k - j] for j in range(k + 1)) for k in range(g + 1)]
+    s1, quot = sinhc(1), []
+    for k in range(g + 1):  # S(t) has constant term 1
+        quot.append(num[k] - sum(quot[j] * s1[k - j] for j in range(k)))
+    r = idx.m
+    return factorial(r) * Fraction(idx.d) ** (r - 1) * quot[g]
+
+
 # ---------------------------------------------------------------------------
 # Cache file (reused by the interpolation route and the CLI)
 # ---------------------------------------------------------------------------
 
 
 def load_hurwitz_cache(path: str | Path) -> dict[tuple[int, tuple[int, ...]], Rat]:
+    """Read a count cache; every record must equal the closed form."""
     p = Path(path)
     if not p.exists():
         return {}
@@ -197,7 +224,12 @@ def load_hurwitz_cache(path: str | Path) -> dict[tuple[int, tuple[int, ...]], Ra
             raise ValueError(f"{p}: record {i} lacks g, parts or h")
         try:
             idx = HurwitzIndex(rec["g"], tuple(rec["parts"]))
-            table[idx.key()] = Fraction(rec["h"])
+            h = Fraction(rec["h"])
+            want = hurwitz_closed_form(idx)
+            if h != want:
+                raise ValueError(f"g={idx.g}, parts={list(idx.parts)} has h = {h}, "
+                                 f"the closed form gives {want}")
+            table[idx.key()] = h
         except (TypeError, ValueError) as e:
             raise ValueError(f"{p}: record {i}: {e}") from e
     return table
@@ -206,11 +238,23 @@ def load_hurwitz_cache(path: str | Path) -> dict[tuple[int, tuple[int, ...]], Ra
 def save_hurwitz_cache(
     path: str | Path, table: dict[tuple[int, tuple[int, ...]], Rat]
 ) -> None:
+    """Write the table to a temp file beside path, then rename it over path,
+    so a write that fails leaves the old cache whole."""
+    p = Path(path)
     recs = [
         HurwitzValue(HurwitzIndex(g, parts), h).to_json_obj()
         for (g, parts), h in sorted(table.items())
     ]
-    Path(path).write_text(json.dumps(recs, sort_keys=True, separators=(",", ":")))
+    fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(recs, fh, sort_keys=True, separators=(",", ":"))
+        if p.exists():  # the temp file is private; keep the old file's mode
+            shutil.copymode(p, tmp)
+        os.replace(tmp, p)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

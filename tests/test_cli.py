@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gjvtau import cli
 from gjvtau.cli import main
 
 
@@ -109,26 +110,51 @@ def test_tau_routes_write_series(tmp_path):
         assert data["family"] == "t" and data["terms"]
 
 
-def test_verify_filter_matching_nothing_is_a_usage_error(tmp_path, capsys):
+def test_verify_filter_matching_nothing_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert run(tmp_path, "verify", "--W", "4", "--checks", "nonexistent") == 2
     assert "nonexistent" in capsys.readouterr().err
     assert not (tmp_path / "verify.json").exists()
 
+    # a key that selects no entry is refused before any entry runs
+    ran = []
+    monkeypatch.setattr(cli, "_check_commutators", lambda cfg: ran.append(cfg) or [])
+    assert run(tmp_path, "verify", "--W", "4", "--checks", "commutator,nonexistent") == 2
+    assert not ran and not (tmp_path / "verify.json").exists()
 
-def test_crashed_check_keeps_its_battery_name(tmp_path):
-    # a wrong but well-formed cached count makes the polyfit route raise
-    cache = tmp_path / "poisoned.json"
-    cache.write_text('[{"g":0,"parts":[1,1,1],"h":"7"}]')
-    code = run(tmp_path, "verify", "--W", "4", "--hurwitz-cache", str(cache),
-               "--checks", "intersection_routes")
+
+def test_crashed_check_keeps_its_battery_name(tmp_path, monkeypatch):
+    def crash(*args, **kwargs):
+        raise ValueError("inconsistent system")
+
+    monkeypatch.setattr(cli, "extract_intersections_polyfit", crash)
+    code = run(tmp_path, "verify", "--W", "4", "--checks", "intersections")
     assert code == 1
     (row,) = json.loads((tmp_path / "verify.json").read_text())
-    assert row["check"] == "intersection_routes"
+    assert row["check"] == "intersections_routes"
     assert row["status"] == "fail" and "ValueError" in row["error"]
 
 
+def test_verify_filter_runs_only_the_entries_it_selects(tmp_path, monkeypatch):
+    (tmp_path / "all").mkdir(), (tmp_path / "kp").mkdir()
+    run(tmp_path / "all", "verify", "--W", "5")
+    full = json.loads((tmp_path / "all/verify.json").read_text())
+
+    def crash(cfg):
+        raise AssertionError("entry outside --checks ran")
+
+    for name in list(vars(cli)):
+        if name.startswith("_check_") and name != "_check_kp":
+            monkeypatch.setattr(cli, name, crash)
+    assert run(tmp_path / "kp", "verify", "--W", "5", "--checks", "kp") == 0
+    rows = json.loads((tmp_path / "kp/verify.json").read_text())
+    assert rows == [r for r in full if r["check"].startswith("kp")]
+    assert len(rows) == 3
+
+
 def test_malformed_cache_exits_2_naming_the_file(tmp_path, capsys):
-    for i, text in enumerate(("{not json", '{"g":0}', '[{"g":0,"parts":[1]}]')):
+    # the last cache is well formed, but its count is not the closed form's 6
+    for i, text in enumerate(("{not json", '{"g":0}', '[{"g":0,"parts":[1]}]',
+                              '[{"g":0,"parts":[1,1,1],"h":"7"}]')):
         cache = tmp_path / f"bad{i}.json"
         cache.write_text(text)
         assert run(tmp_path, "hurwitz", "--hurwitz-cache", str(cache)) == 2

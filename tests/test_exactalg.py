@@ -1,5 +1,6 @@
 """Core algebra layer: u-Laurent coefficients and weight-truncated series."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ from gjvtau.exactalg import (
     monomials_of_weight,
     substitute_linear,
 )
+from gjvtau.gjv import change_of_variables
+from gjvtau.hurwitz import cutjoin_series
 
 
 def q(i, W=6, **kw):
@@ -153,7 +156,7 @@ def test_partial_weight_drop():
 
 
 def test_truncate_and_slices():
-    s = q(1) + q(2) * q(3) + q(1).pow(4)
+    s = q(1) + q(2) * q(3) + q(1) * q(1) * q(1) * q(1)
     assert str(s.truncate(2)) == "q1"
     assert str(s.weight_slice(5)) == "q2*q3"
     assert str(s.up_to_weight(4)) == "q1 + q1^4"
@@ -239,3 +242,106 @@ def test_substitute_linear_band_override():
         substitute_linear(q(1, 4), {1: deep})
     out = substitute_linear(q(1, 4), {1: deep}, umin=-9)
     assert out.coefficient_of(mono_var(1)) == UPoly.u(-9)
+
+
+def test_substitute_linear_term_leaving_the_band_raises():
+    # the image and the coefficient each sit in the band; their product does not
+    s = TruncatedSeries("q", 4, {mono_var(1): UPoly.u(4)})
+    img = TruncatedSeries("q", 4, {mono_var(1): UPoly.u(3)})
+    with pytest.raises(UBandError):
+        substitute_linear(s, {1: img})
+
+
+def test_substitute_linear_missing_variable_raises():
+    with pytest.raises(KeyError, match="missing variable 2"):
+        substitute_linear(q(1, 4) * q(2, 4), {1: q(1, 4)})
+
+
+def naive_substitute_linear(s, rule, *, umin, umax):
+    """Reference: every source term multiplies its images out from the
+    constant, one product per variable power, and the terms are summed one
+    series at a time."""
+    W = s.W
+    family = next(iter(rule.values())).family
+    images = {
+        b: TruncatedSeries(family, W, {m: c for m, c in img.terms.items()
+                                       if mono_weight(m) <= W},
+                           umin=umin, umax=umax)
+        for b, img in rule.items()
+    }
+    out = TruncatedSeries.zero(family, W, umin=umin, umax=umax)
+    for m, c in s.terms.items():
+        term = TruncatedSeries.const(family, W, c, umin=umin, umax=umax)
+        for i, e in m:
+            for _ in range(e):
+                term = term.mul(images[i], umin=umin, umax=umax)
+        out = out + term
+    slope = min((Fraction(c.min_exp(), mono_weight(m))
+                 for img in rule.values() for m, c in img.terms.items()),
+                default=Fraction(0))
+    u_hi = s.u_hi
+    if u_hi is not None:
+        u_hi += math.floor(min(slope, 0) * W)
+    rel = min(s.reliable, min(img.reliable for img in rule.values()), W)
+    return out.with_reliable(rel).with_u_hi(u_hi)
+
+
+@st.composite
+def substitution_cases(draw):
+    """A sparse p-series and a weight-compatible linear rule p_b -> q_(i>=b)."""
+    W = draw(st.integers(1, 6))
+    upoly = st.dictionaries(st.integers(-2, 2), st.integers(-5, 5),
+                            min_size=1, max_size=3).map(UPoly)
+
+    def monomial(exponents):
+        # q1^e1 q2^e2 q3^e3 cut to weight W: low indices make long monomials
+        # whose spelled prefixes are shared
+        word = []
+        for i, e in zip((1, 2, 3), exponents):
+            word += [i] * min(e, (W - sum(word)) // i)
+        return mono(*((i, word.count(i)) for i in set(word)))
+
+    exponents = st.tuples(st.integers(0, W), st.integers(0, 3), st.integers(0, 2))
+    terms = draw(st.dictionaries(exponents.map(monomial), upoly, max_size=12))
+    # products of at most W images, each |u-exponent| <= 2, times a coefficient
+    band = 2 * W + 2
+    s = TruncatedSeries("p", W, terms, umin=-band, umax=band,
+                        reliable=draw(st.integers(0, W)),
+                        u_hi=draw(st.none() | st.integers(-3, 3)))
+    rule = {}
+    for b in range(1, W + 1):
+        # image weights may run past W: substitute_linear drops them
+        img = draw(st.dictionaries(st.integers(b, W + 2).map(mono_var), upoly,
+                                   min_size=1, max_size=3))
+        rule[b] = TruncatedSeries("q", W + 2, img, umin=-2, umax=2,
+                                  reliable=draw(st.integers(0, W + 2)))
+    return s, rule, band
+
+
+@settings(deadline=None, max_examples=150)
+@given(substitution_cases())
+def test_substitute_linear_matches_the_per_term_products(case):
+    s, rule, band = case
+    got = substitute_linear(s, rule, umin=-band, umax=band)
+    want = naive_substitute_linear(s, rule, umin=-band, umax=band)
+    assert got.terms == want.terms
+    assert (got.family, got.W, got.umin, got.umax, got.reliable, got.u_hi) == (
+        want.family, want.W, want.umin, want.umax, want.reliable, want.u_hi)
+
+
+def test_substitute_linear_forms_one_product_per_prefix(monkeypatch):
+    # spelled as nondecreasing indices, a monomial's prefixes are the partial
+    # products of its images; each distinct one is one TruncatedSeries.mul
+    s = cutjoin_series(10, 6)
+    words = {tuple(i for i, e in m for _ in range(e)) for m in s.terms}
+    prefixes = {w[:k] for w in words for k in range(1, len(w) + 1)}
+    calls = []
+    mul = TruncatedSeries.mul
+
+    def counting_mul(self, other, **kw):
+        calls.append(1)
+        return mul(self, other, **kw)
+
+    monkeypatch.setattr(TruncatedSeries, "mul", counting_mul)
+    change_of_variables(s)
+    assert len(calls) == len(prefixes)

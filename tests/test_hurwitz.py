@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gjvtau import hurwitz
 from gjvtau.exactalg import TruncationError
 from gjvtau.hurwitz import (
     HurwitzIndex,
@@ -12,6 +13,7 @@ from gjvtau.hurwitz import (
     extract_hurwitz,
     h01_h02_closed_forms,
     hurwitz_bruteforce,
+    hurwitz_closed_form,
     hurwitz_number,
     load_hurwitz_cache,
     profiles,
@@ -121,3 +123,37 @@ def test_memo_table_is_used(tmp_path):
     table[idx.key()] = F(7)
     assert hurwitz_number(idx, table) == F(7)
     assert first != F(7)
+
+
+def test_closed_form_matches_bruteforce():
+    # Goulden-Jackson-Vakil's one-part double Hurwitz formula, on every
+    # profile with n <= 4 parts and degree <= 6, genus <= 2, m <= 6
+    cases = [HurwitzIndex(g, parts) for n in range(1, 5) for parts in profiles(n, 6)
+             for g in range(3) if 2 * g - 1 + n <= 6]
+    assert len(cases) == 74
+    for idx in cases:
+        assert hurwitz_closed_form(idx) == hurwitz_number(idx), idx
+
+
+def test_cache_record_off_the_closed_form_is_rejected(tmp_path):
+    path = tmp_path / "poisoned.json"
+    path.write_text('[{"g":0,"parts":[1],"h":"1"},{"g":0,"parts":[1,1,1],"h":"7"}]')
+    with pytest.raises(ValueError, match="record 1") as e:
+        load_hurwitz_cache(path)
+    assert str(path) in str(e.value)
+
+
+def test_failed_cache_write_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "hw.json"
+    save_hurwitz_cache(path, {(0, (1,)): F(1)})
+    old = path.read_bytes()
+
+    def dump_half(obj, fh, **kw):
+        fh.write('[{"g":0,')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(hurwitz.json, "dump", dump_half)
+    with pytest.raises(OSError, match="disk full"):
+        save_hurwitz_cache(path, {(0, (1,)): F(1), (0, (2,)): F(1, 2)})
+    assert path.read_bytes() == old
+    assert [f.name for f in tmp_path.iterdir()] == ["hw.json"]
