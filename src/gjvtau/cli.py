@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .exactalg import TruncatedSeries, UPoly, UPOLY_ONE, UPOLY_ZERO, mono, mono_str
+from .exactalg import TruncatedSeries, UPoly, UPOLY_ONE, mono, mono_str
 from .gjv import (
     assemble_tau_exponential,
     build_tbasis,
@@ -68,7 +68,10 @@ class RunConfig:
 
 
 def _parse_c_list(text: str) -> tuple[UPoly, ...]:
-    return tuple(UPoly.parse(part) for part in text.split("|") if part.strip())
+    c_list = tuple(UPoly.parse(part) for part in text.split("|") if part.strip())
+    if not c_list:
+        raise ValueError(f"{text!r} names no c(u)")
+    return c_list
 
 
 def _write_json(path: Path, obj) -> None:
@@ -142,11 +145,10 @@ def cmd_tbasis(cfg: RunConfig) -> int:
 
 
 def cmd_tau(cfg: RunConfig, route: str) -> int:
-    c = cfg.c_list[0] if cfg.c_list else UPOLY_ZERO
+    c = cfg.c_list[0]
     if route == "linear":
         tau = TruncatedSeries("t", cfg.W, {mono((1, 1)): UPOLY_ONE})
-        if c:
-            tau = tau + TruncatedSeries.const("t", cfg.W, c)
+        tau = tau + TruncatedSeries.const("t", cfg.W, c)
     elif route == "cutjoin":
         tau = to_hirota_vars(cutjoin_series(cfg.W, cfg.Mmax, c))
     else:
@@ -448,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--K", type=int, default=7,
                         help="largest basis index (clamped to W - 1)")
     common.add_argument("--c", default="0|1|u^-1+2",
-                        help="pipe-separated c(u) choices")
+                        help="pipe-separated c(u) choices, at least one")
     common.add_argument("--out", default=".", help="artifact directory")
     common.add_argument("--hurwitz-cache", default=None,
                         help="JSON cache path (env GJV_CACHE is the fallback)")

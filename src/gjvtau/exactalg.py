@@ -122,7 +122,10 @@ class UPoly:
             coef = m.group("coef")
             has_u = ("u" in m.group(0)) or m.group("exp1") is not None
             exp_s = m.group("exp1") or m.group("exp2")
-            c = Fraction(coef) if coef else Fraction(1)
+            try:
+                c = Fraction(coef) if coef else Fraction(1)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in UPoly literal {text!r}") from None
             e = int(exp_s) if exp_s is not None else (1 if has_u else 0)
             if not has_u:
                 e = 0

@@ -1,10 +1,10 @@
 """Bilinear (Hirota-form) derivative checks for the tau families.
 
-The bracket D^a f.g expands binomially with alternating signs; a tau passes
-when the residual of the bilinear form vanishes on every certified cell of
-(weight, u-exponent).  The t-identification is x_i = i * t_i for both source
-families; the bare identification t_i = x_i fails the checks and is pinned
-down by an adjudication test, so exactly one convention ships.
+The bracket D^a tau.tau expands binomially with alternating signs; a tau
+passes when the residual of the bilinear form vanishes on every certified cell
+of (weight, u-exponent).  The t-identification is x_i = i * t_i for both
+source families; the bare identification t_i = x_i fails the checks, which
+the adjudication tests pin down, so exactly one convention ships.
 """
 
 from __future__ import annotations
@@ -53,23 +53,14 @@ KP2 = HirotaPolynomial(
 )
 
 
-def to_hirota_vars(s: TruncatedSeries, convention: str = "scaled") -> TruncatedSeries:
-    """Rename a p- or q-series into the t-family.
-
-    "scaled" reads the source variable x_i as i * t_i (each monomial picks up
-    prod i^e_i); "direct" is the bare renaming kept only so the adjudication
-    test can demonstrate that it fails.
-    """
+def to_hirota_vars(s: TruncatedSeries) -> TruncatedSeries:
+    """Rename a p- or q-series into the t-family, reading the source variable
+    x_i as i * t_i (each monomial picks up prod i^e_i)."""
     if s.family == "t":
         raise FamilyError("series is already in the t-family")
-    if convention == "scaled":
-        terms = {
-            m: c.scale(Fraction(prod(i**e for i, e in m))) for m, c in s.terms.items()
-        }
-    elif convention == "direct":
-        terms = dict(s.terms)
-    else:
-        raise ValueError(f"unknown t-convention {convention!r}")
+    terms = {
+        m: c.scale(Fraction(prod(i**e for i, e in m))) for m, c in s.terms.items()
+    }
     return TruncatedSeries("t", s.W, terms, **s._meta())
 
 
@@ -86,27 +77,30 @@ def _multi_partial(s: TruncatedSeries, kvec: tuple[int, ...],
     return out
 
 
-def hirota_apply(
-    P: HirotaPolynomial, f: TruncatedSeries, g: TruncatedSeries
-) -> TruncatedSeries:
-    """Evaluate P(D) f.g with the binomial expansion of each D-monomial."""
-    if f.family != g.family:
-        raise FamilyError("bilinear bracket needs a single variable family")
-    # products can reach the sum of the factors' extremes, so widen up front
-    lo, hi = f.umin + g.umin, f.umax + g.umax
-    W = min(f.W, g.W)
-    out = TruncatedSeries.zero(f.family, W, umin=lo, umax=hi)
-    memo_f: dict = {}
-    memo_g: dict = {}
+def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
+    """Evaluate P(D) tau.tau, forming each product d^k tau * d^(a-k) tau once.
+
+    The signed binomial coefficients are summed per unordered pair {k, a - k}.
+    An odd D-monomial cancels there: |k| and |a - k| differ in parity, so the
+    pair's two coefficients have opposite signs."""
+    pairs: dict = {}
     for coef, avec in P.terms:
         for kvec in iproduct(*(range(a + 1) for a in avec)):
             rest = tuple(a - k for a, k in zip(avec, kvec))
             c = coef * prod(comb(a, k) for a, k in zip(avec, kvec))
             if sum(rest) % 2:
                 c = -c
-            df = _multi_partial(f, kvec, memo_f)
-            dg = _multi_partial(g, rest, memo_g)
-            out = out + df.mul(dg, umin=lo, umax=hi).scale(c)
+            key = (min(kvec, rest), max(kvec, rest))
+            pairs[key] = pairs.get(key, 0) + c
+    # products can reach twice the factor's extremes, so widen up front
+    lo, hi = 2 * tau.umin, 2 * tau.umax
+    out = TruncatedSeries.zero(tau.family, tau.W, umin=lo, umax=hi)
+    memo: dict = {}
+    for (kvec, rest), c in pairs.items():
+        if c:
+            d1 = _multi_partial(tau, kvec, memo)
+            d2 = _multi_partial(tau, rest, memo)
+            out = out + d1.mul(d2, umin=lo, umax=hi).scale(c)
     return out
 
 
@@ -117,7 +111,7 @@ def check_kp(
     tau_label: str = "tau",
 ) -> CheckReport:
     """Residual of kp(D) tau.tau, certified up to the residual's own u_hi."""
-    r = hirota_apply(kp, tau, tau)
+    r = hirota_apply(kp, tau)
     if r.u_hi is not None:
         r = r.clip_u_above(r.u_hi)
     return residual_report(

@@ -230,7 +230,7 @@ def load_hurwitz_cache(path: str | Path) -> dict[tuple[int, tuple[int, ...]], Ra
                 raise ValueError(f"g={idx.g}, parts={list(idx.parts)} has h = {h}, "
                                  f"the closed form gives {want}")
             table[idx.key()] = h
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, ZeroDivisionError) as e:
             raise ValueError(f"{p}: record {i}: {e}") from e
     return table
 

@@ -1,6 +1,9 @@
 """End-to-end runs of the command line driver."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +37,9 @@ def test_usage_errors_exit_2(tmp_path):
         ["verify", "--W", "3"],
         ["tbasis", "--K", "0"],
         ["tau", "--c", "u^"],
+        ["tau", "--c", "1/0"],
+        ["verify", "--c", ""],
+        ["verify", "--c", "|"],
     ):
         with pytest.raises(SystemExit) as e:
             run(tmp_path, *argv)
@@ -152,11 +158,43 @@ def test_verify_filter_runs_only_the_entries_it_selects(tmp_path, monkeypatch):
 
 
 def test_malformed_cache_exits_2_naming_the_file(tmp_path, capsys):
-    # the last cache is well formed, but its count is not the closed form's 6
+    # the fourth cache is well formed, but its count is not the closed form's
+    # 6; the fifth has a zero denominator
     for i, text in enumerate(("{not json", '{"g":0}', '[{"g":0,"parts":[1]}]',
-                              '[{"g":0,"parts":[1,1,1],"h":"7"}]')):
+                              '[{"g":0,"parts":[1,1,1],"h":"7"}]',
+                              '[{"g":0,"parts":[1],"h":"1/0"}]')):
         cache = tmp_path / f"bad{i}.json"
         cache.write_text(text)
         assert run(tmp_path, "hurwitz", "--hurwitz-cache", str(cache)) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and str(cache) in err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TRACED_VERIFY = """
+import json, sys
+src, bench, out = sys.argv[1:4]
+sys.path[:0] = [src, bench]
+import tracer
+t = tracer.install()
+from gjvtau import cli
+code = cli.main(["verify", "--W", "4", "--out", out])
+with open(out + "/traced.json", "w") as fh:
+    json.dump({"exit": code, "metrics": t.metrics()}, fh)
+"""
+
+
+def test_benchmark_tracer_finds_every_layer(tmp_path):
+    # the benchmark's tracer wraps package functions by name, so a renamed
+    # function must fail here rather than only under a traced benchmark run
+    subprocess.run(
+        [sys.executable, "-c", TRACED_VERIFY, str(ROOT / "src"),
+         str(ROOT / "perfbench"), str(tmp_path)],
+        check=True, capture_output=True,
+    )
+    got = json.loads((tmp_path / "traced.json").read_text())
+    assert got["exit"] == 1
+    checks = [k for k in got["metrics"] if k.startswith("cli.check.")]
+    assert len(checks) == 11 and all(got["metrics"][k] > 0 for k in checks)
+    assert got["metrics"]["hirota.hirota_apply.calls"] > 0

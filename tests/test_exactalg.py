@@ -43,6 +43,8 @@ def test_upoly_parse_and_str():
     assert str(UPoly.parse("0")) == "0"
     assert str(UPoly.u(2, Fraction(-1, 3))) == "-1/3*u^2"
     assert UPoly.parse("1+u") * UPoly.parse("1-u") == UPoly.parse("1 - u^2")
+    with pytest.raises(ValueError, match="1/0"):
+        UPoly.parse("1/0")
 
 
 def test_upoly_queries():
