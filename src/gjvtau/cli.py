@@ -64,7 +64,7 @@ class RunConfig:
     table: dict  # counts read from cache_path
     kp2: bool
     inject_corruption: bool
-    checks_filter: str | None
+    checks: tuple[str, ...]  # --checks keys; empty runs the whole battery
 
 
 def _parse_c_list(text: str) -> tuple[UPoly, ...]:
@@ -387,7 +387,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     """Run the battery.  With --checks, a comma-separated list of keys, run
     only the entries with a report name that can start with a key, and keep
     the reports that do, plus the report of any such entry that crashed."""
-    keys = [k.strip() for k in (cfg.checks_filter or "").split(",") if k.strip()]
+    keys = cfg.checks
 
     def unmatched(found) -> bool:
         missing = [k for k in keys if k not in found]
@@ -488,6 +488,9 @@ def main(argv=None) -> int:
         c_list = _parse_c_list(args.c)
     except ValueError as e:
         parser.error(f"bad --c: {e}")
+    checks = tuple(k.strip() for k in (args.checks or "").split(",") if k.strip())
+    if args.checks is not None and not checks:
+        parser.error(f"bad --checks: {args.checks!r} names no check")
     cache = args.hurwitz_cache or os.environ.get("GJV_CACHE")
     try:
         table = load_hurwitz_cache(cache) if cache else {}
@@ -510,7 +513,7 @@ def main(argv=None) -> int:
         table=table,
         kp2=args.kp2,
         inject_corruption=args.inject_corruption,
-        checks_filter=args.checks,
+        checks=checks,
     )
     try:
         if args.command == "hurwitz":

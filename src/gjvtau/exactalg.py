@@ -21,6 +21,12 @@ Each series also carries ``reliable``: the weight up to which its entries are
 known to be exact.  Operations that shift weight downward (derivatives by a
 high-index variable) lower it; verification code compares series only up to the
 minimum reliable weight of the operands.
+
+The product kernel (:meth:`TruncatedSeries.mul`) does not multiply
+``Fraction`` objects term by term.  It reads each operand once as integer
+numerators over one denominator per operand (the lcm of that operand's
+denominators), convolves the integers, and reduces each output coefficient
+once, as ``Fraction(n, den1 * den2)``.
 """
 
 from __future__ import annotations
@@ -80,14 +86,8 @@ class UPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, Rat]):
-        acc: dict[int, Rat] = {}
-        for e, c in terms.items():
-            c = Fraction(c)
-            if c:
-                acc[e] = acc.get(e, Fraction(0)) + c
-        object.__setattr__(
-            self, "terms", tuple(sorted((e, c) for e, c in acc.items() if c))
-        )
+        entries = ((e, Fraction(c)) for e, c in terms.items())
+        object.__setattr__(self, "terms", tuple(sorted((e, c) for e, c in entries if c)))
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("UPoly is immutable")
@@ -230,7 +230,6 @@ class UPoly:
 
 UPOLY_ZERO = UPoly({})
 UPOLY_ONE = UPoly.const(1)
-U = UPoly.u()
 
 
 # ---------------------------------------------------------------------------
@@ -560,16 +559,22 @@ class TruncatedSeries:
         W = min(self.W, other.W)
         lo = min(self.umin, other.umin) if umin is None else umin
         hi = max(self.umax, other.umax) if umax is None else umax
-        acc: dict[Monomial, UPoly] = {}
-        for m1, c1 in self.terms.items():
-            w1 = mono_weight(m1)
-            if w1 > W:
-                continue
-            for m2, c2 in other.terms.items():
-                if w1 + mono_weight(m2) > W:
-                    continue
-                m = mono_mul(m1, m2)
-                acc[m] = acc.get(m, UPOLY_ZERO) + c1 * c2
+        left, den1 = self._numerators(W)
+        right, den2 = other._numerators(W)
+        right.sort(key=lambda row: row[1])
+        acc: dict[Monomial, dict[int, int]] = {}
+        for m1, w1, c1 in left:
+            for m2, w2, c2 in right:
+                if w1 + w2 > W:
+                    break
+                row = acc.setdefault(mono_mul(m1, m2), {})
+                for e1, n1 in c1:
+                    for e2, n2 in c2:
+                        e = e1 + e2
+                        row[e] = row.get(e, 0) + n1 * n2
+        den = den1 * den2
+        terms = {m: UPoly({e: Fraction(n, den) for e, n in row.items() if n})
+                 for m, row in acc.items()}
         # completeness of a product layer is limited by each factor's u_hi
         # plus the lowest exponent the other factor can supply
         u_hi = None
@@ -585,8 +590,18 @@ class TruncatedSeries:
                 self.reliable + (other.min_weight() or 0),
                 other.reliable + (self.min_weight() or 0),
             )
-        return TruncatedSeries(self.family, W, acc, umin=lo, umax=hi,
+        return TruncatedSeries(self.family, W, terms, umin=lo, umax=hi,
                                reliable=rel, u_hi=u_hi)
+
+    def _numerators(self, W: int) -> tuple[list, int]:
+        """The terms of weight <= W as (monomial, weight, ((u-exp, n), ...)),
+        each entry n / den over one den: the lcm of their denominators."""
+        kept = [(m, w, c) for m, c in self.terms.items()
+                if (w := mono_weight(m)) <= W]
+        den = math.lcm(*(v.denominator for _, _, c in kept for _, v in c.terms))
+        return [(m, w, tuple((e, v.numerator * (den // v.denominator))
+                             for e, v in c.terms))
+                for m, w, c in kept], den
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         return self.mul(other)
@@ -595,12 +610,9 @@ class TruncatedSeries:
         """d/dx_i.  Weight drops by i, so the reliable weight drops too."""
         if i < 1:
             raise ValueError("variable index must be >= 1")
-        acc: dict[Monomial, UPoly] = {}
-        for m, c in self.terms.items():
-            e = mono_exp(m, i)
-            if e:
-                m2 = mono_div_var(m, i)
-                acc[m2] = acc.get(m2, UPOLY_ZERO) + c.scale(Fraction(e))
+        # dividing by x_i is one-to-one, so no two terms meet
+        acc = {mono_div_var(m, i): c.scale(e)
+               for m, c in self.terms.items() if (e := mono_exp(m, i))}
         return TruncatedSeries(self.family, self.W, acc, umin=self.umin,
                                umax=self.umax, reliable=self.reliable - i,
                                u_hi=self.u_hi)

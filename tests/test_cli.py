@@ -40,6 +40,8 @@ def test_usage_errors_exit_2(tmp_path):
         ["tau", "--c", "1/0"],
         ["verify", "--c", ""],
         ["verify", "--c", "|"],
+        ["verify", "--checks", ","],
+        ["verify", "--checks", ""],
     ):
         with pytest.raises(SystemExit) as e:
             run(tmp_path, *argv)
@@ -198,3 +200,6 @@ def test_benchmark_tracer_finds_every_layer(tmp_path):
     checks = [k for k in got["metrics"] if k.startswith("cli.check.")]
     assert len(checks) == 11 and all(got["metrics"][k] > 0 for k in checks)
     assert got["metrics"]["hirota.hirota_apply.calls"] > 0
+    # the product kernel must stay inside the traced TruncatedSeries.mul
+    assert got["metrics"]["exactalg.mul.calls"] > 0
+    assert got["metrics"]["exactalg.mul.terms_out"] > 0

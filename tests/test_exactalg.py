@@ -19,10 +19,12 @@ from gjvtau.exactalg import (
     band_for_weight,
     mono,
     mono_key,
+    mono_mul,
     mono_str,
     mono_var,
     mono_weight,
     monomials_of_weight,
+    monomials_up_to_weight,
     substitute_linear,
 )
 from gjvtau.gjv import change_of_variables
@@ -224,6 +226,96 @@ def test_clip_u_above_drops_high_exponents_and_records_the_clip():
     assert s.u_hi is None and out.u_hi == 2
     assert s.with_u_hi(7).clip_u_above(2).u_hi == 2
     assert s.with_u_hi(1).clip_u_above(2).u_hi == 1
+
+
+# ---------------------------------------------------------------------------
+# product kernel
+# ---------------------------------------------------------------------------
+
+
+def reference_mul(a, b, *, umin=None, umax=None):
+    """Reference: the per-term product, one Fraction UPoly product and one
+    UPoly sum per pair of terms, with the same bookkeeping as mul."""
+    W = min(a.W, b.W)
+    lo = min(a.umin, b.umin) if umin is None else umin
+    hi = max(a.umax, b.umax) if umax is None else umax
+    acc = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            if mono_weight(m1) + mono_weight(m2) <= W:
+                m = mono_mul(m1, m2)
+                acc[m] = acc.get(m, UPOLY_ZERO) + c1 * c2
+    u_hi = None
+    if a.u_hi is not None and b:
+        u_hi = a.u_hi + b.min_u_exp()
+    if b.u_hi is not None and a:
+        h2 = b.u_hi + a.min_u_exp()
+        u_hi = h2 if u_hi is None else min(u_hi, h2)
+    rel = W
+    if a.terms and b.terms:
+        rel = min(W, a.reliable + b.min_weight(), b.reliable + a.min_weight())
+    return TruncatedSeries(a.family, W, acc, umin=lo, umax=hi,
+                           reliable=rel, u_hi=u_hi)
+
+
+# small denominators mixed with large primes, so the operands' lcms and their
+# product are coprime in parts and exceed machine words
+DENOMINATORS = (1, 2, 3, 4, 6, 12, 35, 1_000_003, 998_244_353, 2**61 - 1)
+
+
+@st.composite
+def kernel_series(draw):
+    W = draw(st.integers(0, 6))
+    umin, umax = draw(st.integers(-4, -2)), draw(st.integers(2, 4))
+    coef = st.builds(Fraction, st.integers(-10**12, 10**12),
+                     st.sampled_from(DENOMINATORS))
+    upoly = st.dictionaries(st.integers(-2, 2), coef, min_size=1,
+                            max_size=3).map(UPoly)
+    monos = st.sampled_from(list(monomials_up_to_weight(W)))
+    # zero, constant and general operands
+    terms = draw(st.one_of(
+        st.just({}),
+        upoly.map(lambda c: {(): c}),
+        st.dictionaries(monos, upoly, max_size=6),
+    ))
+    return TruncatedSeries("q", W, terms, umin=umin, umax=umax,
+                           reliable=draw(st.integers(-2, W + 2)),
+                           u_hi=draw(st.none() | st.integers(-4, 4)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(kernel_series(), kernel_series(),
+       st.none() | st.tuples(st.integers(-8, -2), st.integers(2, 8)))
+def test_mul_matches_the_per_term_fraction_product(a, b, band):
+    kw = {} if band is None else dict(umin=band[0], umax=band[1])
+    try:
+        want = reference_mul(a, b, **kw)
+    except UBandError:
+        with pytest.raises(UBandError):
+            a.mul(b, **kw)
+        return
+    got = a.mul(b, **kw)
+    assert got.terms == want.terms
+    assert (got.family, got.W, got.reliable, got.u_hi, got.umin, got.umax) == (
+        want.family, want.W, want.reliable, want.u_hi, want.umin, want.umax)
+
+
+def test_mul_band_escape_under_a_narrow_band_raises():
+    a = TruncatedSeries("q", 4, {mono_var(1): UPoly({-1: Fraction(1, 3),
+                                                     1: Fraction(2, 7)})})
+    b = TruncatedSeries("q", 4, {mono_var(2): UPoly.u(1, Fraction(5, 11))})
+    assert a.mul(b, umin=-1, umax=2).coefficient_of(mono((1, 1), (2, 1))) == (
+        UPoly({0: Fraction(5, 33), 2: Fraction(10, 77)}))
+    with pytest.raises(UBandError):
+        a.mul(b, umin=-1, umax=1)
+
+
+def test_mul_of_mixed_families_raises():
+    p = TruncatedSeries.variable("p", 4, 1)
+    with pytest.raises(FamilyError):
+        q(1, 4).mul(p)
+    with pytest.raises(FamilyError):
+        p.mul(q(1, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,33 @@ def test_one_product_per_unordered_pair(kp, muls, monkeypatch):
     assert len(calls) == muls
 
 
+def test_products_are_summed_in_one_accumulator(monkeypatch):
+    # no running residual rebuilt by __add__, no scaled copy of a product
+    tau = to_hirota_vars(cutjoin_series(6, 3, UPOLY_ONE))
+    calls = []
+    for name in ("__add__", "scale"):
+        def counting(self, *a, _name=name, _method=getattr(TruncatedSeries, name)):
+            calls.append(_name)
+            return _method(self, *a)
+
+        monkeypatch.setattr(TruncatedSeries, name, counting)
+    r = hirota_apply(KP1, tau)
+    assert calls == []
+    assert (r.reliable, r.u_hi) == (2, 6)
+
+
+def test_all_odd_monomials_give_an_exact_zero():
+    # every odd D-monomial cancels before any product is formed, so no
+    # factor lowers the reliable weight or bounds u
+    tau = to_hirota_vars(cutjoin_series(6, 3, UPOLY_ONE))
+    assert tau.u_hi == 6
+    P = HirotaPolynomial("odd", ((F(1), (1, 0, 0)), (F(-2), (1, 1, 1)),
+                                 (F(5), (0, 3, 0))))
+    r = hirota_apply(P, tau)
+    assert r.is_zero()
+    assert (r.reliable, r.u_hi) == (tau.W, None)
+
+
 # ---------------------------------------------------------------------------
 # variable convention
 # ---------------------------------------------------------------------------
