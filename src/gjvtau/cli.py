@@ -454,21 +454,22 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=".", help="artifact directory")
     common.add_argument("--hurwitz-cache", default=None,
                         help="JSON cache path (env GJV_CACHE is the fallback)")
-    common.add_argument("--kp2", action="store_true",
-                        help="also run the next bilinear equation")
-    common.add_argument("--checks", default=None,
-                        help="verify: comma-separated check-name prefixes to run")
-    common.add_argument("--inject-corruption", action="store_true",
-                        help=argparse.SUPPRESS)
     p = argparse.ArgumentParser(
         prog="gjvtau",
         description="exact verification runs for the tau-function package",
     )
+    p.set_defaults(kp2=False, checks=None, inject_corruption=False)
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("hurwitz", parents=[common])
     sub.add_parser("intersections", parents=[common])
     sub.add_parser("tbasis", parents=[common])
-    sub.add_parser("verify", parents=[common])
+    verify = sub.add_parser("verify", parents=[common])
+    verify.add_argument("--kp2", action="store_true",
+                        help="also run the next bilinear equation")
+    verify.add_argument("--checks", default=None,
+                        help="comma-separated check-name prefixes to run")
+    verify.add_argument("--inject-corruption", action="store_true",
+                        help=argparse.SUPPRESS)
     tau = sub.add_parser("tau", parents=[common])
     tau.add_argument("--route", choices=("linear", "cutjoin", "closedform"),
                      default="closedform")

@@ -22,15 +22,16 @@ known to be exact.  Operations that shift weight downward (derivatives by a
 high-index variable) lower it; verification code compares series only up to the
 minimum reliable weight of the operands.
 
-The product kernel (:meth:`TruncatedSeries.mul`) does not multiply
-``Fraction`` objects term by term.  It reads each operand once as integer
-numerators over one denominator per operand (the lcm of that operand's
-denominators), convolves the integers, and reduces each output coefficient
-once, as ``Fraction(n, den1 * den2)``.
+The exact kernels (:meth:`TruncatedSeries.mul`, :meth:`~TruncatedSeries.add_scaled`
+and the operator kernel) do not do ``Fraction`` arithmetic term by term: each
+reads its operands once as integer numerators over one denominator
+(:func:`numerators`), sums integer products, and builds one ``Fraction`` per
+output entry (:func:`terms_from_numerators`).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -86,7 +87,8 @@ class UPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, Rat]):
-        entries = ((e, Fraction(c)) for e, c in terms.items())
+        entries = ((e, c if type(c) is Fraction else Fraction(c))
+                   for e, c in terms.items())
         object.__setattr__(self, "terms", tuple(sorted((e, c) for e, c in entries if c)))
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
@@ -184,10 +186,6 @@ class UPoly:
         if not c:
             return UPOLY_ZERO
         return UPoly({e: v * c for e, v in self.terms})
-
-    def shift(self, k: int) -> UPoly:
-        """Multiply by u^k."""
-        return UPoly({e + k: c for e, c in self.terms})
 
     def clip_above(self, hi: int) -> UPoly:
         return UPoly({e: c for e, c in self.terms if e <= hi})
@@ -337,6 +335,41 @@ def monomials_up_to_weight(W: int) -> Iterator[Monomial]:
 # ---------------------------------------------------------------------------
 # Truncated series
 # ---------------------------------------------------------------------------
+
+
+def numerators(terms: Mapping[Monomial, UPoly], W: int) -> tuple[list, int]:
+    """The terms of weight <= W as (monomial, weight, ((u-exp, n), ...)),
+    each entry n / den over one den: the lcm of their denominators."""
+    kept = [(m, w, c) for m, c in terms.items() if (w := mono_weight(m)) <= W]
+    den = math.lcm(*(v.denominator for _, _, c in kept for _, v in c.terms))
+    return [(m, w, tuple((e, v.numerator * (den // v.denominator))
+                         for e, v in c.terms))
+            for m, w, c in kept], den
+
+
+def convolve(left: list, right: list, W: int) -> dict[Monomial, dict[int, int]]:
+    """The product of two numerator reads through weight W, as integer rows
+    (u-exp -> n) per monomial; right must be sorted by weight."""
+    acc: dict[Monomial, dict[int, int]] = {}
+    for m1, w1, c1 in left:
+        for m2, w2, c2 in right:
+            if w1 + w2 > W:
+                break
+            row = acc.setdefault(mono_mul(m1, m2), {})
+            for e1, n1 in c1:
+                for e2, n2 in c2:
+                    e = e1 + e2
+                    row[e] = row.get(e, 0) + n1 * n2
+    return acc
+
+
+def terms_from_numerators(
+    acc: Mapping[Monomial, Mapping[int, int]], den: int
+) -> dict[Monomial, UPoly]:
+    """Rows of integer numerators (u-exp -> n) over den as UPoly
+    coefficients: one Fraction per nonzero entry, one UPoly per row."""
+    return {m: UPoly({e: Fraction(n, den) for e, n in row.items() if n})
+            for m, row in acc.items()}
 
 
 class TruncatedSeries:
@@ -539,6 +572,36 @@ class TruncatedSeries:
             u_hi=self._merge_u_hi(self.u_hi, other.u_hi),
         )
 
+    def add_scaled(
+        self, parts: Iterable[tuple[Rat | int, TruncatedSeries]]
+    ) -> TruncatedSeries:
+        """self + the sum of c * s over the (c, s) parts, with the bookkeeping
+        of that chain of ``+``.  The parts are read one at a time as integer
+        numerators and summed over one common denominator."""
+        acc: dict[Monomial, dict[int, int]] = {}
+        W, lo, hi, rel, u_hi, den = (self.W, self.umin, self.umax,
+                                     self.reliable, self.u_hi, 1)
+        for c, s in itertools.chain([(1, self)], parts):
+            self._check_family(s)
+            c = Fraction(c)
+            src, d = numerators(s.terms, s.W)
+            common = math.lcm(den, c.denominator * d)
+            if common != den:  # move the sum so far onto the new denominator
+                for row in acc.values():
+                    for e in row:
+                        row[e] *= common // den
+                den = common
+            f = c.numerator * (den // (c.denominator * d))
+            for m, _, row_in in src:
+                row = acc.setdefault(m, {})
+                for e, n in row_in:
+                    row[e] = row.get(e, 0) + f * n
+            W, lo, hi = min(W, s.W), min(lo, s.umin), max(hi, s.umax)
+            rel, u_hi = min(rel, s.reliable), self._merge_u_hi(u_hi, s.u_hi)
+        kept = {m: row for m, row in acc.items() if mono_weight(m) <= W}
+        return TruncatedSeries(self.family, W, terms_from_numerators(kept, den),
+                               umin=lo, umax=hi, reliable=rel, u_hi=u_hi)
+
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
         return self + (-other)
 
@@ -559,22 +622,10 @@ class TruncatedSeries:
         W = min(self.W, other.W)
         lo = min(self.umin, other.umin) if umin is None else umin
         hi = max(self.umax, other.umax) if umax is None else umax
-        left, den1 = self._numerators(W)
-        right, den2 = other._numerators(W)
+        left, den1 = numerators(self.terms, W)
+        right, den2 = numerators(other.terms, W)
         right.sort(key=lambda row: row[1])
-        acc: dict[Monomial, dict[int, int]] = {}
-        for m1, w1, c1 in left:
-            for m2, w2, c2 in right:
-                if w1 + w2 > W:
-                    break
-                row = acc.setdefault(mono_mul(m1, m2), {})
-                for e1, n1 in c1:
-                    for e2, n2 in c2:
-                        e = e1 + e2
-                        row[e] = row.get(e, 0) + n1 * n2
-        den = den1 * den2
-        terms = {m: UPoly({e: Fraction(n, den) for e, n in row.items() if n})
-                 for m, row in acc.items()}
+        terms = terms_from_numerators(convolve(left, right, W), den1 * den2)
         # completeness of a product layer is limited by each factor's u_hi
         # plus the lowest exponent the other factor can supply
         u_hi = None
@@ -592,16 +643,6 @@ class TruncatedSeries:
             )
         return TruncatedSeries(self.family, W, terms, umin=lo, umax=hi,
                                reliable=rel, u_hi=u_hi)
-
-    def _numerators(self, W: int) -> tuple[list, int]:
-        """The terms of weight <= W as (monomial, weight, ((u-exp, n), ...)),
-        each entry n / den over one den: the lcm of their denominators."""
-        kept = [(m, w, c) for m, c in self.terms.items()
-                if (w := mono_weight(m)) <= W]
-        den = math.lcm(*(v.denominator for _, _, c in kept for _, v in c.terms))
-        return [(m, w, tuple((e, v.numerator * (den // v.denominator))
-                             for e, v in c.terms))
-                for m, w, c in kept], den
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         return self.mul(other)

@@ -191,17 +191,14 @@ def extract_G(W: int, Mmax: int) -> TruncatedSeries:
     if X.weight_slice(0):
         raise ArithmeticError("weight-0 component left over; cannot invert on it")
     raise_w = scaled(Lambda(1), _U_INV)
-    G = TruncatedSeries.zero("q", W, umin=X.umin, umax=X.umax)
-    prev = prev2 = G
+    zero = TruncatedSeries.zero("q", W, umin=X.umin, umax=X.umax)
+    layers = [zero, zero]
     for w in range(1, W + 1):
-        rhs = X.weight_slice(w)
-        if prev:
-            rhs = rhs - raise_w.apply(prev).scale(Fraction(2 * w - 1))
-        if prev2:
-            rhs = rhs - raise_w.apply(raise_w.apply(prev2))
-        layer = rhs.scale(Fraction(1, w * w))
-        G = G + layer
-        prev2, prev = prev, layer
+        layers.append(zero.add_scaled([
+            (Fraction(1, w * w), X.weight_slice(w)),
+            (Fraction(1 - 2 * w, w * w), raise_w.apply(layers[-1])),
+            (Fraction(-1, w * w), raise_w.apply(raise_w.apply(layers[-2])))]))
+    G = zero.add_scaled((1, layer) for layer in layers)
     return G.with_reliable(W).with_u_hi(X.u_hi)
 
 
@@ -492,6 +489,24 @@ def verify_second_derivative(F: TruncatedSeries) -> CheckReport:
     """d^2 F / dq_1^2 = exp(M2) q_1, to reliable weight W - 2."""
     residual = F.partial(1).partial(1) - exp_join_of_q1(F.W)
     return residual_report("q1_second_derivative", residual, detail={"W": F.W})
+
+
+def faber_pandharipande(g: int, degrees: tuple[int, ...]) -> Rat:
+    """<tau_d1..tau_dn lambda_g>_g = C(2g-3+n; d_1..d_n) * b_g for g >= 1, with
+    b_g = (2^(2g-1) - 1) |B_2g| / (2^(2g-1) (2g)!) (Faber-Pandharipande,
+    arXiv:math/9810173)."""
+    bern = [Fraction(1)]  # B_k from sum_{i<=k} C(k+1, i) B_i = 0
+    for k in range(1, 2 * g + 1):
+        bern.append(-sum(comb(k + 1, i) * bern[i] for i in range(k)) / (k + 1))
+    p = 2 ** (2 * g - 1)
+    top = factorial(2 * g - 3 + len(degrees)) // prod(factorial(d) for d in degrees)
+    return top * Fraction(p - 1, p) * abs(bern[2 * g]) / factorial(2 * g)
+
+
+def lambda_g_mismatches(records) -> list[IntersectionNumber]:
+    """The records with j = g >= 1 that disagree with faber_pandharipande."""
+    return [r for r in records
+            if r.j == r.g >= 1 and r.value != faber_pandharipande(r.g, r.degrees)]
 
 
 @functools.lru_cache(maxsize=1)

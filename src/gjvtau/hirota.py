@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, prod
 
-from .exactalg import FamilyError, Rat, TruncatedSeries, UPoly
+from .exactalg import FamilyError, Rat, TruncatedSeries
 from .report import CheckReport, residual_report
 
 T_CONVENTION = "x_i = i*t_i"
@@ -83,8 +83,8 @@ def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
     The signed binomial coefficients are summed per unordered pair {k, a - k}.
     An odd D-monomial cancels there: |k| and |a - k| differ in parity, so the
     pair's two coefficients have opposite signs.  The scaled products are
-    summed into one dict, and the result carries the lowest reliable weight
-    and u_hi among them."""
+    summed by one add_scaled, so the result carries the lowest reliable
+    weight and u_hi among them."""
     pairs: dict = {}
     for coef, avec in P.terms:
         for kvec in iproduct(*(range(a + 1) for a in avec)):
@@ -96,23 +96,12 @@ def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
             pairs[key] = pairs.get(key, 0) + c
     # products can reach twice the factor's extremes, so widen up front
     lo, hi = 2 * tau.umin, 2 * tau.umax
-    acc: dict = {}
-    rel, u_hi = tau.W, None
     memo: dict = {}
-    for (kvec, rest), c in pairs.items():
-        if c:
-            d1 = _multi_partial(tau, kvec, memo)
-            d2 = _multi_partial(tau, rest, memo)
-            p = d1.mul(d2, umin=lo, umax=hi)
-            for m, v in p.terms.items():
-                row = acc.setdefault(m, {})
-                for e, x in v.terms:
-                    row[e] = row.get(e, 0) + c * x
-            rel = min(rel, p.reliable)
-            u_hi = TruncatedSeries._merge_u_hi(u_hi, p.u_hi)
-    return TruncatedSeries(tau.family, tau.W,
-                           {m: UPoly(row) for m, row in acc.items()},
-                           umin=lo, umax=hi, reliable=rel, u_hi=u_hi)
+    zero = TruncatedSeries.zero(tau.family, tau.W, umin=lo, umax=hi)
+    return zero.add_scaled(
+        (c, _multi_partial(tau, kvec, memo).mul(_multi_partial(tau, rest, memo),
+                                                umin=lo, umax=hi))
+        for (kvec, rest), c in pairs.items() if c)
 
 
 def check_kp(
@@ -140,9 +129,8 @@ def check_kp(
 def check_linearized_kp(s: TruncatedSeries, *, tau_label: str = "tau") -> CheckReport:
     """The single-function shadow: KP1 with D_i read as plain d/dt_i."""
     memo: dict = {}
-    residual = TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax)
-    for coef, avec in KP1.terms:
-        residual = residual + _multi_partial(s, avec, memo).scale(coef)
+    residual = TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax).add_scaled(
+        (coef, _multi_partial(s, avec, memo)) for coef, avec in KP1.terms)
     return residual_report(
         "linearized_" + KP1.name,
         residual,

@@ -2,9 +2,12 @@
 
 Operators are immutable AST nodes (single-variable derivative, the lowering
 family Lambda(a), the three cut-and-join operators, scalar multiplication by a
-Laurent polynomial in u, plus Sum/Compose).  Application streams term by term:
-for every monomial we enumerate the finitely many index pairs that act
-nontrivially, so no infinite operator sum is ever materialized.
+Laurent polynomial in u, plus Sum/Compose).  A leaf that maps monomials to
+monomials declares only a stencil: the (target monomial, integer multiplier)
+pairs of one source monomial, over a class-level denominator, memoised per
+(leaf, monomial) since it does not depend on the truncation.  One kernel,
+:meth:`Operator.act_terms`, applies every stencil to the input's integer
+numerators and builds one Fraction per output entry.
 
 Every leaf declares its exact weight shift and its u-shift envelope.
 Application propagates the reliability metadata of the series: an operator
@@ -18,23 +21,27 @@ compared over the common reliable region.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable
+from typing import Callable, Iterator
 
 from gjvtau.exactalg import (
+    MONO_ONE,
     Monomial,
     Rat,
     TruncatedSeries,
     UPoly,
+    convolve,
     mono,
     mono_div_var,
     mono_mul,
     mono_var,
-    mono_weight,
     monomials_up_to_weight,
+    numerators,
+    terms_from_numerators,
 )
 
 Terms = dict[Monomial, UPoly]
@@ -44,22 +51,41 @@ class OperatorGradingError(ValueError):
     """An operator exponential cannot be truncated soundly as requested."""
 
 
-def _acc(out: Terms, m: Monomial, c: UPoly) -> None:
-    if c:
-        prev = out.get(m)
-        s = c if prev is None else prev + c
-        if s:
-            out[m] = s
-        elif prev is not None:
-            del out[m]
+# many stencils reach the same monomial, so each target is stored once
+_TARGETS: dict[Monomial, Monomial] = {}
+
+
+@functools.cache
+def _stencil(op: Operator, m: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """op's stencil at m with repeated targets merged, memoised per (leaf,
+    monomial); it holds no W, so it serves every truncation."""
+    merged: dict[Monomial, int] = {}
+    for target, k in op.stencil(m):
+        merged[target] = merged.get(target, 0) + k
+    return tuple((_TARGETS.setdefault(t, t), k) for t, k in merged.items() if k)
 
 
 class Operator:
-    """Base class.  A leaf implements act_terms (Partial: apply) and
-    weight_shift; Sum and Compose apply their parts instead."""
+    """Base class.  A stencil leaf implements stencil, den and weight_shift
+    and acts through act_terms; Partial, ScalarMul, Sum and Compose act
+    their own way."""
+
+    # the stencil multipliers are integers over this denominator
+    den = 1
+
+    def stencil(self, m: Monomial) -> Iterator[tuple[Monomial, int]]:
+        """(target monomial, multiplier over den) pairs of the action on m."""
+        raise NotImplementedError
 
     def act_terms(self, terms: Terms, W: int) -> Terms:
-        raise NotImplementedError
+        src, den = numerators(terms, W - self.weight_shift())
+        acc: dict[Monomial, dict[int, int]] = {}
+        for m, _, c in src:
+            for target, k in _stencil(self, m):
+                row = acc.setdefault(target, {})
+                for e, n in c:
+                    row[e] = row.get(e, 0) + k * n
+        return terms_from_numerators(acc, den * self.den)
 
     def weight_shift(self) -> int:
         """The exact weight shift; a Sum has none."""
@@ -112,18 +138,10 @@ class Lambda(Operator):
         if self.a > 1:
             raise ValueError("index shift must be <= 1")
 
-    def act_terms(self, terms: Terms, W: int) -> Terms:
-        out: Terms = {}
-        for m, c in terms.items():
-            w = mono_weight(m)
-            if w + self.a > W:
-                continue
-            for v, e in m:
-                t = v + self.a
-                if t >= 1:
-                    _acc(out, mono_mul(mono_div_var(m, v), mono_var(t)),
-                         c.scale(Fraction(v * e)))
-        return out
+    def stencil(self, m):
+        for v, e in m:
+            if v + self.a >= 1:
+                yield mono_mul(mono_div_var(m, v), mono_var(v + self.a)), v * e
 
     def weight_shift(self):
         return self.a
@@ -135,20 +153,14 @@ class CutPart(Operator):
     (1/2) Sum_{i,j>=1} x_i x_j (i+j-k) d/dx_{i+j-k}."""
 
     k: int
+    den = 2
 
-    def act_terms(self, terms: Terms, W: int) -> Terms:
-        out: Terms = {}
-        for m, c in terms.items():
-            if mono_weight(m) + self.k > W:
-                continue
-            for v, e in m:
-                # derivative slot v, replaced by all ordered (i, j), i+j = v+k
-                base = mono_div_var(m, v)
-                f = c.scale(Fraction(v * e, 2))
-                for i in range(1, v + self.k):
-                    j = v + self.k - i
-                    _acc(out, mono_mul(base, mono((i, 1), (j, 1))), f)
-        return out
+    def stencil(self, m):
+        for v, e in m:
+            # derivative slot v, replaced by all ordered (i, j), i+j = v+k
+            base = mono_div_var(m, v)
+            for i in range(1, v + self.k):
+                yield mono_mul(base, mono((i, 1), (v + self.k - i, 1))), v * e
 
     def weight_shift(self):
         return self.k
@@ -160,22 +172,15 @@ class JoinPart(Operator):
     (1/2) Sum_{i,j>=1} x_{i+j+k} * ij * d2/dx_i dx_j."""
 
     k: int
+    den = 2
 
-    def act_terms(self, terms: Terms, W: int) -> Terms:
-        out: Terms = {}
-        for m, c in terms.items():
-            if mono_weight(m) + self.k > W:
-                continue
-            items = list(m)
-            for vi, ei in items:
-                for vj, ej in items:
-                    n = ei * (ej - 1) if vi == vj else ei * ej
-                    if n <= 0:
-                        continue
+    def stencil(self, m):
+        for vi, ei in m:
+            for vj, ej in m:
+                n = ei * (ej - 1) if vi == vj else ei * ej
+                if n > 0:
                     base = mono_div_var(mono_div_var(m, vi), vj)
-                    _acc(out, mono_mul(base, mono_var(vi + vj + self.k)),
-                         c.scale(Fraction(vi * vj * n, 2)))
-        return out
+                    yield mono_mul(base, mono_var(vi + vj + self.k)), vi * vj * n
 
     def weight_shift(self):
         return self.k
@@ -186,16 +191,15 @@ class CutJoin(Operator):
     """Full cut-and-join operator of shift k in {0, 1, 2}."""
 
     k: int
+    den = 2
 
     def __post_init__(self):
         if self.k not in (0, 1, 2):
             raise ValueError("cut-and-join shift must be 0, 1 or 2")
 
-    def act_terms(self, terms: Terms, W: int) -> Terms:
-        out = CutPart(self.k).act_terms(terms, W)
-        for m, c in JoinPart(self.k).act_terms(terms, W).items():
-            _acc(out, m, c)
-        return out
+    def stencil(self, m):
+        yield from CutPart(self.k).stencil(m)
+        yield from JoinPart(self.k).stencil(m)
 
     def weight_shift(self):
         return self.k
@@ -208,9 +212,9 @@ class ScalarMul(Operator):
     c: UPoly
 
     def act_terms(self, terms: Terms, W: int) -> Terms:
-        if not self.c:
-            return {}
-        return {m: v * self.c for m, v in terms.items()}
+        src, den = numerators(terms, W)
+        scalar, cden = numerators({MONO_ONE: self.c}, 0)
+        return terms_from_numerators(convolve(src, scalar, W), den * cden)
 
     def weight_shift(self):
         return 0
@@ -227,12 +231,8 @@ class MulVar(Operator):
 
     i: int
 
-    def act_terms(self, terms: Terms, W: int) -> Terms:
-        out: Terms = {}
-        for m, c in terms.items():
-            if mono_weight(m) + self.i <= W:
-                _acc(out, mono_mul(m, mono_var(self.i)), c)
-        return out
+    def stencil(self, m):
+        yield mono_mul(m, mono_var(self.i)), 1
 
     def weight_shift(self):
         return self.i
@@ -247,12 +247,9 @@ class Sum(Operator):
         object.__setattr__(self, "ops", tuple(ops))
 
     def apply(self, s: TruncatedSeries) -> TruncatedSeries:
-        # summand by summand, so reliability folds through the series add
-        out = TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax,
-                                   reliable=s.reliable, u_hi=s.u_hi)
-        for op in self.ops:
-            out = out + op.apply(s)
-        return out
+        zero = TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax,
+                                    reliable=s.reliable, u_hi=s.u_hi)
+        return zero.add_scaled((1, op.apply(s)) for op in self.ops)
 
 
 class Compose(Operator):
@@ -328,10 +325,7 @@ def ops_equal(
 
 def _summands(op: Operator) -> list[Operator]:
     if isinstance(op, Sum):
-        out: list[Operator] = []
-        for o in op.ops:
-            out.extend(_summands(o))
-        return out
+        return [p for o in op.ops for p in _summands(o)]
     return [op]
 
 
@@ -368,21 +362,22 @@ def exponential_apply(
     else:
         cap = max_order
     step_up = max((uh for _, (_, uh) in shifts), default=0)
-    total = cur = s
-    for k in range(1, cap + 1):
-        if clip:
-            wide = cur.with_band(s.umin, s.umax + step_up)
-            nxt = op.apply(wide).scale(Fraction(1, k)).clip_u_above(s.umax)
-        else:
-            nxt = op.apply(cur).scale(Fraction(1, k))
-        if nxt.is_zero():
-            cur = nxt
-            break
-        total = total + nxt
-        cur = nxt
-    else:
-        if max_order is None and not cur.is_zero():
+
+    def powers():  # (1/k!, op^k(s)) until op^k(s) vanishes
+        cur = s
+        for k in range(1, cap + 1):
+            if clip:
+                wide = cur.with_band(s.umin, s.umax + step_up)
+                cur = op.apply(wide).clip_u_above(s.umax)
+            else:
+                cur = op.apply(cur)
+            if cur.is_zero():
+                return
+            yield Fraction(1, factorial(k)), cur
+        if max_order is None:
             raise OperatorGradingError("exponential did not terminate within the box cap")
+
+    total = s.add_scaled(powers())
     wlo = min((w for w, _ in shifts), default=0)
     rel = s.reliable if wlo >= 0 else s.reliable + wlo * cap
     if clip:
@@ -472,19 +467,13 @@ def bracket_actions(n: int, s: TruncatedSeries, rmax: int) -> list[TruncatedSeri
         powers.append(m2.apply(powers[-1]))
     table: dict[tuple[int, int], TruncatedSeries] = {}
     for b, p in enumerate(powers):
-        cur = p.partial(n).scale(n)
-        table[(0, b)] = cur
+        table[(0, b)] = p.partial(n).scale(n)
         for a in range(1, rmax - b + 1):
-            cur = m2.apply(cur)
-            table[(a, b)] = cur
-
-    out = []
-    for r in range(rmax + 1):
-        acc = TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax)
-        for a in range(r + 1):
-            acc = acc + table[(a, r - a)].scale(Fraction((-1) ** a * comb(r, a)))
-        out.append(acc)
-    return out
+            table[(a, b)] = m2.apply(table[(a - 1, b)])
+    zero = TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax)
+    return [zero.add_scaled(((-1) ** a * comb(r, a), table[(a, r - a)])
+                            for a in range(r + 1))
+            for r in range(rmax + 1)]
 
 
 def o_actions(n: int, s: TruncatedSeries, W_out: int) -> list[TruncatedSeries]:
@@ -492,14 +481,10 @@ def o_actions(n: int, s: TruncatedSeries, W_out: int) -> list[TruncatedSeries]:
     reliable weight it reports (truncated to W_out)."""
     rmax = bracket_order_bound(n, W_out)
     acts = bracket_actions(n, s, rmax)
-    out = []
-    for i in range(rmax + 1):
-        acc = TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax)
-        for k in range(rmax - i + 1):
-            acc = acc + acts[i + k].scale(
-                Fraction((-1) ** k, factorial(k) * factorial(i)))
-        out.append(acc.truncate(W_out))
-    return out
+    zero = TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax)
+    return [zero.add_scaled((Fraction((-1) ** k, factorial(k) * factorial(i)),
+                             acts[i + k]) for k in range(rmax - i + 1)).truncate(W_out)
+            for i in range(rmax + 1)]
 
 
 def verify_O_operators(n: int, W: int) -> dict[str, bool]:
@@ -524,11 +509,8 @@ def verify_O_operators(n: int, W: int) -> dict[str, bool]:
     e_full = exponential_apply(m2, TruncatedSeries.variable("q", Wi, 1))
     acts = o_actions(n, e_full, W)
 
-    vanish = True
-    for i, act in enumerate(acts):
-        if i in (n - 1, n):
-            continue
-        vanish = vanish and act.up_to_weight(act.reliable).is_zero()
+    vanish = all(act.up_to_weight(act.reliable).is_zero()
+                 for i, act in enumerate(acts) if i not in (n - 1, n))
 
     lhs = acts[n - 1]
     rhs = exponential_apply(
@@ -541,9 +523,7 @@ def verify_O_operators(n: int, W: int) -> dict[str, bool]:
     # bracket, and the inner sum is delta_{r,1}: the weighted sum is the single
     # bracket B_1 as an operator identity, so comparing both on one input
     # tests the o_actions coefficients
-    weighted = TruncatedSeries.zero("q", W)
-    for i, act in enumerate(acts):
-        weighted = weighted + act.scale(i)
+    weighted = TruncatedSeries.zero("q", W).add_scaled(enumerate(acts))
     bracket = commutator(n_partial(n), m2)
     direct = bracket.apply(e_full).truncate(W)
     rel = min(weighted.reliable, direct.reliable)

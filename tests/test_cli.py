@@ -48,6 +48,17 @@ def test_usage_errors_exit_2(tmp_path):
         assert e.value.code == 2
 
 
+def test_verify_only_flags_are_refused_elsewhere(tmp_path, capsys):
+    for argv in (["tbasis", "--W", "4", "--checks", "nonexistent"],
+                 ["hurwitz", "--W", "4", "--kp2"],
+                 ["tau", "--W", "4", "--inject-corruption"]):
+        with pytest.raises(SystemExit) as e:
+            run(tmp_path, *argv)
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_hurwitz_run(tmp_path):
     assert run(tmp_path, "hurwitz", "--dmax", "4", "--mmax", "3") == 0
     rows = json.loads((tmp_path / "hurwitz.json").read_text())
@@ -203,3 +214,6 @@ def test_benchmark_tracer_finds_every_layer(tmp_path):
     # the product kernel must stay inside the traced TruncatedSeries.mul
     assert got["metrics"]["exactalg.mul.calls"] > 0
     assert got["metrics"]["exactalg.mul.terms_out"] > 0
+    # and the operator kernel inside the traced apply and ops_equal spans
+    assert got["metrics"]["operators.apply.calls"] > 0
+    assert got["metrics"]["operators.ops_equal.probes"] > 0

