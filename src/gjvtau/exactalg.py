@@ -187,6 +187,10 @@ class UPoly:
             return UPOLY_ZERO
         return UPoly({e: v * c for e, v in self.terms})
 
+    def shift(self, k: int) -> UPoly:
+        """Multiply by u^k."""
+        return UPoly({e + k: c for e, c in self.terms})
+
     def clip_above(self, hi: int) -> UPoly:
         return UPoly({e: c for e, c in self.terms if e <= hi})
 

@@ -194,10 +194,13 @@ def extract_G(W: int, Mmax: int) -> TruncatedSeries:
     zero = TruncatedSeries.zero("q", W, umin=X.umin, umax=X.umax)
     layers = [zero, zero]
     for w in range(1, W + 1):
-        layers.append(zero.add_scaled([
-            (Fraction(1, w * w), X.weight_slice(w)),
-            (Fraction(1 - 2 * w, w * w), raise_w.apply(layers[-1])),
-            (Fraction(-1, w * w), raise_w.apply(raise_w.apply(layers[-2])))]))
+        prev2, prev = layers[-2:]
+        parts = [(Fraction(1, w * w), X.weight_slice(w))]
+        if prev:
+            parts.append((Fraction(1 - 2 * w, w * w), raise_w.apply(prev)))
+        if prev2:
+            parts.append((Fraction(-1, w * w), raise_w.apply(raise_w.apply(prev2))))
+        layers.append(zero.add_scaled(parts))
     G = zero.add_scaled((1, layer) for layer in layers)
     return G.with_reliable(W).with_u_hi(X.u_hi)
 

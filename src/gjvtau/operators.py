@@ -51,10 +51,6 @@ class OperatorGradingError(ValueError):
     """An operator exponential cannot be truncated soundly as requested."""
 
 
-# many stencils reach the same monomial, so each target is stored once
-_TARGETS: dict[Monomial, Monomial] = {}
-
-
 @functools.cache
 def _stencil(op: Operator, m: Monomial) -> tuple[tuple[Monomial, int], ...]:
     """op's stencil at m with repeated targets merged, memoised per (leaf,
@@ -62,7 +58,7 @@ def _stencil(op: Operator, m: Monomial) -> tuple[tuple[Monomial, int], ...]:
     merged: dict[Monomial, int] = {}
     for target, k in op.stencil(m):
         merged[target] = merged.get(target, 0) + k
-    return tuple((_TARGETS.setdefault(t, t), k) for t, k in merged.items() if k)
+    return tuple((t, k) for t, k in merged.items() if k)
 
 
 class Operator:
@@ -325,7 +321,10 @@ def ops_equal(
 
 def _summands(op: Operator) -> list[Operator]:
     if isinstance(op, Sum):
-        return [p for o in op.ops for p in _summands(o)]
+        out: list[Operator] = []
+        for o in op.ops:
+            out.extend(_summands(o))
+        return out
     return [op]
 
 
@@ -509,8 +508,11 @@ def verify_O_operators(n: int, W: int) -> dict[str, bool]:
     e_full = exponential_apply(m2, TruncatedSeries.variable("q", Wi, 1))
     acts = o_actions(n, e_full, W)
 
-    vanish = all(act.up_to_weight(act.reliable).is_zero()
-                 for i, act in enumerate(acts) if i not in (n - 1, n))
+    vanish = True
+    for i, act in enumerate(acts):
+        if i in (n - 1, n):
+            continue
+        vanish = vanish and act.up_to_weight(act.reliable).is_zero()
 
     lhs = acts[n - 1]
     rhs = exponential_apply(
@@ -523,7 +525,8 @@ def verify_O_operators(n: int, W: int) -> dict[str, bool]:
     # bracket, and the inner sum is delta_{r,1}: the weighted sum is the single
     # bracket B_1 as an operator identity, so comparing both on one input
     # tests the o_actions coefficients
-    weighted = TruncatedSeries.zero("q", W).add_scaled(enumerate(acts))
+    weighted = TruncatedSeries.zero("q", W).add_scaled(
+        (i, act) for i, act in enumerate(acts))
     bracket = commutator(n_partial(n), m2)
     direct = bracket.apply(e_full).truncate(W)
     rel = min(weighted.reliable, direct.reliable)

@@ -53,6 +53,7 @@ def test_upoly_queries():
     p = UPoly.parse("3*u^-2 + u + 1/2*u^4")
     assert p.min_exp() == -2 and p.max_exp() == 4
     assert p.coeff(1) == 1 and p.coeff(3) == 0
+    assert p.shift(2).min_exp() == 0
     assert p.scale(2).coeff(-2) == 6
     assert p.clip_above(1) == UPoly.parse("3*u^-2 + u")
     with pytest.raises(UBandError):
