@@ -26,7 +26,9 @@ The exact kernels (:meth:`TruncatedSeries.mul`, :meth:`~TruncatedSeries.add_scal
 and the operator kernel) do not do ``Fraction`` arithmetic term by term: each
 reads its operands once as integer numerators over one denominator
 (:func:`numerators`), sums integer products, and builds one ``Fraction`` per
-output entry (:func:`terms_from_numerators`).
+output entry (:func:`terms_from_numerators`).  ``add_scaled`` is the one
+addition path: ``+``, ``-``, :meth:`~TruncatedSeries.scale` and the linear
+substitution all sum their series through it.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def band_for_weight(W: int) -> tuple[int, int]:
 _UPOLY_TERM_RE = re.compile(
     r"""\s*(?P<sign>[+-])?\s*
         (?:
-            (?P<coef>\d+(?:/\d+)?)\s*\*?\s*(?:u(?:\^(?P<exp1>-?\d+))?)?
+            (?P<coef>\d+(?:/\d+)?)(?:\s*\*?\s*u(?:\^(?P<exp1>-?\d+))?)?
           | u(?:\^(?P<exp2>-?\d+))?
         )\s*""",
     re.VERBOSE,
@@ -171,9 +173,6 @@ class UPoly:
             acc[e] = acc.get(e, Fraction(0)) + c
         return UPoly(acc)
 
-    def __neg__(self) -> UPoly:
-        return UPoly({e: -c for e, c in self.terms})
-
     def __mul__(self, other: UPoly) -> UPoly:
         acc: dict[int, Rat] = {}
         for e1, c1 in self.terms:
@@ -186,10 +185,6 @@ class UPoly:
         if not c:
             return UPOLY_ZERO
         return UPoly({e: v * c for e, v in self.terms})
-
-    def shift(self, k: int) -> UPoly:
-        """Multiply by u^k."""
-        return UPoly({e + k: c for e, c in self.terms})
 
     def clip_above(self, hi: int) -> UPoly:
         return UPoly({e: c for e, c in self.terms if e <= hi})
@@ -561,61 +556,55 @@ class TruncatedSeries:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        self._check_family(other)
-        W = min(self.W, other.W)
-        acc: dict[Monomial, UPoly] = {
-            m: c for m, c in self.terms.items() if mono_weight(m) <= W
-        }
-        for m, c in other.terms.items():
-            if mono_weight(m) <= W:
-                acc[m] = acc.get(m, UPOLY_ZERO) + c
-        return TruncatedSeries(
-            self.family, W, acc,
-            umin=min(self.umin, other.umin), umax=max(self.umax, other.umax),
-            reliable=min(self.reliable, other.reliable),
-            u_hi=self._merge_u_hi(self.u_hi, other.u_hi),
-        )
+        return self.add_scaled([(1, other)])
+
+    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
+        return self.add_scaled([(-1, other)])
+
+    def scale(self, c: UPoly | Rat | int) -> TruncatedSeries:
+        return TruncatedSeries.zero(self.family, self.W, **self._meta()).add_scaled(
+            [(c, self)])
 
     def add_scaled(
-        self, parts: Iterable[tuple[Rat | int, TruncatedSeries]]
+        self, parts: Iterable[tuple[UPoly | Rat | int, TruncatedSeries]]
     ) -> TruncatedSeries:
         """self + the sum of c * s over the (c, s) parts, with the bookkeeping
-        of that chain of ``+``.  The parts are read one at a time as integer
-        numerators and summed over one common denominator."""
+        of that chain of ``+``; c is a rational or a UPoly, and each c * s
+        must stay inside the band of s (else :class:`UBandError`).  The parts
+        are read one at a time as integer numerators and summed over one
+        common denominator."""
         acc: dict[Monomial, dict[int, int]] = {}
         W, lo, hi, rel, u_hi, den = (self.W, self.umin, self.umax,
                                      self.reliable, self.u_hi, 1)
         for c, s in itertools.chain([(1, self)], parts):
             self._check_family(s)
-            c = Fraction(c)
+            c = c if isinstance(c, UPoly) else UPoly.const(c)
             src, d = numerators(s.terms, s.W)
-            common = math.lcm(den, c.denominator * d)
+            # c moves u-exponents unless it is constant; a product's extreme
+            # exponents are the sums of its factors'
+            if src and c and (c.min_exp() or c.max_exp()):
+                ends = [e for _, _, r in src for e in (r[0][0], r[-1][0])]
+                if min(ends) + c.min_exp() < s.umin or max(ends) + c.max_exp() > s.umax:
+                    raise UBandError(f"{c} times a series escapes its band "
+                                     f"[{s.umin}, {s.umax}]")
+            cd = math.lcm(*(v.denominator for _, v in c.terms))
+            common = math.lcm(den, cd * d)
             if common != den:  # move the sum so far onto the new denominator
                 for row in acc.values():
                     for e in row:
                         row[e] *= common // den
                 den = common
-            f = c.numerator * (den // (c.denominator * d))
+            fs = [(k, v.numerator * (den // (v.denominator * d))) for k, v in c.terms]
             for m, _, row_in in src:
                 row = acc.setdefault(m, {})
-                for e, n in row_in:
-                    row[e] = row.get(e, 0) + f * n
+                for k, f in fs:
+                    for e, n in row_in:
+                        row[e + k] = row.get(e + k, 0) + f * n
             W, lo, hi = min(W, s.W), min(lo, s.umin), max(hi, s.umax)
             rel, u_hi = min(rel, s.reliable), self._merge_u_hi(u_hi, s.u_hi)
         kept = {m: row for m, row in acc.items() if mono_weight(m) <= W}
         return TruncatedSeries(self.family, W, terms_from_numerators(kept, den),
                                umin=lo, umax=hi, reliable=rel, u_hi=u_hi)
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return self + (-other)
-
-    def __neg__(self) -> TruncatedSeries:
-        return self.map_coeffs(lambda c: -c)
-
-    def scale(self, c: UPoly | Rat | int) -> TruncatedSeries:
-        if isinstance(c, (Fraction, int)):
-            c = UPoly.const(Fraction(c))
-        return self.map_coeffs(lambda v: v * c)
 
     def mul(self, other: TruncatedSeries, *,
             umin: int | None = None, umax: int | None = None) -> TruncatedSeries:
@@ -721,6 +710,30 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
+def prefix_products(words: Iterable, factors: Mapping[int, TruncatedSeries],
+                    one: TruncatedSeries, *, umin: int, umax: int) -> Iterator:
+    """For each (word, x), yield (x, one times factors[i] over the word's
+    letters i), the products taken in [umin, umax].
+
+    Visited in sorted order, the words walk their prefix trie depth first;
+    path[k] is the product over the current word's first k letters, so each
+    distinct prefix costs one mul, not each word.
+    """
+    path = [one]
+    prev: tuple[int, ...] = ()
+    for word, x in sorted(words, key=lambda wx: wx[0]):
+        k = 0
+        while k < min(len(prev), len(word)) and prev[k] == word[k]:
+            k += 1
+        del path[k + 1:]
+        for i in word[k:]:
+            if i not in factors:
+                raise KeyError(f"missing variable {i}")
+            path.append(path[-1].mul(factors[i], umin=umin, umax=umax))
+        prev = word
+        yield x, path[-1]
+
+
 def substitute_linear(
     s: TruncatedSeries,
     rule: Mapping[int, TruncatedSeries],
@@ -769,32 +782,13 @@ def substitute_linear(
                            umin=lo, umax=hi)
         for b, img in rule.items()
     }
-    # Spelled as nondecreasing indices (q1^2 q3 -> (1, 1, 3)) and visited in
-    # sorted order, the source monomials walk their prefix trie depth first.
-    # path[k] is the image of the current word's first k indices, so each
-    # product of images is formed once per distinct prefix, not once per term.
-    words = sorted((tuple(i for i, e in m for _ in range(e)), c)
-                   for m, c in s.terms.items())
-    path = [TruncatedSeries.const(target_family, W, UPOLY_ONE)]
-    prev: tuple[int, ...] = ()
-    acc: dict[Monomial, UPoly] = {}
-    for word, c in words:
-        k = 0
-        while k < min(len(prev), len(word)) and prev[k] == word[k]:
-            k += 1
-        del path[k + 1:]
-        for i in word[k:]:
-            if i not in images:
-                raise KeyError(f"substitution rule missing variable {i}")
-            path.append(path[-1].mul(images[i], umin=lo, umax=hi))
-        prev = word
-        for m, v in path[-1].terms.items():
-            term = c * v
-            term.check_band(lo, hi)
-            acc[m] = acc.get(m, UPOLY_ZERO) + term
     rel = min(s.reliable, min((img.reliable for img in rule.values()), default=W), W)
     u_hi = s.u_hi
     if u_hi is not None:
         u_hi += math.floor(slope * W)  # slope <= 0, so this only lowers it
-    return TruncatedSeries(target_family, W, acc, umin=lo, umax=hi,
-                           reliable=rel, u_hi=u_hi)
+    # q1^2 q3 is spelled (1, 1, 3)
+    words = ((tuple(i for i, e in m for _ in range(e)), c) for m, c in s.terms.items())
+    one = TruncatedSeries.const(target_family, W, UPOLY_ONE, umin=lo, umax=hi)
+    zero = TruncatedSeries.zero(target_family, W, umin=lo, umax=hi,
+                                reliable=rel, u_hi=u_hi)
+    return zero.add_scaled(prefix_products(words, images, one, umin=lo, umax=hi))

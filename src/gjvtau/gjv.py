@@ -23,10 +23,10 @@ from .exactalg import (
     UPoly,
     band_for_weight,
     mono,
-    mono_key,
     mono_str,
     mono_var,
     mono_weight,
+    prefix_products,
     substitute_linear,
 )
 from .hurwitz import (
@@ -277,42 +277,44 @@ def _record_sort_key(r: IntersectionNumber) -> tuple:
 
 
 def extract_intersections_tbasis(G: TruncatedSeries) -> list[IntersectionNumber]:
-    """Greedy triangular reduction of G against T-monomials.
+    """Triangular reduction of G against T-monomials, one weight layer at a
+    time from the top.  The top-weight part of T_{k1}...T_{kr} is
+    prod(k_i!) q_{k1+1}...q_{kr+1} alone, so a layer's blocks change only
+    lower weights and each layer's coefficients are read once.
 
     Needs G from extract_G(W, Mmax) with 2*Mmax >= W + 1: an emitted record
     reads the u^(2j+1) layer of a weight-w coefficient with 2j + w <= W, and
     those entries are complete once weight + u-exponent <= 2*Mmax.
     """
     W = G.W
-    basis = build_tbasis(W - 1, W)
+    basis = dict(enumerate(build_tbasis(W - 1, W)))
+    one = TruncatedSeries.const("q", W, UPoly.const(1), umin=G.umin, umax=G.umax)
     residue = G
     records: list[IntersectionNumber] = []
-    while residue:
-        m, coef = max(residue.terms.items(), key=lambda mc: mono_key(mc[0]))
-        ks = tuple(sorted(i - 1 for i, e in m for _ in range(e)))
-        lead = prod(factorial(k) for k in ks)
-        c_k = coef.scale(Fraction(1, lead))
-        block = TruncatedSeries.const("q", W, UPoly.const(1),
-                                      umin=G.umin, umax=G.umax)
-        for k in ks:
-            block = block.mul(basis[k], umin=G.umin, umax=G.umax)
-        residue = residue - block.scale(c_k)
-        mults: dict[int, int] = {}
-        for k in ks:
-            mults[k] = mults.get(k, 0) + 1
-        aut = prod(factorial(r) for r in mults.values())
-        for exp, val in c_k.terms:
-            # only layers inside the emit region are certified; beyond it the
-            # coefficients may be truncation artifacts and are dropped
-            if exp + mono_weight(m) - 1 > G.reliable:
+    for w in range(W, -1, -1):
+        blocks = []
+        for m, coef in residue.terms.items():
+            if mono_weight(m) != w:
                 continue
-            if exp < 1 or exp % 2 == 0:
-                raise ArithmeticError(
-                    f"residue not expressible in T-monomials: {mono_str(m)} "
-                    f"carries u^{exp}"
-                )
-            j = (exp - 1) // 2
-            records.append(IntersectionNumber(j, ks, (-1) ** j * val * aut))
+            ks = tuple(sorted(i - 1 for i, e in m for _ in range(e)))
+            c_k = coef.scale(Fraction(1, prod(factorial(k) for k in ks)))
+            blocks.append((ks, c_k.scale(-1)))
+            aut = prod(factorial(ks.count(k)) for k in set(ks))
+            for exp, val in c_k.terms:
+                # only layers inside the emit region are certified; beyond it
+                # the coefficients may be truncation artifacts and are dropped
+                if exp + w - 1 > G.reliable:
+                    continue
+                if exp < 1 or exp % 2 == 0:
+                    raise ArithmeticError(
+                        f"residue not expressible in T-monomials: {mono_str(m)} "
+                        f"carries u^{exp}"
+                    )
+                j = (exp - 1) // 2
+                records.append(IntersectionNumber(j, ks, (-1) ** j * val * aut))
+        if blocks:
+            residue = residue.add_scaled(
+                prefix_products(blocks, basis, one, umin=G.umin, umax=G.umax))
     return sorted(records, key=_record_sort_key)
 
 

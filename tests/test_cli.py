@@ -1,5 +1,6 @@
 """End-to-end runs of the command line driver."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -38,6 +39,7 @@ def test_usage_errors_exit_2(tmp_path):
         ["tbasis", "--K", "0"],
         ["tau", "--c", "u^"],
         ["tau", "--c", "1/0"],
+        ["tau", "--c", "2*"],
         ["verify", "--c", ""],
         ["verify", "--c", "|"],
         ["verify", "--checks", ","],
@@ -217,3 +219,38 @@ def test_benchmark_tracer_finds_every_layer(tmp_path):
     # and the operator kernel inside the traced apply and ops_equal spans
     assert got["metrics"]["operators.apply.calls"] > 0
     assert got["metrics"]["operators.ops_equal.probes"] > 0
+
+
+# SHA-256 of each run's canonical JSON artifact; a refactor that claims the
+# same results must leave every one of them unchanged
+GOLDEN_DIGESTS = {
+    ("verify", "--W", "8"): (
+        "verify.json",
+        "db8342f435cd3d1286c9927ecd73b77321b8a31e0ae23dd0f6af5f66f68250c0"),
+    ("intersections", "--W", "10"): (
+        "intersections.json",
+        "bccbcd2938b2364761979e97ee5c41be1244eeb5dec4efb9a369f727c0a4abbd"),
+    ("tbasis", "--W", "8"): (
+        "tbasis.json",
+        "94bb491df4e5fff814c8fd271c174f55dcb76312ef9b10daceca78bc1c891c7e"),
+    ("tau", "--route", "linear", "--c", "u^-1+2", "--W", "8"): (
+        "tau_linear.json",
+        "3932588baf6deeb0922af07c86ad33c5d0147f0733acebe00a3d73db7686440d"),
+    ("tau", "--route", "cutjoin", "--c", "u^-1+2", "--W", "8"): (
+        "tau_cutjoin.json",
+        "49e66175fa74259f925fc2fe008898e383d7505214cf3c2c4ebf63142106154d"),
+    ("tau", "--route", "closedform", "--c", "u^-1+2", "--W", "8"): (
+        "tau_closedform.json",
+        "ba5743d2ab97cb2b91b9e3093e076628373e226bb8af5a647dd39f908e7abc35"),
+    ("hurwitz",): (
+        "hurwitz.json",
+        "e0e80dbfd3299317fe20a69bb9e690bd3ca8804123ffacc935e6fd67d2062f58"),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS), ids=" ".join)
+def test_artifact_matches_its_golden_digest(tmp_path, monkeypatch, argv):
+    monkeypatch.delenv("GJV_CACHE", raising=False)
+    name, digest = GOLDEN_DIGESTS[argv]
+    run(tmp_path, *argv)
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

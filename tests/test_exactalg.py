@@ -47,13 +47,17 @@ def test_upoly_parse_and_str():
     assert UPoly.parse("1+u") * UPoly.parse("1-u") == UPoly.parse("1 - u^2")
     with pytest.raises(ValueError, match="1/0"):
         UPoly.parse("1/0")
+    # a '*' must be followed by a power of u
+    for text in ("2*", "1/2*", "3*u^2 - 2*"):
+        with pytest.raises(ValueError, match=r"\*"):
+            UPoly.parse(text)
+    assert UPoly.parse("2*u") == UPoly.parse("2u") == UPoly.u(1, 2)
 
 
 def test_upoly_queries():
     p = UPoly.parse("3*u^-2 + u + 1/2*u^4")
     assert p.min_exp() == -2 and p.max_exp() == 4
     assert p.coeff(1) == 1 and p.coeff(3) == 0
-    assert p.shift(2).min_exp() == 0
     assert p.scale(2).coeff(-2) == 6
     assert p.clip_above(1) == UPoly.parse("3*u^-2 + u")
     with pytest.raises(UBandError):
@@ -310,18 +314,65 @@ def test_mul_band_escape_under_a_narrow_band_raises():
         a.mul(b, umin=-1, umax=1)
 
 
+def reference_add_scaled(s, parts):
+    """Reference: the per-term sum, one UPoly product and one UPoly sum per
+    entry, each c * p checked in p's band, with the bookkeeping of a chain of
+    ``+``."""
+    W, lo, hi, rel, u_hi = s.W, s.umin, s.umax, s.reliable, s.u_hi
+    acc = dict(s.terms)
+    for c, p in parts:
+        if p.family != s.family:
+            raise FamilyError("mixed families")
+        c = c if isinstance(c, UPoly) else UPoly.const(c)
+        for m, v in p.terms.items():
+            term = v * c
+            term.check_band(p.umin, p.umax)
+            acc[m] = acc.get(m, UPOLY_ZERO) + term
+        W, lo, hi, rel = min(W, p.W), min(lo, p.umin), max(hi, p.umax), min(rel, p.reliable)
+        if p.u_hi is not None:
+            u_hi = p.u_hi if u_hi is None else min(u_hi, p.u_hi)
+    return TruncatedSeries(s.family, W,
+                           {m: c for m, c in acc.items() if mono_weight(m) <= W},
+                           umin=lo, umax=hi, reliable=rel, u_hi=u_hi)
+
+
+rational_st = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(DENOMINATORS))
+
+
 @settings(deadline=None, max_examples=200)
 @given(kernel_series(), st.lists(st.tuples(
-    st.builds(Fraction, st.integers(-9, 9), st.sampled_from(DENOMINATORS)),
+    rational_st | st.dictionaries(st.integers(-3, 3), rational_st, max_size=3).map(UPoly),
     kernel_series()), max_size=3))
-def test_add_scaled_is_the_chain_of_scale_and_add(s, parts):
-    want = s
-    for c, p in parts:
-        want = want + p.scale(c)
+def test_add_scaled_matches_the_per_term_sum(s, parts):
+    try:
+        want = reference_add_scaled(s, parts)
+    except UBandError:
+        with pytest.raises(UBandError):
+            s.add_scaled(iter(parts))
+        return
     got = s.add_scaled(iter(parts))
     assert got.terms == want.terms
     assert (got.family, got.W, got.reliable, got.u_hi, got.umin, got.umax) == (
         want.family, want.W, want.reliable, want.u_hi, want.umin, want.umax)
+
+
+def test_add_scaled_checks_each_part_in_its_band():
+    # u^4 * u^3 leaves the band [-6, 6] of W = 4, though the two parts cancel
+    s = q(1, 4)
+    a = TruncatedSeries("q", 4, {mono_var(1): UPoly.u(3)})
+    with pytest.raises(UBandError):
+        s.add_scaled([(UPoly.u(4), a), (UPoly.u(4, -1), a)])
+    assert s.add_scaled([(UPoly.u(3), a), (UPoly.u(3, -1), a)]) == s
+
+
+def test_scale_by_a_upoly_checks_the_band():
+    a = TruncatedSeries("q", 4, {mono_var(1): UPoly.parse("u^-2 + u^3")})
+    assert a.scale(UPoly.parse("u^3 - 2")).coefficient_of(mono_var(1)) == (
+        UPoly.parse("u^6 - 2*u^3 + u - 2*u^-2"))
+    with pytest.raises(UBandError):
+        a.scale(UPoly.u(4))
+    with pytest.raises(UBandError):
+        a.scale(UPoly.u(-5))
 
 
 def test_add_scaled_of_mixed_families_raises():
@@ -363,6 +414,11 @@ def test_substitute_linear_term_leaving_the_band_raises():
     img = TruncatedSeries("q", 4, {mono_var(1): UPoly.u(3)})
     with pytest.raises(UBandError):
         substitute_linear(s, {1: img})
+
+
+def test_substitute_linear_images_of_mixed_families_raise():
+    with pytest.raises(FamilyError):
+        substitute_linear(q(1, 4), {1: q(1, 4), 2: TruncatedSeries.variable("p", 4, 2)})
 
 
 def test_substitute_linear_missing_variable_raises():

@@ -1,6 +1,7 @@
 """Change of variables, tau assemblies, and the two intersection routes."""
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -11,8 +12,12 @@ from gjvtau.exactalg import (
     UPOLY_ZERO,
     UPoly,
     mono,
+    mono_key,
+    mono_str,
     mono_var,
+    mono_weight,
 )
+from gjvtau import gjv
 from gjvtau.gjv import (
     IntersectionNumber,
     assemble_tau_exponential,
@@ -147,6 +152,98 @@ def test_tbasis_extraction_full_table():
     got = {(r.j, r.degrees): r.value for r in
            extract_intersections_tbasis(extract_G(8, 5))}
     assert got == RECORDS_W8
+
+
+def greedy_tbasis(G):
+    """Reference: the greedy reduction, one T-monomial block per step for the
+    residue's highest monomial, each block multiplied out from the constant.
+    Returns the records and the monomials visited, in order."""
+    W = G.W
+    basis = build_tbasis(W - 1, W)
+    residue = G
+    records, visited = [], []
+    while residue:
+        m, coef = max(residue.terms.items(), key=lambda mc: mono_key(mc[0]))
+        visited.append(m)
+        ks = tuple(sorted(i - 1 for i, e in m for _ in range(e)))
+        c_k = coef.scale(Fraction(1, prod(factorial(k) for k in ks)))
+        block = TruncatedSeries.const("q", W, UPOLY_ONE, umin=G.umin, umax=G.umax)
+        for k in ks:
+            block = block.mul(basis[k], umin=G.umin, umax=G.umax)
+        residue = residue - block.scale(c_k)
+        aut = prod(factorial(ks.count(k)) for k in set(ks))
+        for exp, val in c_k.terms:
+            if exp + mono_weight(m) - 1 > G.reliable:
+                continue
+            if exp < 1 or exp % 2 == 0:
+                raise ArithmeticError(
+                    f"residue not expressible in T-monomials: {mono_str(m)} "
+                    f"carries u^{exp}"
+                )
+            j = (exp - 1) // 2
+            records.append(IntersectionNumber(j, ks, (-1) ** j * val * aut))
+    return sorted(records, key=gjv._record_sort_key), visited
+
+
+def perturbed(G, m, coef):
+    return G + TruncatedSeries.monomial("q", G.W, m, coef, umin=G.umin, umax=G.umax)
+
+
+def outcome(reduce, G):
+    try:
+        return reduce(G)
+    except ArithmeticError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("W", range(4, 11))
+def test_layer_reduction_matches_the_greedy_one(W):
+    G = extract_G(W, W // 2 + 1)
+    assert extract_intersections_tbasis(G) == greedy_tbasis(G)[0]
+    # one perturbed entry: on q1^3 it moves <tau_0^3> and nothing else; on
+    # q1*q2 its block carries u^4 onto q1^2, an error once that is in the
+    # emit region (W >= 5)
+    for m, coef in ((mono((1, 3)), UPoly.u(1, F(1, 7))),
+                    (mono((1, 1), (2, 1)), UPoly.u(3, F(1, 7)))):
+        bad = perturbed(G, m, coef)
+        assert outcome(extract_intersections_tbasis, bad) == outcome(
+            lambda g: greedy_tbasis(g)[0], bad)
+
+
+def test_even_u_power_raises_inside_the_emit_region_only():
+    G = extract_G(8, 5)
+    bad = perturbed(G, mono((1, 1), (2, 1)), UPoly.u(2, F(1, 7)))
+    for reduce in (extract_intersections_tbasis, greedy_tbasis):
+        with pytest.raises(ArithmeticError, match=r"q1\*q2 carries u\^2"):
+            reduce(bad)
+    # with reliable weight 3, u^2 on a weight-3 monomial lies outside the
+    # region 2 + 3 - 1 <= 3 and is dropped
+    got = extract_intersections_tbasis(bad.with_reliable(3))
+    assert got == greedy_tbasis(bad.with_reliable(3))[0]
+    assert got == extract_intersections_tbasis(G.with_reliable(3))
+
+
+def test_layer_reduction_folds_each_layer_once(monkeypatch):
+    G = extract_G(10, 6)
+    _, visited = greedy_tbasis(G)
+    layers = {}
+    for m in visited:
+        layers.setdefault(mono_weight(m), set()).add(
+            tuple(i - 1 for i, e in m for _ in range(e)))
+    # a layer's blocks share their prefixes; each distinct one is one mul
+    prefixes = sum(len({w[:k] for w in words for k in range(1, len(w) + 1)})
+                   for words in layers.values())
+    basis = build_tbasis(9, 10)
+    monkeypatch.setattr(gjv, "build_tbasis", lambda K, W: basis)
+    calls = {"mul": 0, "add_scaled": 0, "__sub__": 0, "scale": 0}
+    for name in calls:
+        def counting(self, *a, _name=name, _f=getattr(TruncatedSeries, name), **kw):
+            calls[_name] += 1
+            return _f(self, *a, **kw)
+        monkeypatch.setattr(TruncatedSeries, name, counting)
+    extract_intersections_tbasis(G)
+    assert calls == {"mul": prefixes, "add_scaled": len(layers), "__sub__": 0,
+                     "scale": 0}
 
 
 def test_lambda_g_records_match_faber_pandharipande():
