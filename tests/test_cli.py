@@ -227,9 +227,17 @@ GOLDEN_DIGESTS = {
     ("verify", "--W", "8"): (
         "verify.json",
         "db8342f435cd3d1286c9927ecd73b77321b8a31e0ae23dd0f6af5f66f68250c0"),
+    # the KP reports carry u_hi
+    ("verify", "--W", "6", "--kp2"): (
+        "verify.json",
+        "125cc81257fcbde6bec16d2bcc6a96aca94c3b22e68190efca31b26727949605"),
     ("intersections", "--W", "10"): (
         "intersections.json",
         "bccbcd2938b2364761979e97ee5c41be1244eeb5dec4efb9a369f727c0a4abbd"),
+    # the intersections-w14 benchmark's table
+    ("intersections", "--W", "14"): (
+        "intersections.json",
+        "0497f924287f5d07308318cd987c7a2e3d394159ca2f72a410fa6772bf97214c"),
     ("tbasis", "--W", "8"): (
         "tbasis.json",
         "94bb491df4e5fff814c8fd271c174f55dcb76312ef9b10daceca78bc1c891c7e"),
