@@ -581,10 +581,12 @@ class TruncatedSeries:
             c = c if isinstance(c, UPoly) else UPoly.const(c)
             src, d = numerators(s.terms, s.W)
             # c moves u-exponents unless it is constant; a product's extreme
-            # exponents are the sums of its factors'
-            if src and c and (c.min_exp() or c.max_exp()):
+            # exponents are the sums of its factors', so c * s is exact up to
+            # s's u_hi plus the lowest exponent of c
+            ulo, uhi = (c.min_exp(), c.max_exp()) if c else (0, 0)
+            if src and (ulo or uhi):
                 ends = [e for _, _, r in src for e in (r[0][0], r[-1][0])]
-                if min(ends) + c.min_exp() < s.umin or max(ends) + c.max_exp() > s.umax:
+                if min(ends) + ulo < s.umin or max(ends) + uhi > s.umax:
                     raise UBandError(f"{c} times a series escapes its band "
                                      f"[{s.umin}, {s.umax}]")
             cd = math.lcm(*(v.denominator for _, v in c.terms))
@@ -601,7 +603,8 @@ class TruncatedSeries:
                     for e, n in row_in:
                         row[e + k] = row.get(e + k, 0) + f * n
             W, lo, hi = min(W, s.W), min(lo, s.umin), max(hi, s.umax)
-            rel, u_hi = min(rel, s.reliable), self._merge_u_hi(u_hi, s.u_hi)
+            rel = min(rel, s.reliable)
+            u_hi = self._merge_u_hi(u_hi, None if s.u_hi is None else s.u_hi + ulo)
         kept = {m: row for m, row in acc.items() if mono_weight(m) <= W}
         return TruncatedSeries(self.family, W, terms_from_numerators(kept, den),
                                umin=lo, umax=hi, reliable=rel, u_hi=u_hi)

@@ -1,18 +1,20 @@
 """Weight-graded differential operators on :class:`TruncatedSeries`.
 
-Operators are immutable AST nodes (single-variable derivative, the lowering
-family Lambda(a), the three cut-and-join operators, scalar multiplication by a
-Laurent polynomial in u, plus Sum/Compose).  A leaf that maps monomials to
-monomials declares only a stencil: the (target monomial, integer multiplier)
-pairs of one source monomial, over a class-level denominator, memoised per
-(leaf, monomial) since it does not depend on the truncation.  One kernel,
-:meth:`Operator.act_terms`, applies every stencil to the input's integer
-numerators and builds one Fraction per output entry.
+Operators are immutable AST nodes: the single-variable derivative, the
+lowering family Lambda(a), the three cut-and-join operators, multiplication by
+a variable, Compose, and Sum, a linear combination whose coefficients are
+Laurent polynomials in u.  A scalar is a coefficient: scaled(op, c) is a
+one-part Sum, and add_scaled applies every coefficient.  A leaf that maps
+monomials to monomials declares only a stencil: the (target monomial, integer
+multiplier) pairs of one source monomial, over a class-level denominator,
+memoised per (leaf, monomial) since it does not depend on the truncation.
+One kernel, :meth:`Operator.act_terms`, applies every stencil to the input's
+integer numerators and builds one Fraction per output entry.
 
-Every leaf declares its exact weight shift and its u-shift envelope.
+Every leaf declares its exact weight shift and keeps u-exponents.
 Application propagates the reliability metadata of the series: an operator
 whose weight shift is negative (a derivative) lowers the weight up to which
-the result is exact, and a scalar with negative u-powers lowers ``u_hi``.
+the result is exact, and a coefficient with negative u-powers lowers ``u_hi``.
 
 Operator equality is extensional: two operators are considered equal at
 truncation W iff their actions agree on every monomial of weight <= W,
@@ -26,15 +28,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from gjvtau.exactalg import (
-    MONO_ONE,
     Monomial,
     Rat,
     TruncatedSeries,
     UPoly,
-    convolve,
     mono,
     mono_div_var,
     mono_mul,
@@ -63,8 +63,7 @@ def _stencil(op: Operator, m: Monomial) -> tuple[tuple[Monomial, int], ...]:
 
 class Operator:
     """Base class.  A stencil leaf implements stencil, den and weight_shift
-    and acts through act_terms; Partial, ScalarMul, Sum and Compose act
-    their own way."""
+    and acts through act_terms; Partial, Sum and Compose act their own way."""
 
     # the stencil multipliers are integers over this denominator
     den = 1
@@ -87,17 +86,10 @@ class Operator:
         """The exact weight shift; a Sum has none."""
         raise NotImplementedError(f"{type(self).__name__} has no single weight shift")
 
-    def u_shift(self) -> tuple[int, int]:
-        """(min, max) u-exponent shift."""
-        return (0, 0)
-
     def apply(self, s: TruncatedSeries) -> TruncatedSeries:
-        out = self.act_terms(s.terms, s.W)
-        ulo, _ = self.u_shift()
-        u_hi = None if s.u_hi is None else s.u_hi + ulo
         return TruncatedSeries(
-            s.family, s.W, out, umin=s.umin, umax=s.umax,
-            reliable=s.reliable + self.weight_shift(), u_hi=u_hi,
+            s.family, s.W, self.act_terms(s.terms, s.W), umin=s.umin, umax=s.umax,
+            reliable=s.reliable + self.weight_shift(), u_hi=s.u_hi,
         )
 
     def __call__(self, s: TruncatedSeries) -> TruncatedSeries:
@@ -202,26 +194,6 @@ class CutJoin(Operator):
 
 
 @dataclass(frozen=True)
-class ScalarMul(Operator):
-    """Multiplication by a fixed Laurent polynomial in u."""
-
-    c: UPoly
-
-    def act_terms(self, terms: Terms, W: int) -> Terms:
-        src, den = numerators(terms, W)
-        scalar, cden = numerators({MONO_ONE: self.c}, 0)
-        return terms_from_numerators(convolve(src, scalar, W), den * cden)
-
-    def weight_shift(self):
-        return 0
-
-    def u_shift(self):
-        if not self.c:
-            return (0, 0)
-        return (self.c.min_exp(), self.c.max_exp())
-
-
-@dataclass(frozen=True)
 class MulVar(Operator):
     """Multiplication by the variable x_i (used to spell out closed forms)."""
 
@@ -235,17 +207,24 @@ class MulVar(Operator):
 
 
 class Sum(Operator):
-    """Pointwise sum of operators; the empty sum is the zero operator."""
+    """The linear combination Sum_i c_i * op_i, with UPoly coefficients c_i
+    (each 1 unless coeffs gives it); the empty sum is the zero operator.
+    A nested Sum is flattened when built, its coefficients multiplied by the
+    outer one, so parts holds no Sum and one add_scaled applies them all."""
 
-    __slots__ = ("ops",)
+    __slots__ = ("parts",)
 
-    def __init__(self, *ops: Operator):
-        object.__setattr__(self, "ops", tuple(ops))
+    def __init__(self, *ops: Operator, coeffs: Iterable[UPoly | Rat | int] | None = None):
+        parts: list[tuple[UPoly, Operator]] = []
+        for c, op in zip((1,) * len(ops) if coeffs is None else coeffs, ops, strict=True):
+            c = c if isinstance(c, UPoly) else UPoly.const(c)
+            parts += [(c * ci, o) for ci, o in op.parts] if isinstance(op, Sum) else [(c, op)]
+        object.__setattr__(self, "parts", tuple(parts))
 
     def apply(self, s: TruncatedSeries) -> TruncatedSeries:
         zero = TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax,
                                     reliable=s.reliable, u_hi=s.u_hi)
-        return zero.add_scaled((1, op.apply(s)) for op in self.ops)
+        return zero.add_scaled((c, op.apply(s)) for c, op in self.parts)
 
 
 class Compose(Operator):
@@ -269,25 +248,16 @@ class Compose(Operator):
     def weight_shift(self):
         return sum(op.weight_shift() for op in self.ops)
 
-    def u_shift(self):
-        lo = hi = 0
-        for op in self.ops:
-            l, h = op.u_shift()
-            lo, hi = lo + l, hi + h
-        return (lo, hi)
-
 
 ZERO_OP = Sum()
 
 
 def scaled(op: Operator, c: Rat | int | UPoly) -> Operator:
-    if not isinstance(c, UPoly):
-        c = UPoly.const(Fraction(c))
-    return Compose(ScalarMul(c), op)
+    return Sum(op, coeffs=(c,))
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
-    return Sum(Compose(a, b), scaled(Compose(b, a), -1))
+    return Sum(Compose(a, b), Compose(b, a), coeffs=(1, -1))
 
 
 def ops_equal(
@@ -319,15 +289,6 @@ def ops_equal(
 # ---------------------------------------------------------------------------
 
 
-def _summands(op: Operator) -> list[Operator]:
-    if isinstance(op, Sum):
-        out: list[Operator] = []
-        for o in op.ops:
-            out.extend(_summands(o))
-        return out
-    return [op]
-
-
 def exponential_apply(
     op: Operator,
     s: TruncatedSeries,
@@ -342,8 +303,10 @@ def exponential_apply(
     u_hi), or every summand raises weight by >= 1 without raising u (terms
     leave through the weight ceiling).  Anything else needs max_order.
     """
-    parts = _summands(op)
-    shifts = [(p.weight_shift(), p.u_shift()) for p in parts]
+    # a summand's u-shift is the exponent range of its coefficient: no
+    # operator that has a weight shift moves u
+    shifts = [(p.weight_shift(), (c.min_exp(), c.max_exp()) if c else (0, 0))
+              for c, p in Sum(op).parts]
     clip = False
     if max_order is None:
         box = all(w >= 0 and ul >= 0 and w + ul >= 1 for w, (ul, _) in shifts)

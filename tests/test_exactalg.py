@@ -317,7 +317,7 @@ def test_mul_band_escape_under_a_narrow_band_raises():
 def reference_add_scaled(s, parts):
     """Reference: the per-term sum, one UPoly product and one UPoly sum per
     entry, each c * p checked in p's band, with the bookkeeping of a chain of
-    ``+``."""
+    ``+`` in which c * p is exact up to p's u_hi plus c's lowest exponent."""
     W, lo, hi, rel, u_hi = s.W, s.umin, s.umax, s.reliable, s.u_hi
     acc = dict(s.terms)
     for c, p in parts:
@@ -330,7 +330,8 @@ def reference_add_scaled(s, parts):
             acc[m] = acc.get(m, UPOLY_ZERO) + term
         W, lo, hi, rel = min(W, p.W), min(lo, p.umin), max(hi, p.umax), min(rel, p.reliable)
         if p.u_hi is not None:
-            u_hi = p.u_hi if u_hi is None else min(u_hi, p.u_hi)
+            p_hi = p.u_hi + (c.min_exp() if c else 0)
+            u_hi = p_hi if u_hi is None else min(u_hi, p_hi)
     return TruncatedSeries(s.family, W,
                            {m: c for m, c in acc.items() if mono_weight(m) <= W},
                            umin=lo, umax=hi, reliable=rel, u_hi=u_hi)
@@ -373,6 +374,15 @@ def test_scale_by_a_upoly_checks_the_band():
         a.scale(UPoly.u(4))
     with pytest.raises(UBandError):
         a.scale(UPoly.u(-5))
+
+
+def test_scale_by_negative_u_powers_lowers_u_hi():
+    # the u^2 entry of u^-1 * s is read from s's u^3 entry, which is not exact
+    s = TruncatedSeries("q", 4, {mono_var(1): UPoly.parse("u^-2 + u^3")}, u_hi=3)
+    assert s.scale(UPoly.u(-1)).u_hi == s.u_hi - 1
+    assert s.scale(UPoly.parse("u^-2 + 5*u")).u_hi == s.u_hi - 2
+    # a zero multiplier, a constant one and a positive power keep it
+    assert s.scale(0).u_hi == s.scale(3).u_hi == s.scale(UPoly.u(1)).u_hi == 3
 
 
 def test_add_scaled_of_mixed_families_raises():

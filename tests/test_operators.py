@@ -1,6 +1,7 @@
 """Operator layer: cut-and-join actions, commutators, graded exponentials."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,6 @@ from gjvtau.operators import (
     MulVar,
     OperatorGradingError,
     Partial,
-    ScalarMul,
     Sum,
     bracket_closed_form,
     bracket_order_bound,
@@ -114,8 +114,8 @@ def defining_sum(op, W):
         return defining_sum(CutPart(op.k), W) + defining_sum(JoinPart(op.k), W)
     if isinstance(op, MulVar):
         return [(1, mono_var(op.i), ())]
-    assert isinstance(op, ScalarMul)
-    return [(op.c, (), ())]
+    [(c, leaf)] = op.parts
+    return [(c.scale(Fraction(k)), xs, ds) for k, xs, ds in defining_sum(leaf, W)]
 
 
 def reference_apply(op, s):
@@ -133,8 +133,10 @@ def reference_apply(op, s):
     return {m: c for m, c in out.items() if c}
 
 
+# a scalar is the coefficient of a one-part Sum; Lambda(0) keeps every
+# u-exponent, so the scaled entry tests the coefficient alone
 LEAVES = [Lambda(-1), Lambda(0), Lambda(1), MulVar(1), MulVar(3),
-          ScalarMul(UPoly({-1: Fraction(1, 3), 2: Fraction(-7, 6)})),
+          scaled(Lambda(0), UPoly({-1: Fraction(1, 3), 2: Fraction(-7, 6)})),
           *(cls(k) for cls in (CutPart, JoinPart, CutJoin) for k in (0, 1, 2))]
 
 # mixed denominators, so the kernel's lcm read has work to do
@@ -169,7 +171,7 @@ def test_stencil_memo_carries_no_truncation():
 def test_scalar_out_of_band_raises_through_every_apply():
     # u^8 is the top of the W = 6 band, so one more power of u escapes it
     s = qmono([(1, 1)], coef=UPoly.u(8))
-    up = ScalarMul(UPoly.u(1))
+    up = scaled(Lambda(0), UPoly.u(1))
     for op in (up, Sum(Lambda(0), up), Compose(Lambda(0), up)):
         with pytest.raises(UBandError):
             op.apply(s)
@@ -178,7 +180,7 @@ def test_scalar_out_of_band_raises_through_every_apply():
 def test_sum_keeps_the_bookkeeping_of_the_add_chain():
     s = TruncatedSeries("q", 8, {mono((1, 1), (3, 1)): UPoly.u(2, Fraction(1, 3)),
                                  mono((2, 2)): UPoly.const(Fraction(5, 4))}, u_hi=4)
-    ops = (Partial(3), ScalarMul(UPoly.u(-1, Fraction(-7, 6))), Lambda(1))
+    ops = (Partial(3), scaled(Lambda(0), UPoly.u(-1, Fraction(-7, 6))), Lambda(1))
     got = Sum(*ops).apply(s)
     want = TruncatedSeries.zero("q", 8, u_hi=4)
     for op in ops:
@@ -188,9 +190,46 @@ def test_sum_keeps_the_bookkeeping_of_the_add_chain():
         want.reliable, want.u_hi, want.umin, want.umax) == (5, 3, -10, 10)
 
 
+def bookkeeping(s):
+    return (s.W, s.reliable, s.u_hi, s.umin, s.umax)
+
+
+def test_a_nested_sum_acts_as_the_flat_sum():
+    s = TruncatedSeries("q", 8, {mono((1, 1), (3, 1)): UPoly.u(2, Fraction(1, 3)),
+                                 mono((2, 2)): UPoly.const(Fraction(5, 4))}, u_hi=4)
+    inner = Sum(Partial(3), scaled(Lambda(1), UPoly.u(-1)))
+    nested = Sum(Lambda(0), inner, coeffs=(1, UPoly.u(-1, 2)))
+    flat = Sum(Lambda(0), Partial(3), Lambda(1),
+               coeffs=(1, UPoly.u(-1, 2), UPoly.u(-2, 2)))
+    got, want = nested.apply(s), flat.apply(s)
+    assert got == want
+    assert bookkeeping(got) == bookkeeping(want) == (8, 5, 2, -10, 10)
+    assert got == (Lambda(0).apply(s) + Partial(3).apply(s).scale(UPoly.u(-1, 2))
+                   + Lambda(1).apply(s).scale(UPoly.u(-2, 2)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from([Partial(1), Partial(3), Lambda(-1), Lambda(0), Lambda(1),
+                        MulVar(2), CutJoin(0), CutJoin(2)]),
+       st.builds(lambda s, rel, u_hi: TruncatedSeries("q", s.W, s.terms, reliable=rel,
+                                                      u_hi=u_hi),
+                 mixed_series_st, st.integers(4, 8), st.none() | st.integers(-3, 3)),
+       st.just(UPoly({})) | st.dictionaries(st.integers(-3, 3), st.sampled_from(COEFS),
+                                            min_size=1, max_size=3).map(UPoly))
+def test_scaled_acts_as_scale_after_the_operator(op, s, c):
+    got, want = scaled(op, c).apply(s), op.apply(s).scale(c)
+    assert got == want
+    # a Sum reports no more than its input's reliable weight, which is less
+    # than the scale's only for a weight-raising op on a series reliable
+    # below W
+    assert got.reliable == min(s.reliable, want.reliable)
+    assert bookkeeping(got)[2:] == bookkeeping(want)[2:] and got.W == want.W
+
+
 SHIFT_OPS = [
     Partial(1), Partial(3), Lambda(-1), Lambda(0), Lambda(1), MulVar(2),
-    ScalarMul(UPoly.u(-1) + UPoly.u(2, 3)),
+    pytest.param(scaled(Lambda(0), UPoly.u(-1) + UPoly.u(2, 3)),
+                 id="(3*u^2 + u^-1)*Lambda(a=0)"),
     *(cls(k) for cls in (CutPart, JoinPart, CutJoin) for k in (0, 1, 2)),
     pytest.param(scaled(CutJoin(1), UPoly.u(1, 2)), id="2u*CutJoin(k=1)"),
 ]
@@ -198,11 +237,13 @@ SHIFT_OPS = [
 
 @pytest.mark.parametrize("op", SHIFT_OPS, ids=repr)
 def test_declared_shifts_match_the_action(op):
-    # Operator.apply's reliable weight and exponential_apply's grading both
-    # trust weight_shift and u_shift, so check them against what op does
+    # Operator.apply's reliable weight trusts weight_shift, and
+    # exponential_apply's grading reads a summand's u-shift off the exponent
+    # range of its coefficient, so check both against what op does
     W = 9
-    dw = op.weight_shift()
-    ulo, uhi = op.u_shift()
+    [(c, leaf)] = Sum(op).parts
+    dw = leaf.weight_shift()
+    ulo, uhi = c.min_exp(), c.max_exp()
     acted = False
     for m in monomials_up_to_weight(6):
         out = op.apply(TruncatedSeries.monomial("q", W, m))
@@ -265,6 +306,20 @@ def test_exponential_needs_a_grading_or_a_cap():
         exponential_apply(Lambda(0), q1)  # weight shift 0: no sound horizon
     capped = exponential_apply(Lambda(0), q1, max_order=3)
     assert str(capped) == "8/3*q1"
+
+
+def test_exponential_reads_the_u_shift_off_the_coefficient():
+    q1 = TruncatedSeries.variable("q", 6, 1)
+    # u^-1 * Lambda(0) keeps weight and lowers u: no sound horizon
+    with pytest.raises(OperatorGradingError):
+        exponential_apply(scaled(Lambda(0), UPoly.u(-1)), q1)
+    # u * Lambda(0) raises u by one: the box grading ends it at the band top,
+    # and the clip is recorded in u_hi
+    e = exponential_apply(scaled(Lambda(0), UPoly.u(1)), q1)
+    top = q1.umax
+    assert e == qmono([(1, 1)], coef=UPoly({k: Fraction(1, factorial(k))
+                                            for k in range(top + 1)}))
+    assert (e.umax, e.u_hi) == (top, top)
 
 
 # ---------------------------------------------------------------------------
