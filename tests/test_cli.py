@@ -221,44 +221,46 @@ def test_benchmark_tracer_finds_every_layer(tmp_path):
     assert got["metrics"]["operators.ops_equal.probes"] > 0
 
 
-# SHA-256 of each run's canonical JSON artifact; a refactor that claims the
-# same results must leave every one of them unchanged
+# SHA-256 of each run's canonical artifacts; a refactor that claims the same
+# results must leave every one of them unchanged.  The CSVs print their
+# coefficients through str(UPoly), so they pin the coefficient view too.
 GOLDEN_DIGESTS = {
-    ("verify", "--W", "8"): (
-        "verify.json",
-        "db8342f435cd3d1286c9927ecd73b77321b8a31e0ae23dd0f6af5f66f68250c0"),
+    ("verify", "--W", "8"): {
+        "verify.json": "db8342f435cd3d1286c9927ecd73b77321b8a31e0ae23dd0f6af5f66f68250c0"},
     # the KP reports carry u_hi
-    ("verify", "--W", "6", "--kp2"): (
-        "verify.json",
-        "125cc81257fcbde6bec16d2bcc6a96aca94c3b22e68190efca31b26727949605"),
-    ("intersections", "--W", "10"): (
-        "intersections.json",
-        "bccbcd2938b2364761979e97ee5c41be1244eeb5dec4efb9a369f727c0a4abbd"),
+    ("verify", "--W", "6", "--kp2"): {
+        "verify.json": "125cc81257fcbde6bec16d2bcc6a96aca94c3b22e68190efca31b26727949605"},
+    ("intersections", "--W", "10"): {
+        "intersections.json":
+            "bccbcd2938b2364761979e97ee5c41be1244eeb5dec4efb9a369f727c0a4abbd"},
     # the intersections-w14 benchmark's table
-    ("intersections", "--W", "14"): (
-        "intersections.json",
-        "0497f924287f5d07308318cd987c7a2e3d394159ca2f72a410fa6772bf97214c"),
-    ("tbasis", "--W", "8"): (
-        "tbasis.json",
-        "94bb491df4e5fff814c8fd271c174f55dcb76312ef9b10daceca78bc1c891c7e"),
-    ("tau", "--route", "linear", "--c", "u^-1+2", "--W", "8"): (
-        "tau_linear.json",
-        "3932588baf6deeb0922af07c86ad33c5d0147f0733acebe00a3d73db7686440d"),
-    ("tau", "--route", "cutjoin", "--c", "u^-1+2", "--W", "8"): (
-        "tau_cutjoin.json",
-        "49e66175fa74259f925fc2fe008898e383d7505214cf3c2c4ebf63142106154d"),
-    ("tau", "--route", "closedform", "--c", "u^-1+2", "--W", "8"): (
-        "tau_closedform.json",
-        "ba5743d2ab97cb2b91b9e3093e076628373e226bb8af5a647dd39f908e7abc35"),
-    ("hurwitz",): (
-        "hurwitz.json",
-        "e0e80dbfd3299317fe20a69bb9e690bd3ca8804123ffacc935e6fd67d2062f58"),
+    ("intersections", "--W", "14"): {
+        "intersections.json":
+            "0497f924287f5d07308318cd987c7a2e3d394159ca2f72a410fa6772bf97214c",
+        "intersections.csv":
+            "b16a38564afe23866df558cab9d1c37873be6ca9d9523348a3b7f518062d2737"},
+    ("tbasis", "--W", "8"): {
+        "tbasis.json": "94bb491df4e5fff814c8fd271c174f55dcb76312ef9b10daceca78bc1c891c7e"},
+    ("tau", "--route", "linear", "--c", "u^-1+2", "--W", "8"): {
+        "tau_linear.json": "3932588baf6deeb0922af07c86ad33c5d0147f0733acebe00a3d73db7686440d",
+        "tau_linear.csv": "20b9a281aabda258e46c4ec874e73689153d83902c156132efd93140f4089e6a"},
+    ("tau", "--route", "cutjoin", "--c", "u^-1+2", "--W", "8"): {
+        "tau_cutjoin.json": "49e66175fa74259f925fc2fe008898e383d7505214cf3c2c4ebf63142106154d",
+        "tau_cutjoin.csv": "ba45e24cd622555c565a112adf4bf843f528081680a627786131fa82e3cd9d14"},
+    ("tau", "--route", "closedform", "--c", "u^-1+2", "--W", "8"): {
+        "tau_closedform.json":
+            "ba5743d2ab97cb2b91b9e3093e076628373e226bb8af5a647dd39f908e7abc35",
+        "tau_closedform.csv":
+            "fab9507eaf50f1b700379c522fc2f7525ed12d22512f1c771321aa8ed9c5fad1"},
+    ("hurwitz",): {
+        "hurwitz.json": "e0e80dbfd3299317fe20a69bb9e690bd3ca8804123ffacc935e6fd67d2062f58"},
 }
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS), ids=" ".join)
 def test_artifact_matches_its_golden_digest(tmp_path, monkeypatch, argv):
     monkeypatch.delenv("GJV_CACHE", raising=False)
-    name, digest = GOLDEN_DIGESTS[argv]
     run(tmp_path, *argv)
-    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN_DIGESTS[argv]}
+    assert got == GOLDEN_DIGESTS[argv]
