@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .exactalg import TruncatedSeries, UPoly, UPOLY_ONE, mono, mono_str
+from .exactalg import (MONO_ONE, TruncatedSeries, UPoly, UPOLY_ONE, band_for_weight, mono,
+                       mono_str)
 from .gjv import (
     assemble_tau_exponential,
     build_tbasis,
@@ -144,11 +145,18 @@ def cmd_tbasis(cfg: RunConfig) -> int:
     return 0
 
 
+def _linear_tau(c: UPoly, W: int) -> TruncatedSeries:
+    """t_1 + c, in the default band widened to c, as the other routes do."""
+    lo, hi = band_for_weight(W)
+    if c:
+        lo, hi = min(lo, c.min_exp()), max(hi, c.max_exp())
+    return TruncatedSeries("t", W, {mono((1, 1)): UPOLY_ONE, MONO_ONE: c}, umin=lo, umax=hi)
+
+
 def cmd_tau(cfg: RunConfig, route: str) -> int:
     c = cfg.c_list[0]
     if route == "linear":
-        tau = TruncatedSeries("t", cfg.W, {mono((1, 1)): UPOLY_ONE})
-        tau = tau + TruncatedSeries.const("t", cfg.W, c)
+        tau = _linear_tau(c, cfg.W)
     elif route == "cutjoin":
         tau = to_hirota_vars(cutjoin_series(cfg.W, cfg.Mmax, c))
     else:
@@ -333,8 +341,7 @@ def _check_g_structure(cfg: RunConfig) -> list[CheckReport]:
 
 def _check_kp(cfg: RunConfig) -> list[CheckReport]:
     c = next((x for x in cfg.c_list if x), UPOLY_ONE)
-    linear = TruncatedSeries("t", cfg.W, {mono((1, 1)): UPOLY_ONE})
-    linear = linear + TruncatedSeries.const("t", cfg.W, c)
+    linear = _linear_tau(c, cfg.W)
     cut = to_hirota_vars(cutjoin_series(cfg.W, cfg.Mmax, c))
     closed = to_hirota_vars(assemble_tau_exponential(c, cfg.W))
     polys = [KP1] + ([KP2] if cfg.kp2 else [])

@@ -22,13 +22,16 @@ known to be exact.  Operations that shift weight downward (derivatives by a
 high-index variable) lower it; verification code compares series only up to the
 minimum reliable weight of the operands.
 
-The exact kernels (:meth:`TruncatedSeries.mul`, :meth:`~TruncatedSeries.add_scaled`
-and the operator kernel) do not do ``Fraction`` arithmetic term by term: each
-reads its operands once as integer numerators over one denominator
-(:func:`numerators`), sums integer products, and builds one ``Fraction`` per
-output entry (:func:`terms_from_numerators`).  ``add_scaled`` is the one
-addition path: ``+``, ``-``, :meth:`~TruncatedSeries.scale` and the linear
-substitution all sum their series through it.
+A series stores its coefficients as integer rows over one denominator:
+``(monomial, weight, ((u-exp, n), ...))`` per nonzero coefficient, each entry
+``n / den``.  The exact kernels (:meth:`TruncatedSeries.mul`,
+:meth:`~TruncatedSeries.add_scaled`, :meth:`~TruncatedSeries.partial` and the
+operator kernel) read and write those rows and never do ``Fraction``
+arithmetic term by term; their outputs go through one internal constructor
+that checks weight and band on the rows.  ``terms``, the ``monomial -> UPoly``
+map, is a view built on first read.  ``add_scaled`` is the one addition path:
+``+``, ``-``, :meth:`~TruncatedSeries.scale` and the linear substitution all
+sum their series through it.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ import json
 import math
 import re
 from fractions import Fraction
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 Rat = Fraction
@@ -63,6 +68,10 @@ class TruncationError(ValueError):
 
 def band_for_weight(W: int) -> tuple[int, int]:
     return (-(W + BAND_MARGIN), W + BAND_MARGIN)
+
+
+def _band_error(lo: int, hi: int, umin: int, umax: int) -> UBandError:
+    return UBandError(f"u-exponent range [{lo}, {hi}] escapes band [{umin}, {umax}]")
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +200,7 @@ class UPoly:
 
     def check_band(self, umin: int, umax: int) -> None:
         if self.terms and (self.terms[0][0] < umin or self.terms[-1][0] > umax):
-            raise UBandError(
-                f"u-exponent range [{self.terms[0][0]}, {self.terms[-1][0]}] "
-                f"escapes band [{umin}, {umax}]"
-            )
+            raise _band_error(self.terms[0][0], self.terms[-1][0], umin, umax)
 
     # -- formatting ----------------------------------------------------------
 
@@ -336,25 +342,29 @@ def monomials_up_to_weight(W: int) -> Iterator[Monomial]:
 # ---------------------------------------------------------------------------
 
 
-def numerators(terms: Mapping[Monomial, UPoly], W: int) -> tuple[list, int]:
-    """The terms of weight <= W as (monomial, weight, ((u-exp, n), ...)),
-    each entry n / den over one den: the lcm of their denominators."""
-    kept = [(m, w, c) for m, c in terms.items() if (w := mono_weight(m)) <= W]
-    den = math.lcm(*(v.denominator for _, _, c in kept for _, v in c.terms))
-    return [(m, w, tuple((e, v.numerator * (den // v.denominator))
-                         for e, v in c.terms))
-            for m, w, c in kept], den
+def numerators(terms: Mapping[Monomial, UPoly]) -> tuple[list, int]:
+    """The nonzero terms as rows (monomial, weight, ((u-exp, n), ...)), each
+    entry n / den over one den: the lcm of their denominators, so no prime
+    divides den and every n."""
+    den = math.lcm(*(v.denominator for c in terms.values() for _, v in c.terms))
+    return [(m, mono_weight(m), tuple((e, v.numerator * (den // v.denominator))
+                                      for e, v in c.terms))
+            for m, c in terms.items() if c], den
 
 
-def convolve(left: list, right: list, W: int) -> dict[Monomial, dict[int, int]]:
-    """The product of two numerator reads through weight W, as integer rows
-    (u-exp -> n) per monomial; right must be sorted by weight."""
-    acc: dict[Monomial, dict[int, int]] = {}
+def convolve(left: list, right: list, W: int) -> dict[Monomial, tuple[int, dict]]:
+    """The product of two row lists through weight W, as (weight, {u-exp: n})
+    per monomial; right must be sorted by weight."""
+    acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
     for m1, w1, c1 in left:
         for m2, w2, c2 in right:
             if w1 + w2 > W:
                 break
-            row = acc.setdefault(mono_mul(m1, m2), {})
+            m = mono_mul(m1, m2)
+            got = acc.get(m)
+            if got is None:
+                got = acc[m] = (w1 + w2, {})
+            row = got[1]
             for e1, n1 in c1:
                 for e2, n2 in c2:
                     e = e1 + e2
@@ -362,25 +372,30 @@ def convolve(left: list, right: list, W: int) -> dict[Monomial, dict[int, int]]:
     return acc
 
 
-def terms_from_numerators(
-    acc: Mapping[Monomial, Mapping[int, int]], den: int
-) -> dict[Monomial, UPoly]:
-    """Rows of integer numerators (u-exp -> n) over den as UPoly
-    coefficients: one Fraction per nonzero entry, one UPoly per row."""
-    return {m: UPoly({e: Fraction(n, den) for e, n in row.items() if n})
-            for m, row in acc.items()}
+def summed_rows(acc: Mapping[Monomial, tuple[int, Mapping[int, int]]]) -> list:
+    """A kernel's (weight, {u-exp: n}) sums per monomial as rows, zeros dropped."""
+    return [(m, w, r) for m, (w, row) in acc.items()
+            if (r := tuple(sorted(kv for kv in row.items() if kv[1])))]
+
+
+_WEIGHT = itemgetter(1)
 
 
 class TruncatedSeries:
     """Sparse weight-truncated series with UPoly coefficients.
 
-    Immutable after construction.  ``reliable`` is the weight up to which the
-    entries are exact; ``u_hi`` is the u-exponent up to which they are exact
-    (None = exact at every stored exponent).  Entries of weight > W are
-    rejected, u-exponents outside [umin, umax] raise :class:`UBandError`.
+    Immutable after construction.  The store is ``rows``: one (monomial,
+    weight, ((u-exp, n), ...)) entry per nonzero coefficient in ascending
+    weight, each n over the one denominator ``den``, which shares no prime
+    with all of them; ``terms`` is the read-only monomial -> UPoly view,
+    built on first read.  ``reliable`` is the weight up to which the entries
+    are exact; ``u_hi`` is the u-exponent up to which they are exact (None =
+    exact at every stored exponent).  Entries of weight > W are rejected,
+    u-exponents outside [umin, umax] raise :class:`UBandError`.
     """
 
-    __slots__ = ("family", "W", "terms", "umin", "umax", "reliable", "u_hi")
+    __slots__ = ("family", "W", "rows", "den", "umin", "umax", "reliable", "u_hi",
+                 "_terms")
 
     def __init__(
         self,
@@ -398,28 +413,51 @@ class TruncatedSeries:
         if W < 0:
             raise ValueError("truncation weight must be >= 0")
         lo, hi = band_for_weight(W)
-        umin = lo if umin is None else umin
-        umax = hi if umax is None else umax
-        clean: dict[Monomial, UPoly] = {}
-        for m, c in terms.items():
-            if not c:
-                continue
-            if mono_weight(m) > W:
-                raise TruncationError(
-                    f"monomial {mono_str(m, family)} has weight > W={W}"
-                )
-            c.check_band(umin, umax)
-            clean[m] = c
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "umin", umin)
-        object.__setattr__(self, "umax", umax)
-        object.__setattr__(self, "reliable", W if reliable is None else min(reliable, W))
-        object.__setattr__(self, "u_hi", u_hi)
+        clean = {m: c for m, c in terms.items() if c}
+        self._store(family, W, *numerators(clean), lo if umin is None else umin,
+                    hi if umax is None else umax, reliable, u_hi)
+        object.__setattr__(self, "_terms", MappingProxyType(clean))
+
+    @staticmethod
+    def _built(*, family: str, W: int, rows: list, den: int, umin: int, umax: int,
+               reliable: int | None, u_hi: int | None) -> TruncatedSeries:
+        """The constructor of kernel outputs: rows over den, in any order and
+        with zero entries dropped, checked and reduced as the public
+        constructor's are."""
+        s = object.__new__(TruncatedSeries)
+        s._store(family, W, rows, den, umin, umax, reliable, u_hi)
+        return s
+
+    def _store(self, family, W, rows, den, umin, umax, reliable, u_hi) -> None:
+        if den > 1 and (g := math.gcd(den, *(n for _, _, r in rows for _, n in r))) > 1:
+            rows = [(m, w, tuple((e, n // g) for e, n in r)) for m, w, r in rows]
+            den //= g
+        for m, w, r in rows:
+            if w > W:
+                raise TruncationError(f"monomial {mono_str(m, family)} has weight > W={W}")
+            if r[0][0] < umin or r[-1][0] > umax:
+                raise _band_error(r[0][0], r[-1][0], umin, umax)
+        put = object.__setattr__
+        put(self, "family", family)
+        put(self, "W", W)
+        put(self, "rows", sorted(rows, key=_WEIGHT))
+        put(self, "den", den)
+        put(self, "umin", umin)
+        put(self, "umax", umax)
+        put(self, "reliable", W if reliable is None else min(reliable, W))
+        put(self, "u_hi", u_hi)
+        put(self, "_terms", None)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("TruncatedSeries is immutable")
+
+    @property
+    def terms(self) -> Mapping[Monomial, UPoly]:
+        if self._terms is None:
+            object.__setattr__(self, "_terms", MappingProxyType({
+                m: UPoly({e: Fraction(n, self.den) for e, n in r})
+                for m, _, r in self.rows}))
+        return self._terms
 
     # -- constructors --------------------------------------------------------
 
@@ -447,28 +485,30 @@ class TruncatedSeries:
         return dict(umin=self.umin, umax=self.umax, reliable=self.reliable,
                     u_hi=self.u_hi)
 
+    def _with(self, rows: list | None = None, den: int | None = None,
+              **fields) -> TruncatedSeries:
+        """This series with new rows over den and the given fields replaced."""
+        return TruncatedSeries._built(**{
+            "family": self.family, "W": self.W, **self._meta(), **fields,
+            "rows": self.rows if rows is None else rows,
+            "den": self.den if den is None else den})
+
     def with_band(self, umin: int, umax: int) -> TruncatedSeries:
         """Re-declare the band (widening is lossless; narrowing re-validates)."""
-        return TruncatedSeries(self.family, self.W, self.terms, umin=umin,
-                               umax=umax, reliable=self.reliable, u_hi=self.u_hi)
+        return self._with(umin=umin, umax=umax)
 
     def with_reliable(self, reliable: int) -> TruncatedSeries:
-        return TruncatedSeries(self.family, self.W, self.terms, umin=self.umin,
-                               umax=self.umax, reliable=reliable, u_hi=self.u_hi)
+        return self._with(reliable=reliable)
 
     def with_u_hi(self, u_hi: int | None) -> TruncatedSeries:
-        return TruncatedSeries(self.family, self.W, self.terms, umin=self.umin,
-                               umax=self.umax, reliable=self.reliable, u_hi=u_hi)
+        return self._with(u_hi=u_hi)
 
     def clip_u_above(self, hi: int) -> TruncatedSeries:
         """Drop u-exponents above hi: the band top becomes hi, and the entries
         are exact at most up to u^hi."""
-        return TruncatedSeries(
-            self.family, self.W,
-            {m: c.clip_above(hi) for m, c in self.terms.items()},
-            umin=self.umin, umax=hi, reliable=self.reliable,
-            u_hi=self._merge_u_hi(self.u_hi, hi),
-        )
+        rows = [(m, w, kept) for m, w, r in self.rows
+                if (kept := tuple(en for en in r if en[0] <= hi))]
+        return self._with(rows, umax=hi, u_hi=self._merge_u_hi(self.u_hi, hi))
 
     def _check_family(self, other: TruncatedSeries) -> None:
         if self.family != other.family:
@@ -487,16 +527,19 @@ class TruncatedSeries:
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.rows)
 
     def __eq__(self, other) -> bool:
+        # the reduced denominator makes the rows of equal series equal
         return (
             isinstance(other, TruncatedSeries)
             and self.family == other.family
-            and self.terms == other.terms
+            and self.den == other.den
+            and len(self.rows) == len(other.rows)
+            and {m: r for m, _, r in self.rows} == {m: r for m, _, r in other.rows}
         )
 
     def __hash__(self):
@@ -510,32 +553,23 @@ class TruncatedSeries:
         return self.terms.get(m, UPOLY_ZERO)
 
     def min_weight(self) -> int | None:
-        if not self.terms:
-            return None
-        return min(mono_weight(m) for m in self.terms)
+        return self.rows[0][1] if self.rows else None
 
     def min_u_exp(self) -> int:
         """Smallest u-exponent appearing anywhere (0 for the zero series)."""
-        exps = [c.min_exp() for c in self.terms.values()]
-        return min(exps) if exps else 0
+        return min((r[0][0] for _, _, r in self.rows), default=0)
 
     def canonical_items(self) -> list[tuple[Monomial, UPoly]]:
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
 
     def weight_slice(self, w: int) -> TruncatedSeries:
-        return TruncatedSeries(
-            self.family, self.W,
-            {m: c for m, c in self.terms.items() if mono_weight(m) == w},
-            **self._meta(),
-        )
+        return self._with([row for row in self.rows if row[1] == w])
 
     def up_to_weight(self, w: int) -> TruncatedSeries:
         """Restrict to weight <= w (keeps W and band unchanged)."""
-        return TruncatedSeries(
-            self.family, self.W,
-            {m: c for m, c in self.terms.items() if mono_weight(m) <= w},
-            **self._meta(),
-        )
+        if not self.rows or self.rows[-1][1] <= w:
+            return self
+        return self._with([row for row in self.rows if row[1] <= w])
 
     def u_layer(self, e: int) -> TruncatedSeries:
         """The coefficient-of-u^e layer, as a series with rational coefficients."""
@@ -562,52 +596,52 @@ class TruncatedSeries:
         return self.add_scaled([(-1, other)])
 
     def scale(self, c: UPoly | Rat | int) -> TruncatedSeries:
-        return TruncatedSeries.zero(self.family, self.W, **self._meta()).add_scaled(
-            [(c, self)])
+        return self._with([], 1).add_scaled([(c, self)])
 
     def add_scaled(
         self, parts: Iterable[tuple[UPoly | Rat | int, TruncatedSeries]]
     ) -> TruncatedSeries:
         """self + the sum of c * s over the (c, s) parts, with the bookkeeping
         of that chain of ``+``; c is a rational or a UPoly, and each c * s
-        must stay inside the band of s (else :class:`UBandError`).  The parts
-        are read one at a time as integer numerators and summed over one
-        common denominator."""
-        acc: dict[Monomial, dict[int, int]] = {}
+        must stay inside the band of s (else :class:`UBandError`).  The parts'
+        rows are summed one at a time over one common denominator."""
+        acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
         W, lo, hi, rel, u_hi, den = (self.W, self.umin, self.umax,
                                      self.reliable, self.u_hi, 1)
         for c, s in itertools.chain([(1, self)], parts):
             self._check_family(s)
             c = c if isinstance(c, UPoly) else UPoly.const(c)
-            src, d = numerators(s.terms, s.W)
             # c moves u-exponents unless it is constant; a product's extreme
             # exponents are the sums of its factors', so c * s is exact up to
             # s's u_hi plus the lowest exponent of c
             ulo, uhi = (c.min_exp(), c.max_exp()) if c else (0, 0)
-            if src and (ulo or uhi):
-                ends = [e for _, _, r in src for e in (r[0][0], r[-1][0])]
-                if min(ends) + ulo < s.umin or max(ends) + uhi > s.umax:
-                    raise UBandError(f"{c} times a series escapes its band "
-                                     f"[{s.umin}, {s.umax}]")
+            if s.rows and (ulo or uhi) and (
+                    s.min_u_exp() + ulo < s.umin
+                    or max(r[-1][0] for _, _, r in s.rows) + uhi > s.umax):
+                raise UBandError(f"{c} times a series escapes its band "
+                                 f"[{s.umin}, {s.umax}]")
             cd = math.lcm(*(v.denominator for _, v in c.terms))
-            common = math.lcm(den, cd * d)
+            common = math.lcm(den, cd * s.den)
             if common != den:  # move the sum so far onto the new denominator
-                for row in acc.values():
+                for _, row in acc.values():
                     for e in row:
                         row[e] *= common // den
                 den = common
-            fs = [(k, v.numerator * (den // (v.denominator * d))) for k, v in c.terms]
-            for m, _, row_in in src:
-                row = acc.setdefault(m, {})
+            fs = [(k, v.numerator * (den // (v.denominator * s.den))) for k, v in c.terms]
+            for m, w, row_in in s.rows:
+                got = acc.get(m)
+                if got is None:
+                    got = acc[m] = (w, {})
+                row = got[1]
                 for k, f in fs:
                     for e, n in row_in:
                         row[e + k] = row.get(e + k, 0) + f * n
             W, lo, hi = min(W, s.W), min(lo, s.umin), max(hi, s.umax)
             rel = min(rel, s.reliable)
             u_hi = self._merge_u_hi(u_hi, None if s.u_hi is None else s.u_hi + ulo)
-        kept = {m: row for m, row in acc.items() if mono_weight(m) <= W}
-        return TruncatedSeries(self.family, W, terms_from_numerators(kept, den),
-                               umin=lo, umax=hi, reliable=rel, u_hi=u_hi)
+        return TruncatedSeries._built(
+            family=self.family, W=W, rows=[r for r in summed_rows(acc) if r[1] <= W],
+            den=den, umin=lo, umax=hi, reliable=rel, u_hi=u_hi)
 
     def mul(self, other: TruncatedSeries, *,
             umin: int | None = None, umax: int | None = None) -> TruncatedSeries:
@@ -618,10 +652,6 @@ class TruncatedSeries:
         W = min(self.W, other.W)
         lo = min(self.umin, other.umin) if umin is None else umin
         hi = max(self.umax, other.umax) if umax is None else umax
-        left, den1 = numerators(self.terms, W)
-        right, den2 = numerators(other.terms, W)
-        right.sort(key=lambda row: row[1])
-        terms = terms_from_numerators(convolve(left, right, W), den1 * den2)
         # completeness of a product layer is limited by each factor's u_hi
         # plus the lowest exponent the other factor can supply
         u_hi = None
@@ -631,14 +661,12 @@ class TruncatedSeries:
             h2 = other.u_hi + self.min_u_exp()
             u_hi = h2 if u_hi is None else min(u_hi, h2)
         rel = W
-        if self.terms and other.terms:
-            rel = min(
-                W,
-                self.reliable + (other.min_weight() or 0),
-                other.reliable + (self.min_weight() or 0),
-            )
-        return TruncatedSeries(self.family, W, terms, umin=lo, umax=hi,
-                               reliable=rel, u_hi=u_hi)
+        if self and other:
+            rel = min(W, self.reliable + other.min_weight(),
+                      other.reliable + self.min_weight())
+        return TruncatedSeries._built(
+            family=self.family, W=W, rows=summed_rows(convolve(self.rows, other.rows, W)),
+            den=self.den * other.den, umin=lo, umax=hi, reliable=rel, u_hi=u_hi)
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         return self.mul(other)
@@ -647,27 +675,21 @@ class TruncatedSeries:
         """d/dx_i.  Weight drops by i, so the reliable weight drops too."""
         if i < 1:
             raise ValueError("variable index must be >= 1")
-        # dividing by x_i is one-to-one, so no two terms meet
-        acc = {mono_div_var(m, i): c.scale(e)
-               for m, c in self.terms.items() if (e := mono_exp(m, i))}
-        return TruncatedSeries(self.family, self.W, acc, umin=self.umin,
-                               umax=self.umax, reliable=self.reliable - i,
-                               u_hi=self.u_hi)
+        # dividing by x_i is one-to-one, so no two rows meet
+        rows = [(mono_div_var(m, i), w - i, tuple((e, k * n) for e, n in r))
+                for m, w, r in self.rows if (k := mono_exp(m, i))]
+        return self._with(rows, reliable=self.reliable - i)
 
     def truncate(self, W: int) -> TruncatedSeries:
         if W >= self.W:
             return self
-        return TruncatedSeries(
-            self.family, W,
-            {m: c for m, c in self.terms.items() if mono_weight(m) <= W},
-            umin=self.umin, umax=self.umax,
-            reliable=min(self.reliable, W), u_hi=self.u_hi,
-        )
+        return self._with([row for row in self.rows if row[1] <= W], W=W,
+                          reliable=min(self.reliable, W))
 
     # -- formatting ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.rows:
             return "0"
         bits = []
         for m, c in self.canonical_items():
@@ -680,7 +702,7 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return (f"TruncatedSeries({self.family!r}, W={self.W}, "
-                f"{len(self.terms)} terms)")
+                f"{len(self.rows)} terms)")
 
     def to_json_obj(self) -> dict:
         return {

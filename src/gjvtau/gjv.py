@@ -25,7 +25,6 @@ from .exactalg import (
     mono,
     mono_str,
     mono_var,
-    mono_weight,
     prefix_products,
     substitute_linear,
 )
@@ -212,13 +211,14 @@ def verify_tau_routes(
 
     With Mmax = W + 1 the G-route is complete on weight + u-exponent
     <= 2W + 2, which covers the whole default band box {w <= W, e <= W+2};
-    clipping it to that band makes both routes exact on everything stored.
+    clipping both routes to that band makes them exact on everything stored,
+    also when c reaches above it and widens the exponential's band.
     """
     if G is None:
         G = extract_G(W, Mmax=W + 1)
     _, hi = band_for_weight(W)
     t1 = assemble_tau_from_g(c, G).clip_u_above(hi)
-    t2 = assemble_tau_exponential(c, W)
+    t2 = assemble_tau_exponential(c, W).clip_u_above(hi)
     return residual_report(
         "tau_routes", t1 - t2, reliable=W, detail={"c": str(c), "W": W}
     )
@@ -293,9 +293,7 @@ def extract_intersections_tbasis(G: TruncatedSeries) -> list[IntersectionNumber]
     records: list[IntersectionNumber] = []
     for w in range(W, -1, -1):
         blocks = []
-        for m, coef in residue.terms.items():
-            if mono_weight(m) != w:
-                continue
+        for m, coef in residue.weight_slice(w).terms.items():
             ks = tuple(sorted(i - 1 for i, e in m for _ in range(e)))
             c_k = coef.scale(Fraction(1, prod(factorial(k) for k in ks)))
             blocks.append((ks, c_k.scale(-1)))

@@ -58,10 +58,11 @@ def to_hirota_vars(s: TruncatedSeries) -> TruncatedSeries:
     x_i as i * t_i (each monomial picks up prod i^e_i)."""
     if s.family == "t":
         raise FamilyError("series is already in the t-family")
-    terms = {
-        m: c.scale(Fraction(prod(i**e for i, e in m))) for m, c in s.terms.items()
-    }
-    return TruncatedSeries("t", s.W, terms, **s._meta())
+    rows = []
+    for m, w, r in s.rows:
+        k = prod(i**e for i, e in m)
+        rows.append((m, w, tuple((e, k * n) for e, n in r)))
+    return s._with(rows, family="t")
 
 
 def _multi_partial(s: TruncatedSeries, kvec: tuple[int, ...],

@@ -8,8 +8,8 @@ one-part Sum, and add_scaled applies every coefficient.  A leaf that maps
 monomials to monomials declares only a stencil: the (target monomial, integer
 multiplier) pairs of one source monomial, over a class-level denominator,
 memoised per (leaf, monomial) since it does not depend on the truncation.
-One kernel, :meth:`Operator.act_terms`, applies every stencil to the input's
-integer numerators and builds one Fraction per output entry.
+One kernel, :meth:`Operator.apply`, applies every stencil to the input's
+integer rows and writes the output's rows.
 
 Every leaf declares its exact weight shift and keeps u-exponents.
 Application propagates the reliability metadata of the series: an operator
@@ -40,11 +40,8 @@ from gjvtau.exactalg import (
     mono_mul,
     mono_var,
     monomials_up_to_weight,
-    numerators,
-    terms_from_numerators,
+    summed_rows,
 )
-
-Terms = dict[Monomial, UPoly]
 
 
 class OperatorGradingError(ValueError):
@@ -63,7 +60,7 @@ def _stencil(op: Operator, m: Monomial) -> tuple[tuple[Monomial, int], ...]:
 
 class Operator:
     """Base class.  A stencil leaf implements stencil, den and weight_shift
-    and acts through act_terms; Partial, Sum and Compose act their own way."""
+    and acts through apply; Partial, Sum and Compose act their own way."""
 
     # the stencil multipliers are integers over this denominator
     den = 1
@@ -72,25 +69,24 @@ class Operator:
         """(target monomial, multiplier over den) pairs of the action on m."""
         raise NotImplementedError
 
-    def act_terms(self, terms: Terms, W: int) -> Terms:
-        src, den = numerators(terms, W - self.weight_shift())
-        acc: dict[Monomial, dict[int, int]] = {}
-        for m, _, c in src:
-            for target, k in _stencil(self, m):
-                row = acc.setdefault(target, {})
-                for e, n in c:
-                    row[e] = row.get(e, 0) + k * n
-        return terms_from_numerators(acc, den * self.den)
-
     def weight_shift(self) -> int:
         """The exact weight shift; a Sum has none."""
         raise NotImplementedError(f"{type(self).__name__} has no single weight shift")
 
     def apply(self, s: TruncatedSeries) -> TruncatedSeries:
-        return TruncatedSeries(
-            s.family, s.W, self.act_terms(s.terms, s.W), umin=s.umin, umax=s.umax,
-            reliable=s.reliable + self.weight_shift(), u_hi=s.u_hi,
-        )
+        shift = self.weight_shift()
+        acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
+        for m, w, c in s.rows:
+            if w + shift > s.W:
+                break
+            for target, k in _stencil(self, m):
+                got = acc.get(target)
+                if got is None:
+                    got = acc[target] = (w + shift, {})
+                row = got[1]
+                for e, n in c:
+                    row[e] = row.get(e, 0) + k * n
+        return s._with(summed_rows(acc), s.den * self.den, reliable=s.reliable + shift)
 
     def __call__(self, s: TruncatedSeries) -> TruncatedSeries:
         return self.apply(s)
@@ -222,9 +218,7 @@ class Sum(Operator):
         object.__setattr__(self, "parts", tuple(parts))
 
     def apply(self, s: TruncatedSeries) -> TruncatedSeries:
-        zero = TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax,
-                                    reliable=s.reliable, u_hi=s.u_hi)
-        return zero.add_scaled((c, op.apply(s)) for c, op in self.parts)
+        return s._with([], 1).add_scaled((c, op.apply(s)) for c, op in self.parts)
 
 
 class Compose(Operator):

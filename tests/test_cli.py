@@ -131,6 +131,13 @@ def test_tau_routes_write_series(tmp_path):
         assert data["family"] == "t" and data["terms"]
 
 
+def test_linear_route_widens_its_band_to_c(tmp_path):
+    # u^9 lies above the W = 4 band top u^6, as it may for the other routes
+    assert run(tmp_path, "tau", "--route", "linear", "--c", "u^9", "--W", "4") == 0
+    data = json.loads((tmp_path / "tau_linear.json").read_text())
+    assert {"mono": [], "coef": [[9, "1"]]} in data["terms"]
+
+
 def test_verify_filter_matching_nothing_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert run(tmp_path, "verify", "--W", "4", "--checks", "nonexistent") == 2
     assert "nonexistent" in capsys.readouterr().err

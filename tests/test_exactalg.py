@@ -1,6 +1,7 @@
 """Core algebra layer: u-Laurent coefficients and weight-truncated series."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from gjvtau.exactalg import (
     substitute_linear,
 )
 from gjvtau.gjv import change_of_variables
+from gjvtau.hirota import to_hirota_vars
 from gjvtau.hurwitz import cutjoin_series
 
 
@@ -211,6 +213,60 @@ def test_band_escape_in_mul_is_loud():
     assert wide.coefficient_of(mono((1, 2))) == UPoly.u(12)
 
 
+def test_band_escape_in_mul_raises_from_the_row_check():
+    # the product's rows are checked as the public constructor checks terms
+    a = TruncatedSeries("q", 4, {mono_var(1): UPoly.u(6)})
+    with pytest.raises(UBandError, match=re.escape("u-exponent range [12, 12] "
+                                                   "escapes band [-6, 6]")):
+        a.mul(a)
+    with pytest.raises(UBandError, match=re.escape("u-exponent range [12, 12] "
+                                                   "escapes band [-6, 6]")):
+        TruncatedSeries("q", 4, {mono((1, 2)): UPoly.u(12)})
+    # a part whose multiplier escapes raises, though the parts cancel
+    with pytest.raises(UBandError, match=re.escape("u^4 times a series escapes "
+                                                   "its band [-6, 6]")):
+        a.add_scaled([(UPoly.u(4), a), (UPoly.u(4, -1), a)])
+
+
+def test_row_constructor_checks_weight_and_band():
+    row = [(mono_var(3), 3, ((0, 1),))]
+    kw = dict(family="q", den=1, umin=-2, umax=2, reliable=None, u_hi=None)
+    assert str(TruncatedSeries._built(W=3, rows=row, **kw)) == "q3"
+    with pytest.raises(TruncationError, match="q3 has weight > W=2"):
+        TruncatedSeries._built(W=2, rows=row, **kw)
+    with pytest.raises(UBandError, match=re.escape("[3, 3] escapes band [-2, 2]")):
+        TruncatedSeries._built(W=3, rows=[(mono_var(3), 3, ((3, 1),))], **kw)
+    # narrowing the band re-checks the rows
+    s = TruncatedSeries("q", 4, {mono_var(1): UPoly.u(3)})
+    with pytest.raises(UBandError, match=re.escape("[3, 3] escapes band [-6, 2]")):
+        s.with_band(-6, 2)
+    with pytest.raises(TruncationError, match="beyond W=4"):
+        s.coefficient_of(mono_var(5))
+
+
+def test_rows_share_one_reduced_denominator():
+    s = TruncatedSeries("q", 4, {mono_var(1): UPoly.u(1, Fraction(1, 6)),
+                                 mono_var(2): UPoly.const(Fraction(3, 4))})
+    assert s.den == 12 and s.rows == [(mono_var(1), 1, ((1, 2),)),
+                                      (mono_var(2), 2, ((0, 9),))]
+    # 2 * s less its weight-2 part is 1/3 u q1, over 3
+    assert (s.scale(2) - s.weight_slice(2).scale(2)).rows == [(mono_var(1), 1, ((1, 1),))]
+    assert (s.scale(2) - s.weight_slice(2).scale(2)).den == 3
+    assert (s.partial(2).den, s.partial(2).rows) == (4, [((), 0, ((0, 3),))])
+    assert (s - s).den == 1 and (s - s).rows == []
+
+
+def assert_as_public(s):
+    """s is what the public constructor builds from s.terms: the same rows
+    over the same denominator, in ascending weight, and the same fields."""
+    public = TruncatedSeries(s.family, s.W, s.terms, **s._meta())
+    assert public == s and s == public and public.terms == s.terms
+    assert (s.W, s.umin, s.umax, s.reliable, s.u_hi) == (
+        public.W, public.umin, public.umax, public.reliable, public.u_hi)
+    assert s.den == public.den and sorted(s.rows) == sorted(public.rows)
+    assert [w for _, w, _ in s.rows] == sorted(w for _, w, _ in s.rows)
+
+
 def test_json_golden():
     s = q(1, 3) * q(2, 3)
     assert s.to_json() == (
@@ -355,6 +411,23 @@ def test_add_scaled_matches_the_per_term_sum(s, parts):
     assert got.terms == want.terms
     assert (got.family, got.W, got.reliable, got.u_hi, got.umin, got.umax) == (
         want.family, want.W, want.reliable, want.u_hi, want.umin, want.umax)
+
+
+@settings(deadline=None, max_examples=150)
+@given(kernel_series(), kernel_series(),
+       rational_st | st.dictionaries(st.integers(-3, 3), rational_st, max_size=3).map(UPoly),
+       st.integers(1, 3), st.integers(-1, 7))
+def test_every_kernel_output_is_what_the_public_constructor_builds(a, b, c, i, w):
+    outs = [a.mul(b, umin=-8, umax=8), a.partial(i), a.clip_u_above(w - 3),
+            a.weight_slice(w), a.up_to_weight(w), a.truncate(max(w, 0)),
+            a.with_band(a.umin - 1, a.umax + 1), a - a, to_hirota_vars(a)]
+    for kernel in (lambda: a.scale(c), lambda: a.add_scaled([(c, b), (-1, a)])):
+        try:
+            outs.append(kernel())
+        except UBandError:
+            pass
+    for s in outs:
+        assert_as_public(s)
 
 
 def test_add_scaled_checks_each_part_in_its_band():
@@ -503,6 +576,7 @@ def test_substitute_linear_matches_the_per_term_products(case):
     s, rule, band = case
     got = substitute_linear(s, rule, umin=-band, umax=band)
     want = naive_substitute_linear(s, rule, umin=-band, umax=band)
+    assert_as_public(got)
     assert got.terms == want.terms
     assert (got.family, got.W, got.umin, got.umax, got.reliable, got.u_hi) == (
         want.family, want.W, want.umin, want.umax, want.reliable, want.u_hi)

@@ -114,6 +114,18 @@ def test_tau_routes_agree(c):
     assert rep.reliable_weight == 6
 
 
+def test_tau_routes_agree_when_c_reaches_above_the_band():
+    # u^9 and u^10 lie above the W = 6 band top u^8, where G is not complete,
+    # so both routes are compared below that top
+    W = 6
+    G = extract_G(W, W + 1)
+    for c in (UPoly.u(W + 3), UPoly.parse("u^10 + 1")):
+        assert verify_tau_routes(c, W, G=G).status == "pass", c
+        planted = G + TruncatedSeries.monomial("q", W, mono_var(2), UPoly.u(1, F(1, 7)),
+                                               umin=G.umin, umax=G.umax)
+        assert verify_tau_routes(c, W, G=planted).status == "fail", c
+
+
 def test_tau_assemblies_share_the_singular_head():
     tau = assemble_tau_exponential(UPOLY_ZERO, 5)
     assert tau.coefficient_of(mono_var(1)).coeff(-1) == 1

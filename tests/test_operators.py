@@ -156,6 +156,46 @@ def test_leaf_kernel_matches_defining_sum(op, s):
     assert op.apply(s).terms == reference_apply(op, s)
 
 
+def assert_as_public(s):
+    """s is what the public constructor builds from s.terms: the same rows
+    over the same denominator, in ascending weight, and the same fields."""
+    public = TruncatedSeries(s.family, s.W, s.terms, **s._meta())
+    assert public == s and s == public and public.terms == s.terms
+    assert (s.W, s.umin, s.umax, s.reliable, s.u_hi) == (
+        public.W, public.umin, public.umax, public.reliable, public.u_hi)
+    assert s.den == public.den and sorted(s.rows) == sorted(public.rows)
+    assert [w for _, w, _ in s.rows] == sorted(w for _, w, _ in s.rows)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(LEAVES + [Partial(2), Compose(Lambda(1), CutJoin(2), Lambda(1)),
+                                 Sum(CutJoin(0), scaled(Partial(1), UPoly.u(1, 3)))]),
+       st.builds(lambda s, rel, u_hi: TruncatedSeries("q", s.W, s.terms, reliable=rel,
+                                                      u_hi=u_hi),
+                 mixed_series_st, st.integers(4, 8), st.none() | st.integers(-3, 3)))
+def test_every_apply_is_what_the_public_constructor_builds(op, s):
+    assert_as_public(op.apply(s))
+    assert_as_public(exponential_apply(op, s, max_order=2))
+
+
+def test_apply_builds_no_upoly_before_terms_are_read(monkeypatch):
+    # the operator kernels read and write integer rows; the UPoly view is
+    # built only when the result's terms are read
+    s = TruncatedSeries("q", 8, {mono((1, 1), (2, 1)): UPoly.u(1, Fraction(1, 3)),
+                                 mono_var(3): UPoly.parse("u^-1 + 5/4")})
+    built = []
+    init = UPoly.__init__
+
+    def counting_init(self, terms):
+        built.append(1)
+        init(self, terms)
+
+    monkeypatch.setattr(UPoly, "__init__", counting_init)
+    out = Compose(Lambda(1), CutJoin(2), Lambda(1)).apply(s)
+    assert out and not built
+    assert out.terms and len(built) == len(out.rows)
+
+
 def test_stencil_memo_carries_no_truncation():
     # the memo is filled at W = 6, then read at 10 and at 6 again
     operators._stencil.cache_clear()
