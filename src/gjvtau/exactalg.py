@@ -378,9 +378,6 @@ def summed_rows(acc: Mapping[Monomial, tuple[int, Mapping[int, int]]]) -> list:
             if (r := tuple(sorted(kv for kv in row.items() if kv[1])))]
 
 
-_WEIGHT = itemgetter(1)
-
-
 class TruncatedSeries:
     """Sparse weight-truncated series with UPoly coefficients.
 
@@ -421,9 +418,9 @@ class TruncatedSeries:
     @staticmethod
     def _built(*, family: str, W: int, rows: list, den: int, umin: int, umax: int,
                reliable: int | None, u_hi: int | None) -> TruncatedSeries:
-        """The constructor of kernel outputs: rows over den, in any order and
-        with zero entries dropped, checked and reduced as the public
-        constructor's are."""
+        """The constructor of kernel outputs: rows over den, in any order,
+        with no zero entry and no empty row; checked like the public
+        constructor's terms, then reduced and sorted."""
         s = object.__new__(TruncatedSeries)
         s._store(family, W, rows, den, umin, umax, reliable, u_hi)
         return s
@@ -440,7 +437,7 @@ class TruncatedSeries:
         put = object.__setattr__
         put(self, "family", family)
         put(self, "W", W)
-        put(self, "rows", sorted(rows, key=_WEIGHT))
+        put(self, "rows", sorted(rows, key=itemgetter(1)))
         put(self, "den", den)
         put(self, "umin", umin)
         put(self, "umax", umax)
