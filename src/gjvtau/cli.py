@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .exactalg import (MONO_ONE, TruncatedSeries, UPoly, UPOLY_ONE, band_for_weight, mono,
@@ -43,14 +41,14 @@ from .hurwitz import (
     extract_hurwitz,
     h01_h02_closed_forms,
     hurwitz_number,
-    load_hurwitz_cache,
     profiles,
-    save_hurwitz_cache,
 )
 from .operators import Lambda, verify_commutators, verify_conjugations, verify_O_operators
 from .report import FAIL, VACUOUS, CheckReport, boolean_report
 
 INTERSECTION_GRIDS = ((0, 3), (0, 4), (1, 1), (1, 2))
+# below it, the (0, 4) grid has no profile and the (1, 2) fit 2 rows for 3 unknowns
+INTERSECTIONS_DMAX_MIN = 3
 
 
 @dataclass
@@ -61,10 +59,7 @@ class RunConfig:
     dmax: int
     c_list: tuple[UPoly, ...]
     out: Path
-    cache_path: Path | None
-    table: dict  # counts read from cache_path
     kp2: bool
-    inject_corruption: bool
     checks: tuple[str, ...]  # --checks keys; empty runs the whole battery
 
 
@@ -100,7 +95,7 @@ def cmd_hurwitz(cfg: RunConfig) -> int:
             g = 0
             while 2 * g - 1 + n <= cfg.Mmax:
                 idx = HurwitzIndex(g, parts)
-                hb = hurwitz_number(idx, cfg.table, dcap=cfg.dmax)
+                hb = hurwitz_number(idx)
                 hs = extract_hurwitz(series, idx).h
                 agree = hb == hs
                 all_agree = all_agree and agree
@@ -126,8 +121,6 @@ def cmd_hurwitz(cfg: RunConfig) -> int:
             for r in rows
         ],
     )
-    if cfg.cache_path:
-        save_hurwitz_cache(cfg.cache_path, cfg.table)
     return 0 if all_agree else 1
 
 
@@ -177,7 +170,7 @@ def _two_route_records(cfg: RunConfig):
         merged[rec.key()] = {"rec": rec, "routes": ["tbasis"]}
     mismatches = []
     for g, n in INTERSECTION_GRIDS:
-        grid = hurwitz_grid(g, n, dmax=cfg.dmax + 1, table=cfg.table)
+        grid = hurwitz_grid(g, n, dmax=cfg.dmax + 1)
         for rec in extract_intersections_polyfit(g, n, grid, dmax=cfg.dmax + 1):
             got = merged.get(rec.key())
             if got is None:
@@ -193,8 +186,6 @@ def _two_route_records(cfg: RunConfig):
                             "polyfit": str(rec.value),
                         }
                     )
-    if cfg.cache_path:
-        save_hurwitz_cache(cfg.cache_path, cfg.table)
     return merged, mismatches
 
 
@@ -272,10 +263,6 @@ def _check_tau_routes(cfg: RunConfig) -> list[CheckReport]:
 
 def _check_f_identities(cfg: RunConfig) -> list[CheckReport]:
     F = intersection_F(cfg.W)
-    if cfg.inject_corruption:
-        F = F + TruncatedSeries.monomial(
-            "q", cfg.W, mono((2, 2)), UPoly.const(Fraction(1, 97))
-        )
     return [verify_string(F), verify_lambda_square(F), verify_second_derivative(F)]
 
 
@@ -453,19 +440,18 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mmax", type=int, default=4,
                         help="series order in beta = u^2")
     common.add_argument("--dmax", type=int, default=5,
-                        help="degree cap for brute-force counts")
+                        help="largest brute-force degree for hurwitz; the "
+                        "intersection grids go one degree higher")
     common.add_argument("--K", type=int, default=7,
                         help="largest basis index (clamped to W - 1)")
     common.add_argument("--c", default="0|1|u^-1+2",
                         help="pipe-separated c(u) choices, at least one")
     common.add_argument("--out", default=".", help="artifact directory")
-    common.add_argument("--hurwitz-cache", default=None,
-                        help="JSON cache path (env GJV_CACHE is the fallback)")
     p = argparse.ArgumentParser(
         prog="gjvtau",
         description="exact verification runs for the tau-function package",
     )
-    p.set_defaults(kp2=False, checks=None, inject_corruption=False)
+    p.set_defaults(kp2=False, checks=None)
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("hurwitz", parents=[common])
     sub.add_parser("intersections", parents=[common])
@@ -475,8 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="also run the next bilinear equation")
     verify.add_argument("--checks", default=None,
                         help="comma-separated check-name prefixes to run")
-    verify.add_argument("--inject-corruption", action="store_true",
-                        help=argparse.SUPPRESS)
     tau = sub.add_parser("tau", parents=[common])
     tau.add_argument("--route", choices=("linear", "cutjoin", "closedform"),
                      default="closedform")
@@ -499,11 +483,8 @@ def main(argv=None) -> int:
     checks = tuple(k.strip() for k in (args.checks or "").split(",") if k.strip())
     if args.checks is not None and not checks:
         parser.error(f"bad --checks: {args.checks!r} names no check")
-    cache = args.hurwitz_cache or os.environ.get("GJV_CACHE")
-    try:
-        table = load_hurwitz_cache(cache) if cache else {}
-    except (OSError, ValueError) as e:
-        print(f"bad hurwitz cache: {e}", file=sys.stderr)
+    if args.command == "intersections" and args.dmax < INTERSECTIONS_DMAX_MIN:
+        print(f"intersections needs --dmax >= {INTERSECTIONS_DMAX_MIN}", file=sys.stderr)
         return 2
     out = Path(args.out)
     try:
@@ -517,10 +498,7 @@ def main(argv=None) -> int:
         dmax=args.dmax,
         c_list=c_list,
         out=out,
-        cache_path=Path(cache) if cache else None,
-        table=table,
         kp2=args.kp2,
-        inject_corruption=args.inject_corruption,
         checks=checks,
     )
     try:

@@ -28,14 +28,7 @@ from .exactalg import (
     prefix_products,
     substitute_linear,
 )
-from .hurwitz import (
-    DCAP_DEFAULT,
-    HurwitzIndex,
-    cutjoin_series,
-    extract_hurwitz,
-    hurwitz_number,
-    profiles,
-)
+from .hurwitz import HurwitzIndex, cutjoin_series, hurwitz_closed_form, profiles
 from .operators import (
     CutJoin,
     Lambda,
@@ -341,34 +334,12 @@ def _monomial_symmetric(lam: tuple[int, ...], b: tuple[int, ...]) -> Rat:
     )
 
 
-# the largest degree the profile grids count by factorisations
-GRID_BRUTE_CAP = 5
-
-
-def hurwitz_grid(
-    g: int,
-    n: int,
-    *,
-    dmax: int = DCAP_DEFAULT,
-    table: dict | None = None,
-) -> dict[tuple[int, tuple[int, ...]], Rat]:
-    """Counts for every nondecreasing profile of length n with sum <= dmax.
-
-    Degrees above GRID_BRUTE_CAP come from the cut-and-join series instead of
-    the factorisation count; the overlap region is asserted equal in the tests.
-    """
-    out: dict[tuple[int, tuple[int, ...]], Rat] = {}
-    series: TruncatedSeries | None = None
-    m = 2 * g - 1 + n
-    for parts in profiles(n, dmax):
-        idx = HurwitzIndex(g, parts)
-        if idx.d <= GRID_BRUTE_CAP:
-            out[idx.key()] = hurwitz_number(idx, table)
-        else:
-            if series is None:
-                series = cutjoin_series(dmax, m)
-            out[idx.key()] = extract_hurwitz(series, idx).h
-    return out
+def hurwitz_grid(g: int, n: int, *, dmax: int) -> dict[tuple[int, tuple[int, ...]], Rat]:
+    """Closed-form counts for every nondecreasing profile of length n with
+    sum <= dmax; brute force and the cut-and-join series anchor the closed
+    form in the tests, so this route shares no code with the T-basis one."""
+    return {(g, parts): hurwitz_closed_form(HurwitzIndex(g, parts))
+            for parts in profiles(n, dmax)}
 
 
 def extract_intersections_polyfit(
@@ -376,7 +347,7 @@ def extract_intersections_polyfit(
     n: int,
     hvalues: dict[tuple[int, tuple[int, ...]], Rat],
     *,
-    dmax: int = DCAP_DEFAULT,
+    dmax: int,
 ) -> list[IntersectionNumber]:
     """Solve for the numbers from counts on a profile grid, exactly.
 

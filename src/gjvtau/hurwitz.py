@@ -1,23 +1,21 @@
-"""Transposition-factorisation counts and the cut-and-join series.
+"""Transposition-factorisation counts, the cut-and-join series, and the
+Goulden-Jackson-Vakil closed form.
 
 The brute-force route fixes a base permutation and counts tuples of
 transpositions whose product with it is a full cycle; the series route reads
 the same numbers off exp(beta*M0) applied to sum(p_i).  Both normalisations
 are frozen against the anchor values h_{0,(1)} = 1 and h_{0,(2)} = 1/2 and
-must stay in exact agreement (the tests enforce this on a d <= 5 grid).
+must stay in exact agreement (the tests enforce this on a d <= 5 grid).  The
+closed form is the one count the intersection grids read; the other two
+routes anchor it in the tests.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import shutil
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, prod
-from pathlib import Path
 from typing import Iterator
 
 from .exactalg import (
@@ -30,7 +28,6 @@ from .exactalg import (
 )
 from .operators import CutJoin, exponential_apply, scaled
 
-DCAP_DEFAULT = 6
 DCAP_HARD = 7
 
 
@@ -73,13 +70,6 @@ class HurwitzIndex:
 class HurwitzValue:
     index: HurwitzIndex
     h: Rat
-
-    def to_json_obj(self) -> dict:
-        return {
-            "g": self.index.g,
-            "parts": list(self.index.parts),
-            "h": str(self.h),
-        }
 
 
 def profiles(n: int, d: int) -> Iterator[tuple[int, ...]]:
@@ -147,7 +137,7 @@ def _count_factorisations(parts: tuple[int, ...], m: int) -> int:
     return count(_perm_of_type(parts), m)
 
 
-def hurwitz_bruteforce(idx: HurwitzIndex, *, dcap: int = DCAP_DEFAULT) -> HurwitzValue:
+def hurwitz_bruteforce(idx: HurwitzIndex) -> HurwitzValue:
     """Count weighted covers with profile idx.parts over the marked point.
 
     The tuple count N is taken with one fixed base permutation; h is then
@@ -155,10 +145,8 @@ def hurwitz_bruteforce(idx: HurwitzIndex, *, dcap: int = DCAP_DEFAULT) -> Hurwit
     The normalisation was frozen empirically against the anchor identities
     (see the tests); do not retune it here.
     """
-    if dcap > DCAP_HARD:
-        raise ValueError(f"brute-force cap {dcap} exceeds hard limit {DCAP_HARD}")
-    if idx.d > dcap:
-        raise ValueError(f"degree {idx.d} over brute-force cap {dcap}")
+    if idx.d > DCAP_HARD:
+        raise ValueError(f"degree {idx.d} over brute-force cap {DCAP_HARD}")
     n = _count_factorisations(idx.parts, idx.m)
     return HurwitzValue(idx, Fraction(n, prod(idx.parts)))
 
@@ -166,14 +154,12 @@ def hurwitz_bruteforce(idx: HurwitzIndex, *, dcap: int = DCAP_DEFAULT) -> Hurwit
 def hurwitz_number(
     idx: HurwitzIndex,
     table: dict[tuple[int, tuple[int, ...]], Rat] | None = None,
-    *,
-    dcap: int = DCAP_DEFAULT,
 ) -> Rat:
     if table is not None:
         got = table.get(idx.key())
         if got is not None:
             return got
-    h = hurwitz_bruteforce(idx, dcap=dcap).h
+    h = hurwitz_bruteforce(idx).h
     if table is not None:
         table[idx.key()] = h
     return h
@@ -200,61 +186,6 @@ def hurwitz_closed_form(idx: HurwitzIndex) -> Rat:
         quot.append(num[k] - sum(quot[j] * s1[k - j] for j in range(k)))
     r = idx.m
     return factorial(r) * Fraction(idx.d) ** (r - 1) * quot[g]
-
-
-# ---------------------------------------------------------------------------
-# Cache file (reused by the interpolation route and the CLI)
-# ---------------------------------------------------------------------------
-
-
-def load_hurwitz_cache(path: str | Path) -> dict[tuple[int, tuple[int, ...]], Rat]:
-    """Read a count cache; every record must equal the closed form."""
-    p = Path(path)
-    if not p.exists():
-        return {}
-    try:
-        recs = json.loads(p.read_text())
-    except ValueError as e:
-        raise ValueError(f"{p}: not JSON ({e})") from e
-    if not isinstance(recs, list):
-        raise ValueError(f"{p}: not a list of records")
-    table: dict[tuple[int, tuple[int, ...]], Rat] = {}
-    for i, rec in enumerate(recs):
-        if not (isinstance(rec, dict) and {"g", "parts", "h"} <= rec.keys()):
-            raise ValueError(f"{p}: record {i} lacks g, parts or h")
-        try:
-            idx = HurwitzIndex(rec["g"], tuple(rec["parts"]))
-            h = Fraction(rec["h"])
-            want = hurwitz_closed_form(idx)
-            if h != want:
-                raise ValueError(f"g={idx.g}, parts={list(idx.parts)} has h = {h}, "
-                                 f"the closed form gives {want}")
-            table[idx.key()] = h
-        except (TypeError, ValueError, ZeroDivisionError) as e:
-            raise ValueError(f"{p}: record {i}: {e}") from e
-    return table
-
-
-def save_hurwitz_cache(
-    path: str | Path, table: dict[tuple[int, tuple[int, ...]], Rat]
-) -> None:
-    """Write the table to a temp file beside path, then rename it over path,
-    so a write that fails leaves the old cache whole."""
-    p = Path(path)
-    recs = [
-        HurwitzValue(HurwitzIndex(g, parts), h).to_json_obj()
-        for (g, parts), h in sorted(table.items())
-    ]
-    fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(recs, fh, sort_keys=True, separators=(",", ":"))
-        if p.exists():  # the temp file is private; keep the old file's mode
-            shutil.copymode(p, tmp)
-        os.replace(tmp, p)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from gjvtau import cli
 from gjvtau.cli import main
+from gjvtau.exactalg import TruncatedSeries, UPoly, mono
 
 
 def run(tmp_path, *args):
@@ -44,6 +46,8 @@ def test_usage_errors_exit_2(tmp_path):
         ["verify", "--c", "|"],
         ["verify", "--checks", ","],
         ["verify", "--checks", ""],
+        ["verify", "--inject-corruption"],
+        ["hurwitz", "--hurwitz-cache", "x.json"],
     ):
         with pytest.raises(SystemExit) as e:
             run(tmp_path, *argv)
@@ -53,7 +57,7 @@ def test_usage_errors_exit_2(tmp_path):
 def test_verify_only_flags_are_refused_elsewhere(tmp_path, capsys):
     for argv in (["tbasis", "--W", "4", "--checks", "nonexistent"],
                  ["hurwitz", "--W", "4", "--kp2"],
-                 ["tau", "--W", "4", "--inject-corruption"]):
+                 ["tau", "--W", "4", "--checks", "kp"]):
         with pytest.raises(SystemExit) as e:
             run(tmp_path, *argv)
         assert e.value.code == 2
@@ -67,13 +71,6 @@ def test_hurwitz_run(tmp_path):
     assert all(r["agree"] for r in rows)
     one = next(r for r in rows if r["parts"] == [3] and r["g"] == 1)
     assert one["h_bruteforce"] == "2"
-
-
-def test_hurwitz_cache_env(tmp_path, monkeypatch):
-    cache = tmp_path / "hw.json"
-    monkeypatch.setenv("GJV_CACHE", str(cache))
-    assert run(tmp_path, "hurwitz", "--dmax", "3", "--mmax", "2") == 0
-    assert cache.exists() and json.loads(cache.read_text())
 
 
 def test_verify_battery_reports_the_known_failures(tmp_path, capsys):
@@ -99,9 +96,15 @@ def test_verify_filter_can_go_green(tmp_path):
     assert len(rows) == 6 and all(r["pass"] for r in rows)
 
 
-def test_corruption_fixture_trips_the_battery(tmp_path):
-    code = run(tmp_path, "verify", "--W", "6", "--inject-corruption",
-               "--checks", "string_equation")
+def test_corruption_fixture_trips_the_battery(tmp_path, monkeypatch):
+    intersection_F = cli.intersection_F
+
+    def corrupted(W):
+        return intersection_F(W) + TruncatedSeries.monomial(
+            "q", W, mono((2, 2)), UPoly.const(Fraction(1, 97)))
+
+    monkeypatch.setattr(cli, "intersection_F", corrupted)
+    code = run(tmp_path, "verify", "--W", "6", "--checks", "string_equation")
     assert code == 1
     (row,) = json.loads((tmp_path / "verify.json").read_text())
     assert row["status"] == "fail" and row["first_failure"]
@@ -121,6 +124,29 @@ def test_intersections_stable_across_W(tmp_path):
     small, big = load(tmp_path / "w6"), load(tmp_path / "w8")
     assert set(small) <= set(big)
     assert all(big[k] == v for k, v in small.items())
+
+
+def test_intersections_dmax_floor(tmp_path, capsys, monkeypatch):
+    # below 3 some grid cannot determine its fit: a usage error, no artifact
+    for dmax in ("1", "2"):
+        assert run(tmp_path, "intersections", "--W", "8", "--dmax", dmax) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "--dmax" in line
+        assert not any(tmp_path.iterdir())
+    assert run(tmp_path, "intersections", "--W", "8", "--dmax", "3") == 0
+    assert (tmp_path / "intersections.json").exists()
+
+    # an inconsistent fit is a finding: it raises, so the process exits 1
+    hurwitz_grid = cli.hurwitz_grid
+
+    def off_by_one(g, n, *, dmax):
+        grid = hurwitz_grid(g, n, dmax=dmax)
+        k = next(iter(grid))
+        return {**grid, k: grid[k] + 1}
+
+    monkeypatch.setattr(cli, "hurwitz_grid", off_by_one)
+    with pytest.raises(ValueError, match="inconsistent"):
+        run(tmp_path, "intersections", "--W", "8", "--dmax", "3")
 
 
 def test_tau_routes_write_series(tmp_path):
@@ -179,19 +205,6 @@ def test_verify_filter_runs_only_the_entries_it_selects(tmp_path, monkeypatch):
     assert len(rows) == 3
 
 
-def test_malformed_cache_exits_2_naming_the_file(tmp_path, capsys):
-    # the fourth cache is well formed, but its count is not the closed form's
-    # 6; the fifth has a zero denominator
-    for i, text in enumerate(("{not json", '{"g":0}', '[{"g":0,"parts":[1]}]',
-                              '[{"g":0,"parts":[1,1,1],"h":"7"}]',
-                              '[{"g":0,"parts":[1],"h":"1/0"}]')):
-        cache = tmp_path / f"bad{i}.json"
-        cache.write_text(text)
-        assert run(tmp_path, "hurwitz", "--hurwitz-cache", str(cache)) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and str(cache) in err
-
-
 ROOT = Path(__file__).resolve().parents[1]
 
 TRACED_VERIFY = """
@@ -210,6 +223,8 @@ with open(out + "/traced.json", "w") as fh:
 def test_benchmark_tracer_finds_every_layer(tmp_path):
     # the benchmark's tracer wraps package functions by name, so a renamed
     # function must fail here rather than only under a traced benchmark run
+    (tmp_path / "plain").mkdir()
+    run(tmp_path / "plain", "verify", "--W", "4")
     subprocess.run(
         [sys.executable, "-c", TRACED_VERIFY, str(ROOT / "src"),
          str(ROOT / "perfbench"), str(tmp_path)],
@@ -217,6 +232,12 @@ def test_benchmark_tracer_finds_every_layer(tmp_path):
     )
     got = json.loads((tmp_path / "traced.json").read_text())
     assert got["exit"] == 1
+
+    # and a wrapper whose signature drifted would crash a check only when traced
+    def statuses(path):
+        return {r["check"]: r["status"] for r in json.loads(path.read_text())}
+
+    assert statuses(tmp_path / "verify.json") == statuses(tmp_path / "plain/verify.json")
     checks = [k for k in got["metrics"] if k.startswith("cli.check.")]
     assert len(checks) == 11 and all(got["metrics"][k] > 0 for k in checks)
     assert got["metrics"]["hirota.hirota_apply.calls"] > 0
@@ -261,12 +282,21 @@ GOLDEN_DIGESTS = {
             "fab9507eaf50f1b700379c522fc2f7525ed12d22512f1c771321aa8ed9c5fad1"},
     ("hurwitz",): {
         "hurwitz.json": "e0e80dbfd3299317fe20a69bb9e690bd3ca8804123ffacc935e6fd67d2062f58"},
+    # the largest brute-force table the CLI allows
+    ("hurwitz", "--dmax", "7", "--mmax", "8"): {
+        "hurwitz.json": "2eef879734ef721dadf4ae4350b5267dc0f10c0c6a003da34d6481e341b70ec0",
+        "hurwitz.csv": "2217b6b8c30636c01b45668c82b722aff54438fb6c66ae4c1a91823783dc3d73"},
+    # grids of degree 8, every count above brute force's reach
+    ("intersections", "--W", "12", "--dmax", "7"): {
+        "intersections.json":
+            "47425f2d2452c1a040b66a16e6b09fb47bd07f59101b3cf8788eb144df894ba3",
+        "intersections.csv":
+            "34735f56afbe42403d8f29ea8c2a3abc7c86d0513bcf92920b66ad8c50ca8717"},
 }
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS), ids=" ".join)
-def test_artifact_matches_its_golden_digest(tmp_path, monkeypatch, argv):
-    monkeypatch.delenv("GJV_CACHE", raising=False)
+def test_artifact_matches_its_golden_digest(tmp_path, argv):
     run(tmp_path, *argv)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_DIGESTS[argv]}

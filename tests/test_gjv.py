@@ -17,7 +17,7 @@ from gjvtau.exactalg import (
     mono_var,
     mono_weight,
 )
-from gjvtau import gjv
+from gjvtau import gjv, hurwitz
 from gjvtau.gjv import (
     IntersectionNumber,
     assemble_tau_exponential,
@@ -39,7 +39,14 @@ from gjvtau.gjv import (
     verify_string,
     verify_tau_routes,
 )
-from gjvtau.hurwitz import cutjoin_series
+from gjvtau.cli import INTERSECTION_GRIDS
+from gjvtau.hurwitz import (
+    DCAP_HARD,
+    HurwitzIndex,
+    cutjoin_series,
+    extract_hurwitz,
+    hurwitz_number,
+)
 
 F = Fraction
 
@@ -296,6 +303,30 @@ def test_routes_cross_check(g, n):
     for key, val in by_fit.items():
         if key in RECORDS_W8:
             assert RECORDS_W8[key] == val, key
+
+
+def test_grids_match_bruteforce_and_series():
+    # the closed form fills every grid; the two older count sources stay the
+    # reference wherever they reach
+    for g, n in INTERSECTION_GRIDS:
+        series = cutjoin_series(8, 2 * g - 1 + n)
+        grid = hurwitz_grid(g, n, dmax=8)
+        assert grid
+        for (_, parts), h in grid.items():
+            idx = HurwitzIndex(g, parts)
+            assert h == extract_hurwitz(series, idx).h, idx
+            if idx.d <= DCAP_HARD:
+                assert h == hurwitz_number(idx), idx
+
+
+def test_grids_use_neither_bruteforce_nor_series(monkeypatch):
+    def crash(*args, **kwargs):
+        raise AssertionError("a grid count left the closed form")
+
+    want = {(g, n): hurwitz_grid(g, n, dmax=8) for g, n in INTERSECTION_GRIDS}
+    monkeypatch.setattr(hurwitz, "hurwitz_bruteforce", crash)
+    monkeypatch.setattr(gjv, "cutjoin_series", crash)
+    assert {(g, n): hurwitz_grid(g, n, dmax=8) for g, n in INTERSECTION_GRIDS} == want
 
 
 def test_polyfit_underdetermined():

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from gjvtau import hurwitz
 from gjvtau.exactalg import TruncationError
 from gjvtau.hurwitz import (
     HurwitzIndex,
@@ -15,9 +14,7 @@ from gjvtau.hurwitz import (
     hurwitz_bruteforce,
     hurwitz_closed_form,
     hurwitz_number,
-    load_hurwitz_cache,
     profiles,
-    save_hurwitz_cache,
 )
 from gjvtau.operators import Lambda
 
@@ -92,27 +89,13 @@ def test_series_has_even_u_powers_only():
 
 def test_brute_force_degree_cap():
     with pytest.raises(ValueError):
-        hurwitz_bruteforce(HurwitzIndex(0, (5, 3)), dcap=6)
+        hurwitz_bruteforce(HurwitzIndex(0, (5, 3)))
 
 
 def test_extraction_beyond_trusted_order():
     S = cutjoin_series(5, 3)
     with pytest.raises(TruncationError):
         extract_hurwitz(S, HurwitzIndex(2, (1, 1)))  # needs beta^5
-
-
-def test_cache_roundtrip(tmp_path):
-    path = tmp_path / "hw.json"
-    table = {}
-    for g, parts in ANCHORS:
-        hurwitz_number(HurwitzIndex(g, parts), table)
-    save_hurwitz_cache(path, table)
-    loaded = load_hurwitz_cache(path)
-    assert loaded == table
-    # a second save of the reloaded table is byte-identical
-    path2 = tmp_path / "hw2.json"
-    save_hurwitz_cache(path2, loaded)
-    assert path.read_bytes() == path2.read_bytes()
 
 
 def test_memo_table_is_used(tmp_path):
@@ -133,27 +116,3 @@ def test_closed_form_matches_bruteforce():
     assert len(cases) == 74
     for idx in cases:
         assert hurwitz_closed_form(idx) == hurwitz_number(idx), idx
-
-
-def test_cache_record_off_the_closed_form_is_rejected(tmp_path):
-    path = tmp_path / "poisoned.json"
-    path.write_text('[{"g":0,"parts":[1],"h":"1"},{"g":0,"parts":[1,1,1],"h":"7"}]')
-    with pytest.raises(ValueError, match="record 1") as e:
-        load_hurwitz_cache(path)
-    assert str(path) in str(e.value)
-
-
-def test_failed_cache_write_leaves_the_old_file(tmp_path, monkeypatch):
-    path = tmp_path / "hw.json"
-    save_hurwitz_cache(path, {(0, (1,)): F(1)})
-    old = path.read_bytes()
-
-    def dump_half(obj, fh, **kw):
-        fh.write('[{"g":0,')
-        raise OSError("disk full")
-
-    monkeypatch.setattr(hurwitz.json, "dump", dump_half)
-    with pytest.raises(OSError, match="disk full"):
-        save_hurwitz_cache(path, {(0, (1,)): F(1), (0, (2,)): F(1, 2)})
-    assert path.read_bytes() == old
-    assert [f.name for f in tmp_path.iterdir()] == ["hw.json"]
