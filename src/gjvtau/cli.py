@@ -96,7 +96,7 @@ def cmd_hurwitz(cfg: RunConfig) -> int:
             while 2 * g - 1 + n <= cfg.Mmax:
                 idx = HurwitzIndex(g, parts)
                 hb = hurwitz_number(idx)
-                hs = extract_hurwitz(series, idx).h
+                hs = extract_hurwitz(series, idx)
                 agree = hb == hs
                 all_agree = all_agree and agree
                 rows.append(
@@ -307,7 +307,7 @@ def _check_hurwitz_anchors(cfg: RunConfig) -> list[CheckReport]:
                 idx = HurwitzIndex(g, parts)
                 if idx.m > 4:
                     continue
-                if hurwitz_number(idx) != extract_hurwitz(series, idx).h:
+                if hurwitz_number(idx) != extract_hurwitz(series, idx):
                     agree = False
     return [
         boolean_report("hurwitz_anchor_images", img1 == want1 and img2 == want2, W),
@@ -441,7 +441,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="series order in beta = u^2")
     common.add_argument("--dmax", type=int, default=5,
                         help="largest brute-force degree for hurwitz; the "
-                        "intersection grids go one degree higher")
+                        "intersection grids go one degree higher, so "
+                        f"intersections and verify need >= {INTERSECTIONS_DMAX_MIN}")
     common.add_argument("--K", type=int, default=7,
                         help="largest basis index (clamped to W - 1)")
     common.add_argument("--c", default="0|1|u^-1+2",
@@ -483,8 +484,8 @@ def main(argv=None) -> int:
     checks = tuple(k.strip() for k in (args.checks or "").split(",") if k.strip())
     if args.checks is not None and not checks:
         parser.error(f"bad --checks: {args.checks!r} names no check")
-    if args.command == "intersections" and args.dmax < INTERSECTIONS_DMAX_MIN:
-        print(f"intersections needs --dmax >= {INTERSECTIONS_DMAX_MIN}", file=sys.stderr)
+    if args.command in ("intersections", "verify") and args.dmax < INTERSECTIONS_DMAX_MIN:
+        print(f"{args.command} needs --dmax >= {INTERSECTIONS_DMAX_MIN}", file=sys.stderr)
         return 2
     out = Path(args.out)
     try:

@@ -37,7 +37,6 @@ sum their series through it.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 from fractions import Fraction
@@ -225,10 +224,6 @@ class UPoly:
 
     def to_json(self) -> list[list]:
         return [[e, str(c)] for e, c in self.terms]
-
-    @staticmethod
-    def from_json(data: Iterable[Iterable]) -> UPoly:
-        return UPoly({int(e): Fraction(c) for e, c in data})
 
 
 UPOLY_ZERO = UPoly({})
@@ -710,21 +705,6 @@ class TruncatedSeries:
                 for m, c in self.canonical_items()
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"), sort_keys=True)
-
-    @staticmethod
-    def from_json_obj(data: dict) -> TruncatedSeries:
-        terms = {
-            mono(*[tuple(p) for p in t["mono"]]): UPoly.from_json(t["coef"])
-            for t in data["terms"]
-        }
-        return TruncatedSeries(data["family"], data["W"], terms)
-
-    @staticmethod
-    def from_json(text: str) -> TruncatedSeries:
-        return TruncatedSeries.from_json_obj(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

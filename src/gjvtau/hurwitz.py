@@ -66,12 +66,6 @@ class HurwitzIndex:
         return (self.g, self.parts)
 
 
-@dataclass(frozen=True)
-class HurwitzValue:
-    index: HurwitzIndex
-    h: Rat
-
-
 def profiles(n: int, d: int) -> Iterator[tuple[int, ...]]:
     """Nondecreasing profiles of n parts with degree <= d, in the order of
     combinations_with_replacement over 1..d."""
@@ -137,7 +131,7 @@ def _count_factorisations(parts: tuple[int, ...], m: int) -> int:
     return count(_perm_of_type(parts), m)
 
 
-def hurwitz_bruteforce(idx: HurwitzIndex) -> HurwitzValue:
+def hurwitz_bruteforce(idx: HurwitzIndex) -> Rat:
     """Count weighted covers with profile idx.parts over the marked point.
 
     The tuple count N is taken with one fixed base permutation; h is then
@@ -148,7 +142,7 @@ def hurwitz_bruteforce(idx: HurwitzIndex) -> HurwitzValue:
     if idx.d > DCAP_HARD:
         raise ValueError(f"degree {idx.d} over brute-force cap {DCAP_HARD}")
     n = _count_factorisations(idx.parts, idx.m)
-    return HurwitzValue(idx, Fraction(n, prod(idx.parts)))
+    return Fraction(n, prod(idx.parts))
 
 
 def hurwitz_number(
@@ -159,7 +153,7 @@ def hurwitz_number(
         got = table.get(idx.key())
         if got is not None:
             return got
-    h = hurwitz_bruteforce(idx).h
+    h = hurwitz_bruteforce(idx)
     if table is not None:
         table[idx.key()] = h
     return h
@@ -216,7 +210,7 @@ def cutjoin_series(W: int, Mmax: int, c: UPoly = UPOLY_ZERO) -> TruncatedSeries:
     return out.with_u_hi(hi)
 
 
-def extract_hurwitz(series: TruncatedSeries, idx: HurwitzIndex) -> HurwitzValue:
+def extract_hurwitz(series: TruncatedSeries, idx: HurwitzIndex) -> Rat:
     """Read h off the series: undo Lambda_0^2, then unscale by Aut, d and m!."""
     if series.family != "p":
         raise ValueError("expected a p-family series")
@@ -228,8 +222,7 @@ def extract_hurwitz(series: TruncatedSeries, idx: HurwitzIndex) -> HurwitzValue:
         mults[b] = mults.get(b, 0) + 1
     coeff = series.coefficient_of(mono(*mults.items()))
     aut = prod(factorial(r) for r in mults.values())
-    h = coeff.coeff(2 * m) / Fraction(d * d) * aut * d * factorial(m)
-    return HurwitzValue(idx, h)
+    return coeff.coeff(2 * m) / Fraction(d * d) * aut * d * factorial(m)
 
 
 def h01_h02_closed_forms(W: int) -> tuple[TruncatedSeries, TruncatedSeries]:

@@ -341,20 +341,36 @@ def exponential_apply(
     return total.with_reliable(min(rel, total.reliable))
 
 
+def bracket_chain(x: Operator, a: Operator, s: TruncatedSeries) -> Iterator[TruncatedSeries]:
+    """[(ad_X)^r(a)](s) for r = 0, 1, ... with ad_X(y) = [y, X], expanded as
+    Sum_j C(r, j) (-1)^j X^j a X^(r-j) s over one row, row[j] = X^j a X^(r-j) s,
+    so each such term is formed once."""
+    xs, row = s, [a.apply(s)]
+    for r in itertools.count():
+        yield s._with([], 1).add_scaled(((-1) ** j * comb(r, j), t) for j, t in enumerate(row))
+        xs = x.apply(xs)
+        row = [a.apply(xs)] + [x.apply(t) for t in row]
+
+
 # the longest bracket chain conjugate expands before giving up
 CONJUGATE_DEPTH = 8
 
 
-def conjugate(x: Operator, a: Operator, *, W: int) -> Operator:
-    """exp(-X) a exp(X) as Sum_k (ad_X)^k(a) / k! where ad_X(y) = [y, X];
-    the chain must vanish extensionally within CONJUGATE_DEPTH."""
-    out: list[Operator] = [a]
-    cur = a
-    for k in range(1, CONJUGATE_DEPTH + 1):
-        cur = commutator(cur, x)
-        if ops_equal(cur, ZERO_OP, W=W, headroom=2):
-            return Sum(*out)
-        out.append(scaled(cur, Fraction(1, factorial(k))))
+def conjugate(x: Operator, a: Operator, *, W: int) -> Callable[[TruncatedSeries], TruncatedSeries]:
+    """exp(-X) a exp(X) as the map s -> Sum_{k<depth} [(ad_X)^k(a)](s) / k!,
+    where depth is the first k >= 1 at which the chain term vanishes over its
+    reliable weight on every monomial of weight <= W (at truncation W + 2);
+    it must come within CONJUGATE_DEPTH."""
+    chains = [bracket_chain(x, a, TruncatedSeries.monomial("q", W + 2, m))
+              for m in monomials_up_to_weight(W)]
+    for c in chains:
+        next(c)
+    for depth in range(1, CONJUGATE_DEPTH + 1):
+        # a list, not a generator: every chain advances, in lockstep
+        if not any([t.up_to_weight(t.reliable) for t in map(next, chains)]):
+            return lambda s: s._with([], 1).add_scaled(
+                (Fraction(1, factorial(k)), t)
+                for k, t in enumerate(itertools.islice(bracket_chain(x, a, s), depth)))
     raise OperatorGradingError(
         f"conjugation bracket chain did not vanish within depth {CONJUGATE_DEPTH}"
     )
@@ -414,29 +430,11 @@ def bracket_order_bound(n: int, W: int) -> int:
     return (W + n - 1) // 2
 
 
-def bracket_actions(n: int, s: TruncatedSeries, rmax: int) -> list[TruncatedSeries]:
-    """[(ad M)^r(n d/dx_n)](s) for r = 0..rmax, via one shared cache of
-    M^a (n d/dx_n (M^b s)) instead of 2^r bracket expansions."""
-    m2 = CutJoin(2)
-    powers = [s]
-    for _ in range(rmax):
-        powers.append(m2.apply(powers[-1]))
-    table: dict[tuple[int, int], TruncatedSeries] = {}
-    for b, p in enumerate(powers):
-        table[(0, b)] = p.partial(n).scale(n)
-        for a in range(1, rmax - b + 1):
-            table[(a, b)] = m2.apply(table[(a - 1, b)])
-    zero = TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax)
-    return [zero.add_scaled(((-1) ** a * comb(r, a), table[(a, r - a)])
-                            for a in range(r + 1))
-            for r in range(rmax + 1)]
-
-
 def o_actions(n: int, s: TruncatedSeries, W_out: int) -> list[TruncatedSeries]:
     """[O_i](s) for i = 0..bracket_order_bound(n, W_out), each exact to the
     reliable weight it reports (truncated to W_out)."""
     rmax = bracket_order_bound(n, W_out)
-    acts = bracket_actions(n, s, rmax)
+    acts = list(itertools.islice(bracket_chain(CutJoin(2), n_partial(n), s), rmax + 1))
     zero = TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax)
     return [zero.add_scaled((Fraction((-1) ** k, factorial(k) * factorial(i)),
                              acts[i + k]) for k in range(rmax - i + 1)).truncate(W_out)

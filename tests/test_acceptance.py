@@ -111,7 +111,7 @@ def test_criterion_04_hurwitz_routes():
             g = 0
             while 2 * g - 1 + n <= 5:
                 idx = HurwitzIndex(g, parts)
-                ok = ok and extract_hurwitz(series, idx).h == hurwitz_number(idx)
+                ok = ok and extract_hurwitz(series, idx) == hurwitz_number(idx)
                 g += 1
     for d in range(1, 6):
         ok = ok and hurwitz_number(HurwitzIndex(0, (d,))) == F(1, d)

@@ -127,14 +127,19 @@ def test_intersections_stable_across_W(tmp_path):
 
 
 def test_intersections_dmax_floor(tmp_path, capsys, monkeypatch):
-    # below 3 some grid cannot determine its fit: a usage error, no artifact
-    for dmax in ("1", "2"):
-        assert run(tmp_path, "intersections", "--W", "8", "--dmax", dmax) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert "--dmax" in line
-        assert not any(tmp_path.iterdir())
-    assert run(tmp_path, "intersections", "--W", "8", "--dmax", "3") == 0
-    assert (tmp_path / "intersections.json").exists()
+    # below 3 some grid cannot determine its fit: a usage error, no artifact,
+    # for verify too, whose battery runs the intersection routes
+    for argv, artifact in ((("intersections", "--W", "8"), "intersections.json"),
+                           (("verify", "--W", "4"), "verify.json")):
+        out = tmp_path / argv[0]
+        for dmax in ("1", "2"):
+            assert run(out, *argv, "--dmax", dmax) == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert "--dmax" in line
+            assert not out.exists()
+        extra = ("--checks", "intersections") if argv[0] == "verify" else ()
+        assert run(out, *argv, "--dmax", "3", *extra) == 0
+        assert (out / artifact).exists()
 
     # an inconsistent fit is a finding: it raises, so the process exits 1
     hurwitz_grid = cli.hurwitz_grid
@@ -255,6 +260,9 @@ def test_benchmark_tracer_finds_every_layer(tmp_path):
 GOLDEN_DIGESTS = {
     ("verify", "--W", "8"): {
         "verify.json": "db8342f435cd3d1286c9927ecd73b77321b8a31e0ae23dd0f6af5f66f68250c0"},
+    # the conjugation chains and the O-operator sums reach further than at 8
+    ("verify", "--W", "10"): {
+        "verify.json": "ecacc9a0bd663b5dee0c3b52a47ecc70c7e6be1f728a50280e4c4794c7ff89a9"},
     # the KP reports carry u_hi
     ("verify", "--W", "6", "--kp2"): {
         "verify.json": "125cc81257fcbde6bec16d2bcc6a96aca94c3b22e68190efca31b26727949605"},

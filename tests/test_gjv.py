@@ -314,7 +314,7 @@ def test_grids_match_bruteforce_and_series():
         assert grid
         for (_, parts), h in grid.items():
             idx = HurwitzIndex(g, parts)
-            assert h == extract_hurwitz(series, idx).h, idx
+            assert h == extract_hurwitz(series, idx), idx
             if idx.d <= DCAP_HARD:
                 assert h == hurwitz_number(idx), idx
 

@@ -29,6 +29,7 @@ from gjvtau.operators import (
     OperatorGradingError,
     Partial,
     Sum,
+    bracket_chain,
     bracket_closed_form,
     bracket_order_bound,
     commutator,
@@ -323,7 +324,39 @@ def test_conjugation_suite():
 def test_conjugate_of_commuting_pair_is_identity():
     # [M2, M2] = 0, so conjugation by exp(M2) fixes M2
     out = conjugate(CutJoin(2), CutJoin(2), W=6)
-    assert ops_equal(out.apply, CutJoin(2).apply, W=6)
+    assert ops_equal(out, CutJoin(2).apply, W=6)
+
+
+def test_conjugate_gives_up_past_its_depth_cap():
+    # [Lambda(1), Lambda(0)] = -Lambda(1), so the k-th bracket of the chain
+    # is (-1)^k Lambda(1) and none vanishes
+    with pytest.raises(OperatorGradingError):
+        conjugate(Lambda(0), Lambda(1), W=4)
+
+
+CONJ_X = scaled(Lambda(1), UPoly.u(-1))
+CHAIN_PAIRS = [
+    pytest.param(CONJ_X, scaled(CutJoin(0), UPoly.u(2)), id="conj_m0"),
+    pytest.param(CONJ_X, scaled(Lambda(0), UPoly.u(1)), id="conj_l0"),
+    *(pytest.param(CutJoin(2), n_partial(n), id=f"m2_np{n}") for n in range(1, 6)),
+]
+
+
+@pytest.mark.parametrize("x,a", CHAIN_PAIRS)
+def test_bracket_chain_is_the_nested_commutator_chain(x, a):
+    # the binomial row against nested commutators (2^r paths at depth r), on
+    # a non-monomial input with u-Laurent coefficients and u_hi set
+    s = TruncatedSeries("q", 8, {mono((1, 1), (2, 1)): UPoly.u(1, Fraction(1, 3)),
+                                 mono_var(3): UPoly.parse("u^-1 + 5/4"),
+                                 mono((1, 2)): UPoly.u(-2, Fraction(-7, 6))},
+                        reliable=7, u_hi=4)
+    chain = bracket_chain(x, a, s)
+    ref = a
+    for r in range(5):
+        got, want = next(chain), ref.apply(s)
+        assert got == want, r
+        assert (got.family, *bookkeeping(got)) == (want.family, *bookkeeping(want)), r
+        ref = commutator(ref, x)
 
 
 # ---------------------------------------------------------------------------
