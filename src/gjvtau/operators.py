@@ -1,13 +1,13 @@
 """Weight-graded differential operators on :class:`TruncatedSeries`.
 
 Operators are immutable AST nodes: the single-variable derivative, the
-lowering family Lambda(a), the three cut-and-join operators, multiplication by
-a variable, Compose, and Sum, a linear combination whose coefficients are
-Laurent polynomials in u.  A scalar is a coefficient: scaled(op, c) is a
-one-part Sum, and add_scaled applies every coefficient.  A leaf that maps
-monomials to monomials declares only a stencil: the (target monomial, integer
-multiplier) pairs of one source monomial, over a class-level denominator,
-memoised per (leaf, monomial) since it does not depend on the truncation.
+lowering family Lambda(a), the three cut-and-join operators, Compose, and
+Sum, a linear combination whose coefficients are Laurent polynomials in u.
+A scalar is a coefficient: scaled(op, c) is a one-part Sum, and add_scaled
+applies every coefficient.  A leaf that maps monomials to monomials declares
+only a stencil: the (target monomial, integer multiplier) pairs of one source
+monomial, over a class-level denominator, memoised per (leaf, monomial) since
+it does not depend on the truncation.
 One kernel, :meth:`Operator.apply`, applies every stencil to the input's
 integer rows and writes the output's rows.
 
@@ -16,9 +16,14 @@ Application propagates the reliability metadata of the series: an operator
 whose weight shift is negative (a derivative) lowers the weight up to which
 the result is exact, and a coefficient with negative u-powers lowers ``u_hi``.
 
-Operator equality is extensional: two operators are considered equal at
-truncation W iff their actions agree on every monomial of weight <= W,
-compared over the common reliable region.
+Operator equality has two routes.  ops_equal is extensional: two maps are
+equal at truncation W iff their actions agree on every monomial of weight
+<= W, compared over the common reliable region.  symbol(op, N) is the
+normal-ordered form: op's terms c * x^alpha d^beta with d-weight <= N, each
+leaf's read off its own stencil, composed by the Leibniz rule; two
+operators act equally on every monomial of weight <= N iff their symbols at
+N are equal.  Identities between operators compare symbols; what acts on
+series (exponentials, O-operator actions) compares with ops_equal.
 """
 
 from __future__ import annotations
@@ -27,18 +32,22 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Callable, Iterable, Iterator
+from math import comb, factorial, gcd, lcm
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping
 
 from gjvtau.exactalg import (
     Monomial,
     Rat,
     TruncatedSeries,
+    UPOLY_ONE,
     UPoly,
     mono,
     mono_div_var,
+    mono_exp,
     mono_mul,
     mono_var,
+    mono_weight,
     monomials_up_to_weight,
     summed_rows,
 )
@@ -104,6 +113,11 @@ class Partial(Operator):
 
     def apply(self, s: TruncatedSeries) -> TruncatedSeries:
         return s.partial(self.n)
+
+    def stencil(self, m):
+        # read by symbol only; apply differentiates the rows directly
+        if e := mono_exp(m, self.n):
+            yield mono_div_var(m, self.n), e
 
     def weight_shift(self):
         return -self.n
@@ -189,19 +203,6 @@ class CutJoin(Operator):
         return self.k
 
 
-@dataclass(frozen=True)
-class MulVar(Operator):
-    """Multiplication by the variable x_i (used to spell out closed forms)."""
-
-    i: int
-
-    def stencil(self, m):
-        yield mono_mul(m, mono_var(self.i)), 1
-
-    def weight_shift(self):
-        return self.i
-
-
 class Sum(Operator):
     """The linear combination Sum_i c_i * op_i, with UPoly coefficients c_i
     (each 1 unless coeffs gives it); the empty sum is the zero operator.
@@ -276,6 +277,155 @@ def ops_equal(
         if fa.up_to_weight(rel) != fb.up_to_weight(rel):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Normal-ordered symbols
+# ---------------------------------------------------------------------------
+
+SymbolKey = tuple[Monomial, Monomial, int]
+
+
+@dataclass(frozen=True)
+class Symbol:
+    """Normal-ordered terms n/den * u^e * x^alpha d^beta as integer numerators
+    {(alpha, beta, e): n} over one positive denominator, reduced, with no zero
+    numerator, so equal symbols compare equal; the zero symbol has no terms."""
+
+    terms: Mapping[SymbolKey, int]
+    den: int
+
+
+def _reduced(acc: dict[SymbolKey, int], den: int) -> Symbol:
+    terms = {k: n for k, n in acc.items() if n}
+    g = gcd(den, *terms.values())
+    if g > 1:
+        terms = {k: n // g for k, n in terms.items()}
+    return Symbol(MappingProxyType(terms), den // g)
+
+
+def symbol(op: Operator, N: int) -> Symbol:
+    """op's normal-ordered terms c * u^e * x^alpha d^beta of d-weight
+    (the weight of beta) <= N, each exact.
+
+    A term of d-weight above N kills every monomial of weight <= N, and the
+    lowest-beta term of a nonzero symbol acts nonzero on x^beta, so two
+    operators act equally on every monomial of weight <= N exactly when
+    their symbols at N are equal.
+    """
+    if isinstance(op, Sum):
+        return _linear((c, symbol(part, N)) for c, part in op.parts)
+    if isinstance(op, Compose):
+        out = symbol(op.ops[-1], N)
+        for left in reversed(op.ops[:-1]):
+            out = _compose(symbol(left, N + _raise(out)), out, N)
+        return out
+    return _leaf_symbol(op, N)
+
+
+@functools.cache
+def _leaf_symbol(op: Operator, N: int) -> Symbol:
+    """A stencil leaf's symbol, read off its actions on 1, q_v and q_v q_w:
+    every leaf has order <= 2, so peeling the lower-order terms off each
+    action leaves the coefficient of d^beta times beta!.  Numerators are
+    over 2 * op.den, so the beta! = 2 of d_v^2 divides."""
+    def act(m: Monomial) -> dict[Monomial, int]:
+        return {t: 2 * k for t, k in _stencil(op, m)}
+
+    zero = act(())
+    acc = {(t, (), 0): n for t, n in zero.items()}
+    first = {}
+    for v in range(1, N + 1):
+        qv = mono_var(v)
+        first[v] = _peel(act(qv), zero, qv)
+        acc.update(((t, qv, 0), n) for t, n in first[v].items())
+    for v in range(1, N // 2 + 1):
+        for w in range(v, N - v + 1):
+            beta = mono((v, 1), (w, 1))
+            rest = _peel(act(beta), zero, beta)
+            if v == w:  # d_v q_v^2 = 2 q_v, d_v^2 q_v^2 = 2
+                rest = _peel(rest, first[v], mono_var(v), 2)
+                acc.update(((t, beta, 0), n // 2) for t, n in rest.items())
+            else:
+                rest = _peel(_peel(rest, first[v], mono_var(w)), first[w], mono_var(v))
+                acc.update(((t, beta, 0), n) for t, n in rest.items())
+    return _reduced(acc, 2 * op.den)
+
+
+def _peel(acted: dict, terms: dict, factor: Monomial, mult: int = 1) -> dict:
+    """acted - mult * factor * terms, with no zero entries."""
+    out = dict(acted)
+    for t, n in terms.items():
+        t = mono_mul(t, factor)
+        out[t] = out.get(t, 0) - mult * n
+    return {t: n for t, n in out.items() if n}
+
+
+@functools.cache
+def _leibniz(beta: Monomial, gamma: Monomial) -> tuple[tuple[Monomial, Monomial, int, int], ...]:
+    """d^beta x^gamma in normal order: (gamma - kappa, beta - kappa, weight of
+    beta - kappa, C(beta, kappa) C(gamma, kappa) kappa!) over kappa <= beta, gamma."""
+    g = dict(gamma)
+    shared = [(v, e, g[v]) for v, e in beta if v in g]
+    out = []
+    for kappa in itertools.product(*(range(min(e, f) + 1) for _, e, f in shared)):
+        b_left, g_left, mult = dict(beta), dict(g), 1
+        for (v, e, f), k in zip(shared, kappa):
+            b_left[v] -= k
+            g_left[v] -= k
+            mult *= comb(e, k) * comb(f, k) * factorial(k)
+        b_rest = tuple((v, e) for v, e in b_left.items() if e)
+        out.append((tuple((v, e) for v, e in g_left.items() if e), b_rest,
+                    mono_weight(b_rest), mult))
+    return tuple(out)
+
+
+def _compose(a: Symbol, b: Symbol, N: int) -> Symbol:
+    """The symbol of a.b through d-weight N, by the multi-index Leibniz rule
+    x^alpha d^beta . x^gamma d^delta
+        = Sum_kappa C(beta, kappa) C(gamma, kappa) kappa!
+                    x^(alpha+gamma-kappa) d^(beta+delta-kappa).
+    A product term's d-weight is at least beta's minus b's raise, so a must
+    be exact through N + _raise(b) and b through N."""
+    right = [(x, d, e, n, mono_weight(x), mono_weight(d)) for (x, d, e), n in b.terms.items()]
+    acc: dict[SymbolKey, int] = {}
+    for (xa, da, ea), na in a.terms.items():
+        wa = mono_weight(da)
+        for xb, db, eb, nb, wx, wd in right:
+            if wa + wd - wx > N:
+                continue
+            n = na * nb
+            for x_rest, d_rest, wr, mult in _leibniz(da, xb):
+                if wr + wd <= N:
+                    key = (mono_mul(xa, x_rest), mono_mul(d_rest, db), ea + eb)
+                    acc[key] = acc.get(key, 0) + mult * n
+    return _reduced(acc, a.den * b.den)
+
+
+def _bracket(y: Symbol, x: Operator, N: int) -> Symbol:
+    """[y, X] through d-weight N; y must be exact through N + the raise of X."""
+    return _linear(((UPOLY_ONE, _compose(y, symbol(x, N), N)),
+                    (UPoly.const(-1), _compose(symbol(x, N + _raise(y)), y, N))))
+
+
+def _raise(s: Symbol) -> int:
+    """The largest weight shift of a term of s, or 0 if none raises."""
+    return max((mono_weight(x) - mono_weight(d) for x, d, _ in s.terms), default=0)
+
+
+def _linear(parts: Iterable[tuple[UPoly, Symbol]], N: int | None = None) -> Symbol:
+    """Sum_i c_i * s_i over UPoly coefficients c_i, cut at d-weight N if given."""
+    parts = [(c, s) for c, s in parts if c and s.terms]
+    den = lcm(*(s.den * cc.denominator for c, s in parts for _, cc in c.terms))
+    acc: dict[SymbolKey, int] = {}
+    for c, s in parts:
+        terms = [(k, n) for k, n in s.terms.items() if N is None or mono_weight(k[1]) <= N]
+        for ce, cc in c.terms:
+            f = cc.numerator * (den // (s.den * cc.denominator))
+            for (x, d, e), n in terms:
+                key = (x, d, e + ce)
+                acc[key] = acc.get(key, 0) + f * n
+    return _reduced(acc, den)
 
 
 # ---------------------------------------------------------------------------
@@ -356,21 +506,24 @@ def bracket_chain(x: Operator, a: Operator, s: TruncatedSeries) -> Iterator[Trun
 CONJUGATE_DEPTH = 8
 
 
-def conjugate(x: Operator, a: Operator, *, W: int) -> Callable[[TruncatedSeries], TruncatedSeries]:
-    """exp(-X) a exp(X) as the map s -> Sum_{k<depth} [(ad_X)^k(a)](s) / k!,
-    where depth is the first k >= 1 at which the chain term vanishes over its
-    reliable weight on every monomial of weight <= W (at truncation W + 2);
-    it must come within CONJUGATE_DEPTH."""
-    chains = [bracket_chain(x, a, TruncatedSeries.monomial("q", W + 2, m))
-              for m in monomials_up_to_weight(W)]
-    for c in chains:
-        next(c)
+def conjugate(x: Operator, a: Operator, *, W: int) -> Symbol:
+    """The symbol at W of exp(-X) a exp(X) = Sum_k (ad_X)^k(a) / k!, with
+    ad_X(y) = [y, X], summed below the first k >= 1 at which the chain term's
+    symbol at W vanishes; that must come within CONJUGATE_DEPTH.
+
+    Each bracket needs its left factor exact through the raise of X more
+    than its result, so a chain tried to depth d starts from a's symbol at
+    W + d * raise(X)."""
+    step = _raise(symbol(x, W))
     for depth in range(1, CONJUGATE_DEPTH + 1):
-        # a list, not a generator: every chain advances, in lockstep
-        if not any([t.up_to_weight(t.reliable) for t in map(next, chains)]):
-            return lambda s: s._with([], 1).add_scaled(
-                (Fraction(1, factorial(k)), t)
-                for k, t in enumerate(itertools.islice(bracket_chain(x, a, s), depth)))
+        top = W + depth * step
+        chain = [symbol(a, top)]
+        for _ in range(depth):
+            top -= step
+            chain.append(_bracket(chain[-1], x, top))
+        if not chain[-1].terms:
+            return _linear(((UPoly.const(Fraction(1, factorial(k))), t)
+                            for k, t in enumerate(chain[:-1])), W)
     raise OperatorGradingError(
         f"conjugation bracket chain did not vanish within depth {CONJUGATE_DEPTH}"
     )
@@ -384,10 +537,10 @@ def conjugate(x: Operator, a: Operator, *, W: int) -> Callable[[TruncatedSeries]
 def linear_part(op: Operator) -> Operator:
     """The two-x one-derivative sum of a cut-and-join operator.
 
-    Adjudicated by machine check: of the two sums, only this one satisfies the
-    closed form that iterated brackets against n*d/dx_n are required to
-    reproduce (see bracket_closed_form and the tests), so it is the "linear
-    part" in the sense that downstream derivations rely on.
+    Adjudicated by machine check: of the two sums, only this one brackets
+    against n*d/dx_n to n*Lambda(2-n) for every n (the join sum adds
+    (n/2) Sum_{i+j=n-2} ij d/dx_i d/dx_j from n = 4 on; see the tests), so it
+    is the "linear part" in the sense that downstream derivations rely on.
     """
     if isinstance(op, CutJoin):
         return CutPart(op.k)
@@ -397,31 +550,6 @@ def linear_part(op: Operator) -> Operator:
 def n_partial(n: int) -> Operator:
     """n * d/dx_n, the basic block of the proposition machinery."""
     return scaled(Partial(n), n)
-
-
-def bracket_closed_form(n: int, i: int, W: int) -> Operator:
-    """Claimed closed form of the i-fold bracket of n*d/dx_n with the linear
-    part of the shift-2 cut-and-join operator:
-
-        prod_{j<i}(n-j) * Sum_{k_1..k_i >= 1} x_{k_1}..x_{k_i} * (K+n-2i) d/dx_{K+n-2i}
-
-    with K = k_1+..+k_i, spelled out over all index tuples with K <= W (terms
-    with larger K cannot act below the truncation).
-    """
-    pref = 1
-    for j in range(i):
-        pref *= n - j
-    if pref == 0:
-        return ZERO_OP
-    parts: list[Operator] = []
-    for ks in itertools.product(range(1, W + 1), repeat=i):
-        K = sum(ks)
-        idx = K + n - 2 * i
-        if K > W or idx < 1:
-            continue
-        muls = [MulVar(k) for k in ks]
-        parts.append(Compose(*muls, scaled(Partial(idx), pref * idx)))
-    return Sum(*parts)
 
 
 def bracket_order_bound(n: int, W: int) -> int:
@@ -450,7 +578,7 @@ def verify_O_operators(n: int, W: int) -> dict[str, bool]:
       * penultimate_action: O_{n-1} exp(M2)x1 = n * exp(M2) x1^(n-1);
       * weighted_sum_is_bracket: Sum_i i*O_i = [n d/dx_n, M2] on exp(M2)x1;
       * weighted_sum_is_lambda_shift: [n d/dx_n, M2] = n*Lambda(2-n)
-        extensionally, hence Sum_i i*O_i = n*Lambda(2-n) given the bracket
+        as symbols at W, hence Sum_i i*O_i = n*Lambda(2-n) given the bracket
         form.  This is the form the derivation quotes; it is strictly
         weaker than the bracket form and fails for n >= 4, where the bracket
         picks up the two-derivative term (n/2) Sum_{i+j=n-2} ij d/dx_i d/dx_j.
@@ -489,8 +617,7 @@ def verify_O_operators(n: int, W: int) -> dict[str, bool]:
         "action_vanishes_off_peak": vanish,
         "penultimate_action": penult,
         "weighted_sum_is_bracket": weighted.up_to_weight(rel) == direct.up_to_weight(rel),
-        "weighted_sum_is_lambda_shift": ops_equal(
-            bracket, scaled(Lambda(2 - n), n), W=W, headroom=n),
+        "weighted_sum_is_lambda_shift": symbol(bracket, W) == symbol(scaled(Lambda(2 - n), n), W),
     }
 
 
@@ -499,43 +626,52 @@ def verify_O_operators(n: int, W: int) -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 
-def verify_commutators(W: int) -> dict[str, bool]:
-    """The bracket identities the conjugation trick rests on, extensionally."""
+def commutator_identities() -> dict[str, tuple[Operator, Operator]]:
+    """The bracket identities the conjugation trick rests on, as (lhs, rhs)."""
     l0, l1 = Lambda(0), Lambda(1)
     m0, m1, m2 = CutJoin(0), CutJoin(1), CutJoin(2)
-    # headroom 2: the d/dx_1 bracket dips through a weight-2 raise
     return {
-        "m0_l1_is_2m1": ops_equal(commutator(m0, l1), scaled(m1, 2), W=W, headroom=2),
-        "m1_l1_is_m2": ops_equal(commutator(m1, l1), m2, W=W, headroom=2),
-        "m2_l1_is_zero": ops_equal(commutator(m2, l1), ZERO_OP, W=W, headroom=2),
-        "l0_l1_is_l1": ops_equal(commutator(l0, l1), l1, W=W, headroom=2),
-        "d1_m2_is_l1": ops_equal(commutator(Partial(1), m2), l1, W=W, headroom=2),
-        "m0_l0_is_zero": ops_equal(commutator(m0, l0), ZERO_OP, W=W, headroom=2),
+        "m0_l1_is_2m1": (commutator(m0, l1), scaled(m1, 2)),
+        "m1_l1_is_m2": (commutator(m1, l1), m2),
+        "m2_l1_is_zero": (commutator(m2, l1), ZERO_OP),
+        "l0_l1_is_l1": (commutator(l0, l1), l1),
+        "d1_m2_is_l1": (commutator(Partial(1), m2), l1),
+        "m0_l0_is_zero": (commutator(m0, l0), ZERO_OP),
+    }
+
+
+def verify_commutators(W: int) -> dict[str, bool]:
+    """The commutator identities, as symbols at W."""
+    return {name: symbol(lhs, W) == symbol(rhs, W)
+            for name, (lhs, rhs) in commutator_identities().items()}
+
+
+def conjugation_cases() -> dict[str, tuple[Operator, Operator, Operator]]:
+    """(X, a, exp(-X) a exp(X)): X = L1/u moves u^2*M0 onto
+    M2 + 2u*M1 + u^2*M0 and u*Lambda0 onto u*Lambda0 + Lambda1."""
+    x = scaled(Lambda(1), UPoly.u(-1))
+    m0, l0 = scaled(CutJoin(0), UPoly.u(2)), scaled(Lambda(0), UPoly.u(1))
+    return {
+        "conj_m0": (x, m0, Sum(m0, scaled(CutJoin(1), UPoly.u(1, 2)), CutJoin(2))),
+        "conj_l0": (x, l0, Sum(l0, Lambda(1))),
     }
 
 
 def verify_conjugations(W: int) -> dict[str, bool]:
-    """exp(-L1/u) (.) exp(L1/u) moves u^2*M0 onto M2 + 2u*M1 + u^2*M0 and
-    u*Lambda0 onto u*Lambda0 + Lambda1; checked both through the bracket
-    chain and by direct three-step application to every basis monomial."""
-    x = scaled(Lambda(1), UPoly.u(-1))
-    xm = scaled(Lambda(1), UPoly.u(-1, -1))
-    m0c = conjugate(x, scaled(CutJoin(0), UPoly.u(2)), W=W)
-    l0c = conjugate(x, scaled(Lambda(0), UPoly.u(1)), W=W)
-    target_m = Sum(scaled(CutJoin(0), UPoly.u(2)), scaled(CutJoin(1), UPoly.u(1, 2)),
-                   CutJoin(2))
-    target_l = Sum(scaled(Lambda(0), UPoly.u(1)), Lambda(1))
+    """Each conjugation checked through the bracket chain, as symbols at W,
+    and by direct three-step application to every basis monomial."""
+    cases = conjugation_cases()
 
-    def sandwich(op: Operator) -> Callable[[TruncatedSeries], TruncatedSeries]:
+    def sandwich(x: Operator, a: Operator) -> Callable[[TruncatedSeries], TruncatedSeries]:
+        minus_x = scaled(x, -1)
+
         def go(s: TruncatedSeries) -> TruncatedSeries:
-            return exponential_apply(xm, op.apply(exponential_apply(x, s)))
+            return exponential_apply(minus_x, a.apply(exponential_apply(x, s)))
         return go
 
     return {
-        "conj_m0_chain": ops_equal(m0c, target_m, W=W),
-        "conj_l0_chain": ops_equal(l0c, target_l, W=W),
-        "conj_m0_sandwich": ops_equal(sandwich(scaled(CutJoin(0), UPoly.u(2))),
-                                      target_m, W=W),
-        "conj_l0_sandwich": ops_equal(sandwich(scaled(Lambda(0), UPoly.u(1))),
-                                      target_l, W=W),
+        **{f"{name}_chain": conjugate(x, a, W=W) == symbol(target, W)
+           for name, (x, a, target) in cases.items()},
+        **{f"{name}_sandwich": ops_equal(sandwich(x, a), target, W=W)
+           for name, (x, a, target) in cases.items()},
     }

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -252,6 +253,22 @@ def test_benchmark_tracer_finds_every_layer(tmp_path):
     # and the operator kernel inside the traced apply and ops_equal spans
     assert got["metrics"]["operators.apply.calls"] > 0
     assert got["metrics"]["operators.ops_equal.probes"] > 0
+
+
+def test_a_shadowed_package_stops_the_session(tmp_path):
+    # pyproject.toml puts this checkout's src ahead of PYTHONPATH, so a copy
+    # named there would go untested; tests/conftest.py stops such a session
+    (tmp_path / "gjvtau").mkdir()
+    (tmp_path / "gjvtau" / "__init__.py").write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--collect-only",
+         str(ROOT / "tests" / "test_hurwitz.py")],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == pytest.ExitCode.USAGE_ERROR
+    [line] = [ln for ln in (proc.stdout + proc.stderr).splitlines() if ln.strip()]
+    assert str(tmp_path / "gjvtau") in line
 
 
 # SHA-256 of each run's canonical artifacts; a refactor that claims the same

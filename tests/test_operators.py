@@ -3,6 +3,8 @@
 from fractions import Fraction
 from math import factorial
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from gjvtau.exactalg import (
     UPOLY_ONE,
     UPoly,
     mono,
+    mono_div_var,
     mono_mul,
     mono_var,
     mono_weight,
@@ -24,22 +27,24 @@ from gjvtau.operators import (
     CutJoin,
     CutPart,
     JoinPart,
+    CONJUGATE_DEPTH,
     Lambda,
-    MulVar,
     OperatorGradingError,
     Partial,
     Sum,
     bracket_chain,
-    bracket_closed_form,
     bracket_order_bound,
     commutator,
+    commutator_identities,
     conjugate,
+    conjugation_cases,
     exponential_apply,
     linear_part,
     n_partial,
     o_actions,
     ops_equal,
     scaled,
+    symbol,
     verify_commutators,
     verify_conjugations,
     verify_O_operators,
@@ -113,8 +118,6 @@ def defining_sum(op, W):
                 for i in r for j in r]
     if isinstance(op, CutJoin):
         return defining_sum(CutPart(op.k), W) + defining_sum(JoinPart(op.k), W)
-    if isinstance(op, MulVar):
-        return [(1, mono_var(op.i), ())]
     [(c, leaf)] = op.parts
     return [(c.scale(Fraction(k)), xs, ds) for k, xs, ds in defining_sum(leaf, W)]
 
@@ -136,7 +139,7 @@ def reference_apply(op, s):
 
 # a scalar is the coefficient of a one-part Sum; Lambda(0) keeps every
 # u-exponent, so the scaled entry tests the coefficient alone
-LEAVES = [Lambda(-1), Lambda(0), Lambda(1), MulVar(1), MulVar(3),
+LEAVES = [Lambda(-1), Lambda(0), Lambda(1),
           scaled(Lambda(0), UPoly({-1: Fraction(1, 3), 2: Fraction(-7, 6)})),
           *(cls(k) for cls in (CutPart, JoinPart, CutJoin) for k in (0, 1, 2))]
 
@@ -251,7 +254,7 @@ def test_a_nested_sum_acts_as_the_flat_sum():
 
 @settings(deadline=None, max_examples=80)
 @given(st.sampled_from([Partial(1), Partial(3), Lambda(-1), Lambda(0), Lambda(1),
-                        MulVar(2), CutJoin(0), CutJoin(2)]),
+                        CutJoin(0), CutJoin(2)]),
        st.builds(lambda s, rel, u_hi: TruncatedSeries("q", s.W, s.terms, reliable=rel,
                                                       u_hi=u_hi),
                  mixed_series_st, st.integers(4, 8), st.none() | st.integers(-3, 3)),
@@ -268,7 +271,7 @@ def test_scaled_acts_as_scale_after_the_operator(op, s, c):
 
 
 SHIFT_OPS = [
-    Partial(1), Partial(3), Lambda(-1), Lambda(0), Lambda(1), MulVar(2),
+    Partial(1), Partial(3), Lambda(-1), Lambda(0), Lambda(1),
     pytest.param(scaled(Lambda(0), UPoly.u(-1) + UPoly.u(2, 3)),
                  id="(3*u^2 + u^-1)*Lambda(a=0)"),
     *(cls(k) for cls in (CutPart, JoinPart, CutJoin) for k in (0, 1, 2)),
@@ -323,8 +326,7 @@ def test_conjugation_suite():
 
 def test_conjugate_of_commuting_pair_is_identity():
     # [M2, M2] = 0, so conjugation by exp(M2) fixes M2
-    out = conjugate(CutJoin(2), CutJoin(2), W=6)
-    assert ops_equal(out, CutJoin(2).apply, W=6)
+    assert conjugate(CutJoin(2), CutJoin(2), W=6) == symbol(CutJoin(2), 6)
 
 
 def test_conjugate_gives_up_past_its_depth_cap():
@@ -357,6 +359,158 @@ def test_bracket_chain_is_the_nested_commutator_chain(x, a):
         assert got == want, r
         assert (got.family, *bookkeeping(got)) == (want.family, *bookkeeping(want)), r
         ref = commutator(ref, x)
+
+
+# ---------------------------------------------------------------------------
+# normal-ordered symbols against the extensional route
+# ---------------------------------------------------------------------------
+
+
+def symbol_on(sym, m):
+    """sym applied to the monomial m, term by term: x^a d^b x^m is
+    m!/(m-b)! x^(a+m-b) when b <= m, else zero."""
+    out = {}
+    for (xs, ds, e), n in sym.terms.items():
+        have, mult = dict(m), Fraction(n, sym.den)
+        for v, b in ds:
+            if have.get(v, 0) < b:
+                break
+            mult *= factorial(have[v]) // factorial(have[v] - b)
+            have[v] -= b
+        else:
+            t = mono_mul(xs, mono(*have.items()))
+            out[t] = out.get(t, UPoly({})) + UPoly.u(e, mult)
+    return {t: c for t, c in out.items() if c}
+
+
+SYMBOL_LEAVES = [Partial(1), Partial(3), *(Lambda(a) for a in range(-3, 2)),
+                 *(cls(k) for cls in (CutPart, JoinPart, CutJoin) for k in (0, 1, 2))]
+
+
+@pytest.mark.parametrize("leaf", SYMBOL_LEAVES, ids=repr)
+def test_leaf_symbol_reproduces_the_action(leaf):
+    # the symbol is read off the actions on 1, q_v and q_v q_w only, so
+    # agreeing on every monomial of weight <= 8 checks that no leaf has a
+    # term of order above 2; the series has room for the largest raise
+    sym = symbol(leaf, 8)
+    for m in monomials_up_to_weight(8):
+        assert symbol_on(sym, m) == dict(leaf.apply(qmono(m, W=10)).terms), m
+
+
+COMPOSITES = [
+    # d_v^2 meets x_v^2, so the Leibniz sum runs to kappa = 2
+    Compose(JoinPart(0), CutPart(0)),
+    Compose(CutJoin(2), CutJoin(0)),
+    Compose(Partial(2), Partial(2), CutJoin(2)),
+    commutator(scaled(CutJoin(1), UPoly.u(1, Fraction(1, 3))), Lambda(-1)),
+]
+
+
+@pytest.mark.parametrize("op", COMPOSITES, ids=["join0_cut0", "m2_m0", "d2_d2_m2", "u_m1_lm1"])
+def test_composite_symbol_acts_like_apply(op):
+    # no intermediate of these composites raises weight by more than 4, so
+    # at truncation 12 apply drops nothing on inputs of weight <= 8
+    sym = symbol(op, 8)
+    for m in monomials_up_to_weight(8):
+        assert symbol_on(sym, m) == dict(op.apply(qmono(m, W=12)).terms), m
+
+
+def join_corrected(n):
+    """n Lambda(2-n) + (n/2) Sum_{i+j=n-2} ij d_i d_j, the bracket [n d_n, M2]."""
+    join = [scaled(Compose(Partial(i), Partial(n - 2 - i)), Fraction(n * i * (n - 2 - i), 2))
+            for i in range(1, n - 2)]
+    return Sum(scaled(Lambda(2 - n), n), *join)
+
+
+ROUTE_W = 8
+ROUTE_CASES = [
+    *(pytest.param(lhs, rhs, 2, True, id=name)
+      for name, (lhs, rhs) in commutator_identities().items()),
+    *(pytest.param(commutator(n_partial(n), CutJoin(2)), scaled(Lambda(2 - n), n), n, n <= 3,
+                   id=f"bracket_n{n}_is_lambda_shift") for n in range(1, 6)),
+    *(pytest.param(commutator(n_partial(n), CutJoin(2)), join_corrected(n), n, True,
+                   id=f"bracket_n{n}_is_join_corrected") for n in range(1, 6)),
+]
+
+
+@pytest.mark.parametrize("lhs,rhs,headroom,holds", ROUTE_CASES)
+def test_symbol_route_agrees_with_ops_equal(lhs, rhs, headroom, holds):
+    by_symbol = symbol(lhs, ROUTE_W) == symbol(rhs, ROUTE_W)
+    assert by_symbol is ops_equal(lhs, rhs, W=ROUTE_W, headroom=headroom) is holds
+
+
+def chain_map(x, a):
+    """s -> Sum_k [(ad_X)^k(a)](s) / k! over the first CONJUGATE_DEPTH terms,
+    on series, with no symbol."""
+    def go(s):
+        terms = itertools.islice(bracket_chain(x, a, s), CONJUGATE_DEPTH)
+        return TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax).add_scaled(
+            (Fraction(1, factorial(k)), t) for k, t in enumerate(terms))
+    return go
+
+
+@pytest.mark.parametrize("name", list(conjugation_cases()))
+def test_conjugation_chain_routes_agree(name):
+    x, a, target = conjugation_cases()[name]
+    by_symbol = verify_conjugations(ROUTE_W)[f"{name}_chain"]
+    assert by_symbol is ops_equal(chain_map(x, a), target, W=ROUTE_W) is True
+
+
+@pytest.fixture
+def fresh_memos():
+    # leaf stencils and symbols are memoised per leaf; a planted fault must
+    # not read, or leave behind, the healthy entries
+    operators._stencil.cache_clear()
+    operators._leaf_symbol.cache_clear()
+    yield
+    operators._stencil.cache_clear()
+    operators._leaf_symbol.cache_clear()
+
+
+def _cut_only_m2(self, m):
+    yield from CutPart(self.k).stencil(m)
+    if self.k != 2:
+        yield from JoinPart(self.k).stencil(m)
+
+
+def _cut_with_one_multiplier_doubled(self, m):
+    # CutPart.stencil, but the x_1^2 d_2 term of CutPart(0) is doubled
+    for v, e in m:
+        base = mono_div_var(m, v)
+        for i in range(1, v + self.k):
+            bump = 2 if (self.k, v, i) == (0, 2, 1) else 1
+            yield mono_mul(base, mono((i, 1), (v + self.k - i, 1))), v * e * bump
+
+
+def _lambda1_sign_flipped(self, m, stencil=Lambda.stencil):
+    for t, k in stencil(self, m):
+        yield t, -k if self.a == 1 else k
+
+
+PLANTED_FAULTS = [
+    pytest.param(CutJoin, _cut_only_m2, {"m1_l1_is_m2", "conj_m0_chain"},
+                 id="join_dropped_from_m2"),
+    # M0 no longer brackets with L1 into the algebra, so the chain never ends
+    pytest.param(CutPart, _cut_with_one_multiplier_doubled,
+                 {"m0_l1_is_2m1", "conjugate_gives_up"}, id="cut_multiplier_doubled"),
+    # the identities homogeneous in L1 (l0_l1_is_l1, conj_l0) survive the flip
+    pytest.param(Lambda, _lambda1_sign_flipped,
+                 {"m0_l1_is_2m1", "m1_l1_is_m2", "d1_m2_is_l1", "conj_m0_chain"},
+                 id="lambda1_sign_flipped"),
+]
+
+
+@pytest.mark.parametrize("cls,stencil,fails", PLANTED_FAULTS)
+def test_planted_fault_fails_the_symbol_route(fresh_memos, monkeypatch, cls, stencil, fails):
+    # one fault in one stencil at a time; the symbol-route entries it turns
+    # False are named
+    monkeypatch.setattr(cls, "stencil", stencil)
+    got = verify_commutators(6)
+    try:
+        got |= {k: ok for k, ok in verify_conjugations(6).items() if k.endswith("_chain")}
+    except OperatorGradingError:  # the chain no longer vanishes
+        got["conjugate_gives_up"] = False
+    assert {name for name, ok in got.items() if not ok} == fails
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +567,9 @@ def test_linear_part_is_the_cut_sum():
 
 @pytest.mark.parametrize("n,matches_full", [(2, True), (3, True), (4, False)])
 def test_closed_form_matches_cut_bracket_only(n, matches_full):
-    # the one-fold bracket closed form reproduces [n d/dx_n, cut part] always;
-    # against the full operator the join sum contributes from n=4 on
-    cf = bracket_closed_form(n, 1, 8)
+    # n Lambda(2-n) is [n d/dx_n, cut part] always; against the full
+    # operator the join sum contributes from n=4 on
+    cf = scaled(Lambda(2 - n), n)
     cut = commutator(n_partial(n), CutPart(2))
     full = commutator(n_partial(n), CutJoin(2))
     assert ops_equal(cf.apply, cut.apply, W=8, headroom=1)
