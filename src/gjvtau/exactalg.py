@@ -349,7 +349,8 @@ def numerators(terms: Mapping[Monomial, UPoly]) -> tuple[list, int]:
 
 def convolve(left: list, right: list, W: int) -> dict[Monomial, tuple[int, dict]]:
     """The product of two row lists through weight W, as (weight, {u-exp: n})
-    per monomial; right must be sorted by weight."""
+    per monomial; right must be sorted by weight.  No pair above W is
+    visited, so a negative W gives an empty product."""
     acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
     for m1, w1, c1 in left:
         for m2, w2, c2 in right:
@@ -383,7 +384,9 @@ class TruncatedSeries:
     built on first read.  ``reliable`` is the weight up to which the entries
     are exact; ``u_hi`` is the u-exponent up to which they are exact (None =
     exact at every stored exponent).  Entries of weight > W are rejected,
-    u-exponents outside [umin, umax] raise :class:`UBandError`.
+    u-exponents outside [umin, umax] raise :class:`UBandError`.  Rows between
+    ``reliable`` and W may be inexact, except in a product: :meth:`mul` stores
+    no rows above its reliable weight.
     """
 
     __slots__ = ("family", "W", "rows", "den", "umin", "umax", "reliable", "u_hi",
@@ -639,7 +642,13 @@ class TruncatedSeries:
             umin: int | None = None, umax: int | None = None) -> TruncatedSeries:
         """Truncated product.  The result is validated against the union of the
         operand bands unless a wider band is requested explicitly; escaping it
-        is a :class:`UBandError`, never a silent clip."""
+        is a :class:`UBandError`, never a silent clip.
+
+        The product holds its exact terms through its reliable weight
+        min(W, a.reliable + b.min_weight(), b.reliable + a.min_weight()) and
+        no rows above it: no report reads an entry above that weight, which
+        could not be certified, so its pairs are not formed.  W, the band and
+        u_hi are as for a full product through W."""
         self._check_family(other)
         W = min(self.W, other.W)
         lo = min(self.umin, other.umin) if umin is None else umin
@@ -657,7 +666,7 @@ class TruncatedSeries:
             rel = min(W, self.reliable + other.min_weight(),
                       other.reliable + self.min_weight())
         return TruncatedSeries._built(
-            family=self.family, W=W, rows=summed_rows(convolve(self.rows, other.rows, W)),
+            family=self.family, W=W, rows=summed_rows(convolve(self.rows, other.rows, rel)),
             den=self.den * other.den, umin=lo, umax=hi, reliable=rel, u_hi=u_hi)
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:

@@ -67,15 +67,18 @@ def to_hirota_vars(s: TruncatedSeries) -> TruncatedSeries:
 
 def _multi_partial(s: TruncatedSeries, kvec: tuple[int, ...],
                    memo: dict) -> TruncatedSeries:
+    """d^kvec s, as one partial of the memoised derivative one step below
+    (kvec with its last nonzero exponent lowered by one)."""
     got = memo.get(kvec)
-    if got is not None:
-        return got
-    out = s
-    for i, k in enumerate(kvec, 1):
-        for _ in range(k):
-            out = out.partial(i)
-    memo[kvec] = out
-    return out
+    if got is None:
+        i = max((i for i, k in enumerate(kvec) if k), default=None)
+        if i is None:
+            got = s
+        else:
+            below = kvec[:i] + (kvec[i] - 1,) + kvec[i + 1:]
+            got = _multi_partial(s, below, memo).partial(i + 1)
+        memo[kvec] = got
+    return got
 
 
 def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:

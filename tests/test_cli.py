@@ -283,6 +283,9 @@ GOLDEN_DIGESTS = {
     # the KP reports carry u_hi
     ("verify", "--W", "6", "--kp2"): {
         "verify.json": "125cc81257fcbde6bec16d2bcc6a96aca94c3b22e68190efca31b26727949605"},
+    # KP1 and KP2 on the three taus, whose products stop below W
+    ("verify", "--W", "8", "--kp2"): {
+        "verify.json": "f54beaaf3911d6b700bcecced1048e562498cd136d0ab02e28a62d5535fb5aa7"},
     ("intersections", "--W", "10"): {
         "intersections.json":
             "bccbcd2938b2364761979e97ee5c41be1244eeb5dec4efb9a369f727c0a4abbd"},

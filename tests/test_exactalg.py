@@ -290,14 +290,18 @@ def test_clip_u_above_drops_high_exponents_and_records_the_clip():
 
 def reference_mul(a, b, *, umin=None, umax=None):
     """Reference: the per-term product, one Fraction UPoly product and one
-    UPoly sum per pair of terms, with the same bookkeeping as mul."""
+    UPoly sum per pair of terms whose weight is at most the product's
+    reliable weight, with the same bookkeeping as mul."""
     W = min(a.W, b.W)
     lo = min(a.umin, b.umin) if umin is None else umin
     hi = max(a.umax, b.umax) if umax is None else umax
+    rel = W
+    if a.terms and b.terms:
+        rel = min(W, a.reliable + b.min_weight(), b.reliable + a.min_weight())
     acc = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            if mono_weight(m1) + mono_weight(m2) <= W:
+            if mono_weight(m1) + mono_weight(m2) <= rel:
                 m = mono_mul(m1, m2)
                 acc[m] = acc.get(m, UPOLY_ZERO) + c1 * c2
     u_hi = None
@@ -306,9 +310,6 @@ def reference_mul(a, b, *, umin=None, umax=None):
     if b.u_hi is not None and a:
         h2 = b.u_hi + a.min_u_exp()
         u_hi = h2 if u_hi is None else min(u_hi, h2)
-    rel = W
-    if a.terms and b.terms:
-        rel = min(W, a.reliable + b.min_weight(), b.reliable + a.min_weight())
     return TruncatedSeries(a.family, W, acc, umin=lo, umax=hi,
                            reliable=rel, u_hi=u_hi)
 
@@ -353,6 +354,29 @@ def test_mul_matches_the_per_term_fraction_product(a, b, band):
     assert got.terms == want.terms
     assert (got.family, got.W, got.reliable, got.u_hi, got.umin, got.umax) == (
         want.family, want.W, want.reliable, want.u_hi, want.umin, want.umax)
+    # a product stores no row above the weight it certifies
+    assert all(w <= got.reliable for _, w, _ in got.rows)
+
+
+def test_mul_stops_at_its_reliable_weight():
+    # reliable 4 times min weight 1 certifies through 4 + 1 = 5 of W = 8
+    a = TruncatedSeries("q", 8, {(): UPOLY_ONE, mono_var(1): UPoly.u(1),
+                                 mono((2, 3)): UPoly.const(3)}, reliable=4)
+    b = TruncatedSeries("q", 8, {mono_var(1): UPoly.const(Fraction(1, 2)),
+                                 mono_var(4): UPoly.u(-1, 5),
+                                 mono((1, 1), (3, 2)): UPOLY_ONE})
+    got = a.mul(b)
+    full = a.with_reliable(8).mul(b)
+    assert (got.W, got.reliable) == (8, 5)
+    assert max(w for _, w, _ in got.rows) == 5
+    assert max(w for _, w, _ in full.rows) == 8
+    assert got.terms == full.up_to_weight(5).terms
+    # a factor with negative reliable weight leaves no pair to form, not
+    # even the product of two constant terms
+    for rel in (-1, -3):
+        neg = a.with_reliable(rel)
+        for p, want_rel in ((neg.mul(a), rel), (a.mul(neg), rel), (neg.mul(b), rel + 1)):
+            assert (p.rows, p.reliable, p.W) == ([], want_rel, 8)
 
 
 def test_mul_band_escape_under_a_narrow_band_raises():

@@ -160,6 +160,27 @@ def test_one_product_per_unordered_pair(kp, muls, monkeypatch):
     assert len(calls) == muls
 
 
+@pytest.mark.parametrize("run, partials", [
+    (lambda tau: hirota_apply(KP1, tau), 8),
+    (lambda tau: hirota_apply(KP2, tau), 11),
+    (check_linearized_kp, 7),
+], ids=["kp1", "kp2", "linearized_kp1"])
+def test_each_derivative_is_one_partial_of_a_memoised_one(run, partials, monkeypatch):
+    # every distinct derivative d^k tau with k != 0 costs one partial: KP1
+    # needs d1..d1^4, d2, d2^2, d3 and d1 d3
+    calls = []
+    partial = TruncatedSeries.partial
+
+    def counting(self, i):
+        calls.append(i)
+        return partial(self, i)
+
+    tau = to_hirota_vars(assemble_tau_exponential(UPOLY_ONE, 6))
+    monkeypatch.setattr(TruncatedSeries, "partial", counting)
+    run(tau)
+    assert len(calls) == partials
+
+
 def test_products_are_summed_in_one_accumulator(monkeypatch):
     # no running residual rebuilt by __add__, no scaled copy of a product
     tau = to_hirota_vars(cutjoin_series(6, 3, UPOLY_ONE))
@@ -259,3 +280,36 @@ def test_kp_catches_a_corrupted_tau():
     rep = check_kp(bad, tau_label="corrupt")
     assert rep.status == "fail"
     assert rep.first_failure == "1"
+
+
+def test_kp_reports_do_not_depend_on_the_product_cut(monkeypatch):
+    # mul stops at the weight it certifies; the reports only read weights up
+    # to the residual's reliable weight, so products taken through W must
+    # give the same reports
+    closed = to_hirota_vars(assemble_tau_exponential(UPOLY_ONE, 8))
+    taus = {
+        "linear": TruncatedSeries("t", 8, {mono_var(1): UPOLY_ONE, (): UPOLY_ONE}),
+        "cutjoin": to_hirota_vars(cutjoin_series(8, 4, UPOLY_ONE)),
+        "closedform": closed,
+        "perturbed": closed + TruncatedSeries.monomial(
+            "t", 8, mono((1, 1), (3, 1)), UPoly.const(F(1, 7))),
+    }
+    cut = {(kp.name, label): check_kp(tau, kp, tau_label=label).to_json_obj()
+           for kp in (KP1, KP2) for label, tau in taus.items()}
+    mul = TruncatedSeries.mul
+    above = []
+
+    def full_mul(self, other, **kw):
+        got = mul(self, other, **kw)
+        full = mul(self.with_reliable(self.W), other.with_reliable(other.W), **kw)
+        above.append(len(full.rows) > len(got.rows))
+        return full.with_reliable(got.reliable)
+
+    monkeypatch.setattr(TruncatedSeries, "mul", full_mul)
+    full = {(kp.name, label): check_kp(tau, kp, tau_label=label).to_json_obj()
+            for kp in (KP1, KP2) for label, tau in taus.items()}
+    assert any(above)
+    assert full == cut
+    assert {k: r["status"] for k, r in cut.items()} == {
+        (kp, label): "fail" if label == "perturbed" else "pass"
+        for kp in ("kp1", "kp2") for label in taus}
