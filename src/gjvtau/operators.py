@@ -3,13 +3,14 @@
 Operators are immutable AST nodes: the single-variable derivative, the
 lowering family Lambda(a), the three cut-and-join operators, Compose, and
 Sum, a linear combination whose coefficients are Laurent polynomials in u.
-A scalar is a coefficient: scaled(op, c) is a one-part Sum, and add_scaled
-applies every coefficient.  A leaf that maps monomials to monomials declares
-only a stencil: the (target monomial, integer multiplier) pairs of one source
-monomial, over a class-level denominator, memoised per (leaf, monomial) since
-it does not depend on the truncation.
-One kernel, :meth:`Operator.apply`, applies every stencil to the input's
-integer rows and writes the output's rows.
+A scalar is a coefficient: scaled(op, c) is a one-part Sum.  A leaf, the
+derivative included, declares only a stencil: the (target monomial, integer
+multiplier) pairs of one source monomial, over a class-level denominator,
+memoised per (leaf, monomial) since it does not depend on the truncation.
+One stencil kernel applies a leaf, and every leaf part of a Sum at once: in
+one pass over the input's integer rows it sums c_i * leaf_i(s) into one
+integer accumulator and writes the output's rows.  Only a Sum's Compose
+parts are summed through add_scaled.
 
 Every leaf declares its exact weight shift and keeps u-exponents.
 Application propagates the reliability metadata of the series: an operator
@@ -32,7 +33,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, inf, lcm
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -40,6 +41,7 @@ from gjvtau.exactalg import (
     Monomial,
     Rat,
     TruncatedSeries,
+    UBandError,
     UPOLY_ONE,
     UPoly,
     mono,
@@ -67,9 +69,58 @@ def _stencil(op: Operator, m: Monomial) -> tuple[tuple[Monomial, int], ...]:
     return tuple((t, k) for t, k in merged.items() if k)
 
 
+def _stencil_sum(s: TruncatedSeries, parts: list[tuple[UPoly, Operator]],
+                 reliable: int) -> TruncatedSeries:
+    """Sum_i c_i * leaf_i(s) over stencil leaves, in one pass over the rows of
+    s into one integer accumulator over s.den * lcm_i(den(c_i) * leaf_i.den).
+
+    The result keeps the W and band of s, is exact through reliable, and
+    lowers u_hi by the lowest u-power of any c_i, as add_scaled on the
+    c_i * leaf_i(s) would.  A c_i that moves u raises :class:`UBandError` if
+    it moves the u-range of the rows of s that reach one of leaf_i's targets
+    out of the band: that range covers leaf_i(s)'s, so the check is never
+    looser than add_scaled's, also when another part cancels the escape."""
+    den = lcm(*(op.den * v.denominator for c, op in parts for _, v in c.terms))
+    # per nonzero part: c_i, its leaf, its weight shift, its (u-power, integer
+    # factor) pairs, and if c_i moves u, the [lowest, highest] u-exponent of
+    # the rows that reach a target
+    legs = [(c, op, op.weight_shift(),
+             [(e, v.numerator * (den // (op.den * v.denominator))) for e, v in c.terms],
+             [inf, -inf] if c.min_exp() or c.max_exp() else None)
+            for c, op in parts if c]
+    # the rows are in ascending weight: none past top reaches the truncation
+    top = s.W - min((shift for _, _, shift, _, _ in legs), default=0)
+    acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
+    for m, w, r in s.rows:
+        if w > top:
+            break
+        for _, op, shift, fs, span in legs:
+            if w + shift > s.W or not (targets := _stencil(op, m)):
+                continue
+            if span:
+                span[0], span[1] = min(span[0], r[0][0]), max(span[1], r[-1][0])
+            for target, k in targets:
+                got = acc.get(target)
+                if got is None:
+                    got = acc[target] = (w + shift, {})
+                row = got[1]
+                for ce, f in fs:
+                    kf = k * f
+                    for e, n in r:
+                        row[e + ce] = row.get(e + ce, 0) + kf * n
+    for c, _, _, _, span in legs:
+        if span and span[0] <= span[1] and (
+                span[0] + c.min_exp() < s.umin or span[1] + c.max_exp() > s.umax):
+            raise UBandError(f"{c} times a series escapes its band [{s.umin}, {s.umax}]")
+    u_hi = s.u_hi
+    if u_hi is not None:
+        u_hi += min([0] + [c.min_exp() for c, *_ in legs])
+    return s._with(summed_rows(acc), s.den * den, reliable=reliable, u_hi=u_hi)
+
+
 class Operator:
     """Base class.  A stencil leaf implements stencil, den and weight_shift
-    and acts through apply; Partial, Sum and Compose act their own way."""
+    and acts through apply; Sum and Compose act their own way."""
 
     # the stencil multipliers are integers over this denominator
     den = 1
@@ -83,19 +134,7 @@ class Operator:
         raise NotImplementedError(f"{type(self).__name__} has no single weight shift")
 
     def apply(self, s: TruncatedSeries) -> TruncatedSeries:
-        shift = self.weight_shift()
-        acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
-        for m, w, c in s.rows:
-            if w + shift > s.W:
-                break
-            for target, k in _stencil(self, m):
-                got = acc.get(target)
-                if got is None:
-                    got = acc[target] = (w + shift, {})
-                row = got[1]
-                for e, n in c:
-                    row[e] = row.get(e, 0) + k * n
-        return s._with(summed_rows(acc), s.den * self.den, reliable=s.reliable + shift)
+        return _stencil_sum(s, [(UPOLY_ONE, self)], s.reliable + self.weight_shift())
 
     def __call__(self, s: TruncatedSeries) -> TruncatedSeries:
         return self.apply(s)
@@ -111,11 +150,7 @@ class Partial(Operator):
         if self.n < 1:
             raise ValueError("derivative index must be >= 1")
 
-    def apply(self, s: TruncatedSeries) -> TruncatedSeries:
-        return s.partial(self.n)
-
     def stencil(self, m):
-        # read by symbol only; apply differentiates the rows directly
         if e := mono_exp(m, self.n):
             yield mono_div_var(m, self.n), e
 
@@ -219,7 +254,13 @@ class Sum(Operator):
         object.__setattr__(self, "parts", tuple(parts))
 
     def apply(self, s: TruncatedSeries) -> TruncatedSeries:
-        return s._with([], 1).add_scaled((c, op.apply(s)) for c, op in self.parts)
+        # the bookkeeping of the chain s._with([], 1) + c_1 op_1(s) + ...,
+        # which reports no weight above s.reliable as exact
+        leaves = [(c, op) for c, op in self.parts if not isinstance(op, Compose)]
+        shift = min((op.weight_shift() for _, op in leaves), default=0)
+        out = _stencil_sum(s, leaves, s.reliable + min(shift, 0))
+        composed = [(c, op.apply(s)) for c, op in self.parts if isinstance(op, Compose)]
+        return out.add_scaled(composed) if composed else out
 
 
 class Compose(Operator):
@@ -658,20 +699,25 @@ def conjugation_cases() -> dict[str, tuple[Operator, Operator, Operator]]:
 
 
 def verify_conjugations(W: int) -> dict[str, bool]:
-    """Each conjugation checked through the bracket chain, as symbols at W,
-    and by direct three-step application to every basis monomial."""
+    """Each conjugation exp(-X) a exp(X) = T checked through the bracket
+    chain, as symbols at W, and in intertwining form a exp(X) = exp(X) T on
+    every basis monomial: exp(X) is unipotent on weight <= W, so both forms
+    give the same verdict.  exp(X) acts through its columns exp(X) m, one
+    exponential per basis monomial m, shared by the cases with the same X;
+    the right side reads T m as a combination of those columns."""
     cases = conjugation_cases()
 
-    def sandwich(x: Operator, a: Operator) -> Callable[[TruncatedSeries], TruncatedSeries]:
-        minus_x = scaled(x, -1)
+    @functools.cache
+    def column(x: Operator, m: Monomial) -> TruncatedSeries:
+        return exponential_apply(x, TruncatedSeries.monomial("q", W, m))
 
-        def go(s: TruncatedSeries) -> TruncatedSeries:
-            return exponential_apply(minus_x, a.apply(exponential_apply(x, s)))
-        return go
+    def intertwines(x: Operator, a: Operator, target: Operator) -> bool:
+        def exp_x(s: TruncatedSeries) -> TruncatedSeries:
+            return s._with([], 1).add_scaled((c, column(x, m)) for m, c in s.terms.items())
+        return ops_equal(lambda s: a.apply(exp_x(s)), lambda s: exp_x(target.apply(s)), W=W)
 
     return {
         **{f"{name}_chain": conjugate(x, a, W=W) == symbol(target, W)
            for name, (x, a, target) in cases.items()},
-        **{f"{name}_sandwich": ops_equal(sandwich(x, a), target, W=W)
-           for name, (x, a, target) in cases.items()},
+        **{f"{name}_sandwich": intertwines(*case) for name, case in cases.items()},
     }

@@ -4,12 +4,15 @@ from fractions import Fraction
 from math import factorial
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gjvtau import operators
+from gjvtau.gjv import extract_G, verify_tau_routes
+from gjvtau.report import FAIL
 from gjvtau.exactalg import (
     TruncatedSeries,
     UBandError,
@@ -252,6 +255,43 @@ def test_a_nested_sum_acts_as_the_flat_sum():
                    + Lambda(1).apply(s).scale(UPoly.u(-2, 2)))
 
 
+def fold_apply(op, s):
+    """A Sum's action as one series per part, summed by add_scaled."""
+    return s._with([], 1).add_scaled((c, part.apply(s)) for c, part in op.parts)
+
+
+coef_st = st.just(UPoly({})) | st.dictionaries(
+    st.integers(-3, 3), st.sampled_from(COEFS), min_size=1, max_size=3).map(UPoly)
+inexact_series_st = st.builds(
+    lambda s, rel, u_hi: TruncatedSeries("q", s.W, s.terms, reliable=rel, u_hi=u_hi),
+    mixed_series_st, st.integers(4, 7), st.integers(-3, 3))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(coef_st, st.sampled_from(LEAVES) | st.integers(1, 4).map(Partial)),
+                min_size=1, max_size=3),
+       st.none() | coef_st, inexact_series_st)
+def test_sum_apply_is_the_fold_over_its_parts(parts, compose_coef, s):
+    # one stencil pass for the leaves, add_scaled only for a Compose part
+    if compose_coef is not None:
+        parts = parts + [(compose_coef, Compose(Lambda(1), Partial(2)))]
+    op = Sum(*(part for _, part in parts), coeffs=[c for c, _ in parts])
+    got, want = op.apply(s), fold_apply(op, s)
+    assert sorted(got.rows) == sorted(want.rows) and got.den == want.den
+    assert (got.family, *bookkeeping(got)) == (want.family, *bookkeeping(want))
+
+
+def test_band_escape_hidden_by_a_cancelling_part_raises_through_sum():
+    # each part is checked on its own, as add_scaled checks it: the parts
+    # cancel, but u^4 moves the u^6 row out of the band [-6, 6]
+    s = TruncatedSeries("q", 4, {mono_var(1): UPoly.u(6)})
+    op = Sum(Lambda(0), Lambda(0), coeffs=(UPoly.u(4), UPoly.u(4, -1)))
+    for apply in (op.apply, lambda s: fold_apply(op, s)):
+        with pytest.raises(UBandError, match=re.escape("u^4 times a series escapes "
+                                                       "its band [-6, 6]")):
+            apply(s)
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.sampled_from([Partial(1), Partial(3), Lambda(-1), Lambda(0), Lambda(1),
                         CutJoin(0), CutJoin(2)]),
@@ -456,6 +496,45 @@ def test_conjugation_chain_routes_agree(name):
     assert by_symbol is ops_equal(chain_map(x, a), target, W=ROUTE_W) is True
 
 
+def literal_sandwich(x, a):
+    """s -> exp(-X) a exp(X) s, applied step by step."""
+    minus_x = scaled(x, -1)
+    return lambda s: exponential_apply(minus_x, a.apply(exponential_apply(x, s)))
+
+
+def planted_targets():
+    """The conjugation cases with wrong targets: CutJoin(1)'s coefficient 2u
+    made 3u, and Lambda(1) doubled."""
+    (x, m0, _), (_, l0, _) = conjugation_cases().values()
+    return {"conj_m0": (x, m0, Sum(m0, scaled(CutJoin(1), UPoly.u(1, 3)), CutJoin(2))),
+            "conj_l0": (x, l0, Sum(l0, scaled(Lambda(1), 2)))}
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["true_targets", "planted_targets"])
+def test_intertwining_form_agrees_with_the_literal_sandwich(monkeypatch, planted):
+    # a exp(X) = exp(X) T and exp(-X) a exp(X) = T give one verdict
+    cases = planted_targets() if planted else conjugation_cases()
+    monkeypatch.setattr(operators, "conjugation_cases", lambda: cases)
+    got = verify_conjugations(ROUTE_W)
+    for name, (x, a, target) in cases.items():
+        literal = ops_equal(literal_sandwich(x, a), target, W=ROUTE_W)
+        assert got[f"{name}_sandwich"] is literal is (not planted), name
+
+
+def test_conjugations_form_one_exponential_per_basis_monomial(monkeypatch):
+    # both cases share X, so each column exp(X) m is formed once
+    calls = []
+    real = operators.exponential_apply
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(operators, "exponential_apply", counting)
+    assert all(verify_conjugations(8).values())
+    assert len(calls) == len(list(monomials_up_to_weight(8))) == 67
+
+
 @pytest.fixture
 def fresh_memos():
     # leaf stencils and symbols are memoised per leaf; a planted fault must
@@ -511,6 +590,29 @@ def test_planted_fault_fails_the_symbol_route(fresh_memos, monkeypatch, cls, ste
     except OperatorGradingError:  # the chain no longer vanishes
         got["conjugate_gives_up"] = False
     assert {name for name, ok in got.items() if not ok} == fails
+
+
+def _lone_part_u_shift_dropped(kernel):
+    """The stencil kernel, but a lone part's coefficient c(u) acts as c(1)."""
+    def faulty(s, parts, reliable):
+        if len(parts) == 1:
+            [(c, op)] = parts
+            parts = [(UPoly.const(sum(v for _, v in c.terms)), op)]
+        return kernel(s, parts, reliable)
+    return faulty
+
+
+def test_planted_kernel_fault_fails_the_sandwich_and_the_tau_routes(monkeypatch):
+    # scaled(op, c) is a one-part Sum, so X = Lambda(1)/u and the a of each
+    # conjugation lose their u-shift, and so does the raise in extract_G
+    monkeypatch.setattr(operators, "_stencil_sum",
+                        _lone_part_u_shift_dropped(operators._stencil_sum))
+    got = verify_conjugations(8)
+    assert {name for name, ok in got.items() if not ok} == {"conj_m0_sandwich",
+                                                             "conj_l0_sandwich"}
+    G = extract_G(8, 9)
+    for c in ("0", "1", "u^-1+2"):
+        assert verify_tau_routes(UPoly.parse(c), 8, G=G).status == FAIL, c
 
 
 # ---------------------------------------------------------------------------
