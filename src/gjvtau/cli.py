@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .exactalg import (MONO_ONE, TruncatedSeries, UPoly, UPOLY_ONE, band_for_weight, mono,
@@ -49,25 +48,8 @@ from .report import FAIL, VACUOUS, CheckReport, boolean_report
 INTERSECTION_GRIDS = ((0, 3), (0, 4), (1, 1), (1, 2))
 # below it, the (0, 4) grid has no profile and the (1, 2) fit 2 rows for 3 unknowns
 INTERSECTIONS_DMAX_MIN = 3
-
-
-@dataclass
-class RunConfig:
-    W: int
-    Mmax: int
-    K: int
-    dmax: int
-    c_list: tuple[UPoly, ...]
-    out: Path
-    kp2: bool
-    checks: tuple[str, ...]  # --checks keys; empty runs the whole battery
-
-
-def _parse_c_list(text: str) -> tuple[UPoly, ...]:
-    c_list = tuple(UPoly.parse(part) for part in text.split("|") if part.strip())
-    if not c_list:
-        raise ValueError(f"{text!r} names no c(u)")
-    return c_list
+# the taus: t_1 + c, the cut-and-join series and the closed-form exponential
+ROUTES = ("linear", "cutjoin", "closedform")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -86,30 +68,29 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_hurwitz(cfg: RunConfig) -> int:
-    series = cutjoin_series(cfg.dmax, cfg.Mmax)
-    rows = []
-    all_agree = True
-    for n in range(1, cfg.dmax + 1):
-        for parts in profiles(n, cfg.dmax):
-            g = 0
-            while 2 * g - 1 + n <= cfg.Mmax:
+def _hurwitz_routes(dmax: int, Mmax: int):
+    """(index, brute-force count, series count) for every profile of degree
+    <= dmax and every genus with m = 2g - 1 + n <= Mmax."""
+    series = cutjoin_series(dmax, Mmax)
+    for n in range(1, dmax + 1):
+        for parts in profiles(n, dmax):
+            for g in range((Mmax + 1 - n) // 2 + 1):
                 idx = HurwitzIndex(g, parts)
-                hb = hurwitz_number(idx)
-                hs = extract_hurwitz(series, idx)
-                agree = hb == hs
-                all_agree = all_agree and agree
-                rows.append(
-                    {
-                        "g": g,
-                        "parts": list(parts),
-                        "m": idx.m,
-                        "h_bruteforce": str(hb),
-                        "h_series": str(hs),
-                        "agree": agree,
-                    }
-                )
-                g += 1
+                yield idx, hurwitz_number(idx), extract_hurwitz(series, idx)
+
+
+def cmd_hurwitz(cfg: argparse.Namespace) -> int:
+    rows = [
+        {
+            "g": idx.g,
+            "parts": list(idx.parts),
+            "m": idx.m,
+            "h_bruteforce": str(hb),
+            "h_series": str(hs),
+            "agree": hb == hs,
+        }
+        for idx, hb, hs in _hurwitz_routes(cfg.dmax, cfg.mmax)
+    ]
     rows.sort(key=lambda r: (sum(r["parts"]), len(r["parts"]), r["parts"], r["g"]))
     _write_json(cfg.out / "hurwitz.json", rows)
     _write_csv(
@@ -121,10 +102,10 @@ def cmd_hurwitz(cfg: RunConfig) -> int:
             for r in rows
         ],
     )
-    return 0 if all_agree else 1
+    return 0 if all(r["agree"] for r in rows) else 1
 
 
-def cmd_tbasis(cfg: RunConfig) -> int:
+def cmd_tbasis(cfg: argparse.Namespace) -> int:
     basis = build_tbasis(min(cfg.K, cfg.W - 1), cfg.W)
     _write_json(
         cfg.out / "tbasis.json",
@@ -138,22 +119,23 @@ def cmd_tbasis(cfg: RunConfig) -> int:
     return 0
 
 
-def _linear_tau(c: UPoly, W: int) -> TruncatedSeries:
-    """t_1 + c, in the default band widened to c, as the other routes do."""
-    lo, hi = band_for_weight(W)
-    if c:
-        lo, hi = min(lo, c.min_exp()), max(hi, c.max_exp())
-    return TruncatedSeries("t", W, {mono((1, 1)): UPOLY_ONE, MONO_ONE: c}, umin=lo, umax=hi)
-
-
-def cmd_tau(cfg: RunConfig, route: str) -> int:
-    c = cfg.c_list[0]
+def _tau(route: str, c: UPoly, cfg: argparse.Namespace) -> TruncatedSeries:
+    """One of the ROUTES' taus at weight cfg.W, in Hirota variables."""
     if route == "linear":
-        tau = _linear_tau(c, cfg.W)
-    elif route == "cutjoin":
-        tau = to_hirota_vars(cutjoin_series(cfg.W, cfg.Mmax, c))
-    else:
-        tau = to_hirota_vars(assemble_tau_exponential(c, cfg.W))
+        # t_1 + c, in the default band widened to c, as the other routes do
+        lo, hi = band_for_weight(cfg.W)
+        if c:
+            lo, hi = min(lo, c.min_exp()), max(hi, c.max_exp())
+        return TruncatedSeries("t", cfg.W, {mono((1, 1)): UPOLY_ONE, MONO_ONE: c},
+                               umin=lo, umax=hi)
+    if route == "cutjoin":
+        return to_hirota_vars(cutjoin_series(cfg.W, cfg.mmax, c))
+    return to_hirota_vars(assemble_tau_exponential(c, cfg.W))
+
+
+def cmd_tau(cfg: argparse.Namespace) -> int:
+    route = cfg.route
+    tau = _tau(route, cfg.c, cfg)
     _write_json(cfg.out / f"tau_{route}.json", tau.to_json_obj())
     _write_csv(
         cfg.out / f"tau_{route}.csv",
@@ -163,7 +145,7 @@ def cmd_tau(cfg: RunConfig, route: str) -> int:
     return 0
 
 
-def _two_route_records(cfg: RunConfig):
+def _two_route_records(cfg: argparse.Namespace):
     """Both extraction routes; returns (merged records, mismatches)."""
     merged: dict = {}
     for rec in tbasis_records(cfg.W):
@@ -189,7 +171,7 @@ def _two_route_records(cfg: RunConfig):
     return merged, mismatches
 
 
-def cmd_intersections(cfg: RunConfig) -> int:
+def cmd_intersections(cfg: argparse.Namespace) -> int:
     merged, mismatches = _two_route_records(cfg)
     if mismatches:
         # a finding, not a crash: write the diff and signal failure
@@ -231,27 +213,27 @@ _T_TABLE = {
 }
 
 
-def _check_tbasis_table(cfg: RunConfig) -> list[CheckReport]:
+def _check_tbasis_table(cfg: argparse.Namespace) -> list[CheckReport]:
     basis = build_tbasis(3, max(cfg.W, 6))
     ok = all(str(basis[k]) == want for k, want in _T_TABLE.items())
     return [boolean_report("tbasis_table", ok, min(cfg.W, 6))]
 
 
-def _check_commutators(cfg: RunConfig) -> list[CheckReport]:
+def _check_commutators(cfg: argparse.Namespace) -> list[CheckReport]:
     return [
         boolean_report(f"commutator_{name}", ok, cfg.W)
         for name, ok in verify_commutators(cfg.W).items()
     ]
 
 
-def _check_conjugations(cfg: RunConfig) -> list[CheckReport]:
+def _check_conjugations(cfg: argparse.Namespace) -> list[CheckReport]:
     return [
         boolean_report(f"conjugation_{name}", ok, cfg.W)
         for name, ok in verify_conjugations(cfg.W).items()
     ]
 
 
-def _check_tau_routes(cfg: RunConfig) -> list[CheckReport]:
+def _check_tau_routes(cfg: argparse.Namespace) -> list[CheckReport]:
     G = extract_G(cfg.W, cfg.W + 1)
     out = []
     for i, c in enumerate(cfg.c_list):
@@ -261,12 +243,12 @@ def _check_tau_routes(cfg: RunConfig) -> list[CheckReport]:
     return out
 
 
-def _check_f_identities(cfg: RunConfig) -> list[CheckReport]:
+def _check_f_identities(cfg: argparse.Namespace) -> list[CheckReport]:
     F = intersection_F(cfg.W)
     return [verify_string(F), verify_lambda_square(F), verify_second_derivative(F)]
 
 
-def _check_propositions(cfg: RunConfig) -> list[CheckReport]:
+def _check_propositions(cfg: argparse.Namespace) -> list[CheckReport]:
     out = []
     for n in range(1, 6):
         if cfg.W < n + 2:
@@ -279,7 +261,7 @@ def _check_propositions(cfg: RunConfig) -> list[CheckReport]:
     return out
 
 
-def _check_o_operators(cfg: RunConfig) -> list[CheckReport]:
+def _check_o_operators(cfg: argparse.Namespace) -> list[CheckReport]:
     out = []
     for n in range(1, 6):
         res = verify_O_operators(n, cfg.W)
@@ -288,7 +270,7 @@ def _check_o_operators(cfg: RunConfig) -> list[CheckReport]:
     return out
 
 
-def _check_hurwitz_anchors(cfg: RunConfig) -> list[CheckReport]:
+def _check_hurwitz_anchors(cfg: argparse.Namespace) -> list[CheckReport]:
     W = min(cfg.W, 6)
     h01, h02 = h01_h02_closed_forms(W)
     l0 = Lambda(0)
@@ -298,17 +280,8 @@ def _check_hurwitz_anchors(cfg: RunConfig) -> list[CheckReport]:
     want2 = TruncatedSeries(
         "q", W, {mono((1, 1), (2, 1)): UPoly.u(-1), mono((1, 2)): UPOLY_ONE}
     )
-    series = cutjoin_series(W, 4)
-    layer0 = series.u_layer(0) == l0.apply(l0.apply(h01)).u_layer(0)
-    agree = True
-    for n in range(1, 5):
-        for parts in profiles(n, 4):
-            for g in (0, 1):
-                idx = HurwitzIndex(g, parts)
-                if idx.m > 4:
-                    continue
-                if hurwitz_number(idx) != extract_hurwitz(series, idx):
-                    agree = False
+    layer0 = cutjoin_series(W, 4).u_layer(0) == l0.apply(l0.apply(h01)).u_layer(0)
+    agree = all(hb == hs for _, hb, hs in _hurwitz_routes(4, 4))
     return [
         boolean_report("hurwitz_anchor_images", img1 == want1 and img2 == want2, W),
         boolean_report("hurwitz_anchor_layer0", layer0, W),
@@ -316,7 +289,7 @@ def _check_hurwitz_anchors(cfg: RunConfig) -> list[CheckReport]:
     ]
 
 
-def _check_g_structure(cfg: RunConfig) -> list[CheckReport]:
+def _check_g_structure(cfg: argparse.Namespace) -> list[CheckReport]:
     # certified layers of G must reduce to u^(2j+1) * T-monomials; the
     # reduction raises on any even or negative u-power it is asked to emit
     try:
@@ -326,16 +299,13 @@ def _check_g_structure(cfg: RunConfig) -> list[CheckReport]:
         return [boolean_report("g_structure", False, cfg.W, error=str(e))]
 
 
-def _check_kp(cfg: RunConfig) -> list[CheckReport]:
+def _check_kp(cfg: argparse.Namespace) -> list[CheckReport]:
     c = next((x for x in cfg.c_list if x), UPOLY_ONE)
-    linear = _linear_tau(c, cfg.W)
-    cut = to_hirota_vars(cutjoin_series(cfg.W, cfg.Mmax, c))
-    closed = to_hirota_vars(assemble_tau_exponential(c, cfg.W))
+    taus = [(route, _tau(route, c, cfg)) for route in ROUTES]
     polys = [KP1] + ([KP2] if cfg.kp2 else [])
     out = []
     for kp in polys:
-        for label, tau in (("linear", linear), ("cutjoin", cut),
-                           ("closedform", closed)):
+        for label, tau in taus:
             rep = check_kp(tau, kp, tau_label=label)
             rep.name = f"{kp.name}_{label}"
             out.append(rep)
@@ -346,7 +316,7 @@ def _check_kp(cfg: RunConfig) -> list[CheckReport]:
     return out
 
 
-def _check_intersection_routes(cfg: RunConfig) -> list[CheckReport]:
+def _check_intersection_routes(cfg: argparse.Namespace) -> list[CheckReport]:
     _, mismatches = _two_route_records(cfg)
     return [
         boolean_report(
@@ -377,11 +347,11 @@ def _battery():
     ]
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     """Run the battery.  With --checks, a comma-separated list of keys, run
     only the entries with a report name that can start with a key, and keep
     the reports that do, plus the report of any such entry that crashed."""
-    keys = cfg.checks
+    keys = cfg.checks or ()
 
     def unmatched(found) -> bool:
         missing = [k for k in keys if k not in found]
@@ -434,84 +404,109 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is one stderr line and exit 2; --help lists the flags
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """An argparse type: an int >= lo, and <= hi unless hi is None."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
+def _parse_c_list(text: str) -> tuple[UPoly, ...]:
+    """An argparse type: pipe-separated c(u) choices, at least one."""
+    try:
+        c_list = tuple(UPoly.parse(part) for part in text.split("|") if part.strip())
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    if not c_list:
+        raise argparse.ArgumentTypeError(f"{text!r} names no c(u)")
+    return c_list
+
+
+def _parse_c(text: str) -> UPoly:
+    """An argparse type: exactly one c(u)."""
+    if "|" in text:
+        raise argparse.ArgumentTypeError(f"{text!r} is a list; tau takes one c(u)")
+    (c,) = _parse_c_list(text)
+    return c
+
+
+def _parse_checks(text: str) -> tuple[str, ...]:
+    """An argparse type: comma-separated check-name prefixes, at least one."""
+    checks = tuple(k.strip() for k in text.split(",") if k.strip())
+    if not checks:
+        raise argparse.ArgumentTypeError(f"{text!r} names no check")
+    return checks
+
+
+# every flag once, keyed by the attribute it sets: (option, add_argument keywords)
+FLAGS = {
+    "W": ("--W", dict(type=_int_in(4), default=8, help="truncation weight")),
+    "mmax": ("--mmax", dict(type=_int_in(1), default=4, help="series order in beta = u^2")),
+    "dmax": ("--dmax", dict(
+        type=_int_in(1, DCAP_HARD), default=5,
+        help="hurwitz: largest degree of the table; intersections and verify: the "
+        f"fits read counts to degree dmax + 1 and need dmax >= {INTERSECTIONS_DMAX_MIN}")),
+    "K": ("--K", dict(type=_int_in(1), default=7,
+                      help="largest basis index (clamped to W - 1)")),
+    "c": ("--c", dict(type=_parse_c, default="0", help="the constant c(u), one choice")),
+    "c_list": ("--c", dict(type=_parse_c_list, default="0|1|u^-1+2", metavar="C",
+                           help="pipe-separated c(u) choices, at least one")),
+    "route": ("--route", dict(choices=ROUTES, default="closedform")),
+    "kp2": ("--kp2", dict(action="store_true", help="also run the next bilinear equation")),
+    "checks": ("--checks", dict(type=_parse_checks,
+                                help="comma-separated check-name prefixes to run")),
+    "out": ("--out", dict(type=Path, default=".", help="artifact directory")),
+}
+
+# each subcommand's runner and the flags it reads
+SUBCOMMANDS = {
+    "hurwitz": (cmd_hurwitz, ("dmax", "mmax", "out")),
+    "intersections": (cmd_intersections, ("W", "dmax", "out")),
+    "tbasis": (cmd_tbasis, ("W", "K", "out")),
+    "tau": (cmd_tau, ("W", "mmax", "c", "route", "out")),
+    "verify": (cmd_verify, ("W", "mmax", "dmax", "c_list", "kp2", "checks", "out")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--W", type=int, default=8, help="truncation weight")
-    common.add_argument("--mmax", type=int, default=4,
-                        help="series order in beta = u^2")
-    common.add_argument("--dmax", type=int, default=5,
-                        help="largest brute-force degree for hurwitz; the "
-                        "intersection grids go one degree higher, so "
-                        f"intersections and verify need >= {INTERSECTIONS_DMAX_MIN}")
-    common.add_argument("--K", type=int, default=7,
-                        help="largest basis index (clamped to W - 1)")
-    common.add_argument("--c", default="0|1|u^-1+2",
-                        help="pipe-separated c(u) choices, at least one")
-    common.add_argument("--out", default=".", help="artifact directory")
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="gjvtau",
         description="exact verification runs for the tau-function package",
     )
-    p.set_defaults(kp2=False, checks=None)
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("hurwitz", parents=[common])
-    sub.add_parser("intersections", parents=[common])
-    sub.add_parser("tbasis", parents=[common])
-    verify = sub.add_parser("verify", parents=[common])
-    verify.add_argument("--kp2", action="store_true",
-                        help="also run the next bilinear equation")
-    verify.add_argument("--checks", default=None,
-                        help="comma-separated check-name prefixes to run")
-    tau = sub.add_parser("tau", parents=[common])
-    tau.add_argument("--route", choices=("linear", "cutjoin", "closedform"),
-                     default="closedform")
+    for name, (run, flags) in SUBCOMMANDS.items():
+        cmd = sub.add_parser(name)
+        cmd.set_defaults(run=run)
+        for dest in flags:
+            option, kw = FLAGS[dest]
+            cmd.add_argument(option, dest=dest, **kw)
     return p
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.W < 4:
-        parser.error("need --W >= 4")
-    if not (0 < args.dmax <= DCAP_HARD):
-        parser.error(f"--dmax must be in 1..{DCAP_HARD}")
-    if args.mmax < 1 or args.K < 1:
-        parser.error("all caps must be positive")
-    try:
-        c_list = _parse_c_list(args.c)
-    except ValueError as e:
-        parser.error(f"bad --c: {e}")
-    checks = tuple(k.strip() for k in (args.checks or "").split(",") if k.strip())
-    if args.checks is not None and not checks:
-        parser.error(f"bad --checks: {args.checks!r} names no check")
     if args.command in ("intersections", "verify") and args.dmax < INTERSECTIONS_DMAX_MIN:
         print(f"{args.command} needs --dmax >= {INTERSECTIONS_DMAX_MIN}", file=sys.stderr)
         return 2
-    out = Path(args.out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         parser.error(f"cannot create output directory: {e}")
-    cfg = RunConfig(
-        W=args.W,
-        Mmax=args.mmax,
-        K=args.K,
-        dmax=args.dmax,
-        c_list=c_list,
-        out=out,
-        kp2=args.kp2,
-        checks=checks,
-    )
     try:
-        if args.command == "hurwitz":
-            return cmd_hurwitz(cfg)
-        if args.command == "intersections":
-            return cmd_intersections(cfg)
-        if args.command == "tbasis":
-            return cmd_tbasis(cfg)
-        if args.command == "tau":
-            return cmd_tau(cfg, args.route)
-        return cmd_verify(cfg)
+        return args.run(args)
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return 2

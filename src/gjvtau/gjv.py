@@ -309,22 +309,6 @@ def extract_intersections_tbasis(G: TruncatedSeries) -> list[IntersectionNumber]
     return sorted(records, key=_record_sort_key)
 
 
-def _partitions_padded(total: int, n: int) -> list[tuple[int, ...]]:
-    """Degree multisets: n nonnegative ints summing to total, sorted."""
-    out: set[tuple[int, ...]] = set()
-
-    def gen(rest: int, slots: int, cap: int, acc: tuple[int, ...]):
-        if slots == 0:
-            if rest == 0:
-                out.add(tuple(sorted(acc)))
-            return
-        for d in range(min(rest, cap), -1, -1):
-            gen(rest - d, slots - 1, d, acc + (d,))
-
-    gen(total, n, total, ())
-    return sorted(out)
-
-
 def _monomial_symmetric(lam: tuple[int, ...], b: tuple[int, ...]) -> Rat:
     return Fraction(
         sum(
@@ -363,7 +347,10 @@ def extract_intersections_polyfit(
     for j in range(g + 1):
         if D - 2 * j < 0:
             break
-        unknowns.extend((j, lam) for lam in _partitions_padded(D - 2 * j, n))
+        # degree multisets of sum D - 2j: the n-part profiles of sum D - 2j + n, less 1
+        top = D - 2 * j + n
+        unknowns.extend((j, tuple(b - 1 for b in parts))
+                        for parts in profiles(n, top) if sum(parts) == top)
     m = 2 * g - 1 + n
     rows: list[tuple[tuple[int, ...], list[Rat], Rat]] = []
     for parts in profiles(n, dmax):
@@ -417,14 +404,12 @@ def extract_F(records, W: int) -> TruncatedSeries:
     """Assemble F from the j = 0 records: tau_d becomes d! * q_{d+1}.
 
     The term for a degree multiset {d^k_d} is value * prod (d!)^{k_d} / k_d!
-    on prod q_{d+1}^{k_d}; weights above W are skipped.
+    on prod q_{d+1}^{k_d}.  The records are tbasis_records(W)'s: one j = 0
+    record per monomial, each of weight <= W.
     """
     terms: dict = {}
     for rec in records:
         if rec.j != 0:
-            continue
-        w = sum(d + 1 for d in rec.degrees)
-        if w > W:
             continue
         mults: dict[int, int] = {}
         for d in rec.degrees:
@@ -432,9 +417,7 @@ def extract_F(records, W: int) -> TruncatedSeries:
         coef = rec.value * prod(
             Fraction(factorial(d) ** k, factorial(k)) for d, k in mults.items()
         )
-        m = mono(*((d + 1, k) for d, k in mults.items()))
-        cur = terms.get(m)
-        terms[m] = (cur + UPoly.const(coef)) if cur else UPoly.const(coef)
+        terms[mono(*((d + 1, k) for d, k in mults.items()))] = UPoly.const(coef)
     return TruncatedSeries("q", W, terms)
 
 

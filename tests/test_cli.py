@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 from gjvtau import cli
 from gjvtau.cli import main
 from gjvtau.exactalg import TruncatedSeries, UPoly, mono
+from gjvtau.hurwitz import HurwitzIndex
 
 
 def run(tmp_path, *args):
@@ -64,6 +66,70 @@ def test_verify_only_flags_are_refused_elsewhere(tmp_path, capsys):
         assert e.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+# the flags each subcommand reads; any other is a usage error
+READS = {
+    "hurwitz": {"--dmax", "--mmax", "--out"},
+    "intersections": {"--W", "--dmax", "--out"},
+    "tbasis": {"--W", "--K", "--out"},
+    "tau": {"--W", "--mmax", "--c", "--route", "--out"},
+    "verify": {"--W", "--mmax", "--dmax", "--c", "--kp2", "--checks", "--out"},
+}
+
+
+@pytest.mark.parametrize("command", list(READS))
+def test_help_lists_exactly_the_flags_the_subcommand_reads(capsys, command):
+    with pytest.raises(SystemExit) as e:
+        main([command, "--help"])
+    assert e.value.code == 0
+    assert set(re.findall(r"--\w+", capsys.readouterr().out)) == READS[command] | {"--help"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("hurwitz", "--W", "8"), ("hurwitz", "--K", "3"), ("hurwitz", "--c", "1"),
+    ("intersections", "--mmax", "3"), ("intersections", "--K", "3"),
+    ("intersections", "--c", "1"),
+    ("tbasis", "--mmax", "3"), ("tbasis", "--dmax", "3"), ("tbasis", "--c", "1"),
+    ("tau", "--dmax", "3"), ("tau", "--K", "3"),
+    ("verify", "--K", "3"),
+    ("tau", "--c", "0|1"),  # tau builds one tau, from one c(u)
+], ids=" ".join)
+def test_a_flag_the_subcommand_does_not_read_is_refused(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as e:
+        main([*argv, "--out", str(out)])
+    assert e.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert argv[1] in line
+    assert not out.exists()
+
+
+def test_tau_default_c_is_zero(tmp_path):
+    (tmp_path / "a").mkdir(), (tmp_path / "b").mkdir()
+    assert run(tmp_path / "a", "tau", "--W", "5") == 0
+    assert run(tmp_path / "b", "tau", "--W", "5", "--c", "0") == 0
+    for name in ("tau_closedform.json", "tau_closedform.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_planted_genus_two_count_fails_both_hurwitz_tables(tmp_path, monkeypatch):
+    # the battery's route check reads the table cmd_hurwitz writes, at
+    # degree <= 4 and m <= 4, which holds g = 2 for one-part profiles
+    hurwitz_number = cli.hurwitz_number
+    planted = HurwitzIndex(2, (3,))
+
+    def off(idx, *args, **kwargs):
+        h = hurwitz_number(idx, *args, **kwargs)
+        return h + Fraction(1, 97) if idx == planted else h
+
+    monkeypatch.setattr(cli, "hurwitz_number", off)
+    assert run(tmp_path, "verify", "--W", "4", "--checks", "hurwitz_route_agreement") == 1
+    (row,) = json.loads((tmp_path / "verify.json").read_text())
+    assert row["check"] == "hurwitz_route_agreement" and row["status"] == "fail"
+    assert run(tmp_path, "hurwitz", "--dmax", "4", "--mmax", "4") == 1
+    rows = json.loads((tmp_path / "hurwitz.json").read_text())
+    assert [(r["g"], r["parts"]) for r in rows if not r["agree"]] == [(2, [3])]
 
 
 def test_hurwitz_run(tmp_path):
