@@ -68,10 +68,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _hurwitz_routes(dmax: int, Mmax: int):
+def _hurwitz_routes(series: TruncatedSeries, dmax: int, Mmax: int):
     """(index, brute-force count, series count) for every profile of degree
-    <= dmax and every genus with m = 2g - 1 + n <= Mmax."""
-    series = cutjoin_series(dmax, Mmax)
+    <= dmax and every genus with m = 2g - 1 + n <= Mmax, the series counts
+    read off a cutjoin_series through at least weight dmax and order Mmax."""
     for n in range(1, dmax + 1):
         for parts in profiles(n, dmax):
             for g in range((Mmax + 1 - n) // 2 + 1):
@@ -89,7 +89,8 @@ def cmd_hurwitz(cfg: argparse.Namespace) -> int:
             "h_series": str(hs),
             "agree": hb == hs,
         }
-        for idx, hb, hs in _hurwitz_routes(cfg.dmax, cfg.mmax)
+        for idx, hb, hs in _hurwitz_routes(cutjoin_series(cfg.dmax, cfg.mmax),
+                                           cfg.dmax, cfg.mmax)
     ]
     rows.sort(key=lambda r: (sum(r["parts"]), len(r["parts"]), r["parts"], r["g"]))
     _write_json(cfg.out / "hurwitz.json", rows)
@@ -274,14 +275,17 @@ def _check_hurwitz_anchors(cfg: argparse.Namespace) -> list[CheckReport]:
     W = min(cfg.W, 6)
     h01, h02 = h01_h02_closed_forms(W)
     l0 = Lambda(0)
-    img1 = change_of_variables(l0.apply(l0.apply(h01)))
+    l0h01 = l0.apply(l0.apply(h01))
+    img1 = change_of_variables(l0h01)
     img2 = change_of_variables(l0.apply(l0.apply(h02)))
     want1 = TruncatedSeries("q", W, {mono((1, 1)): UPoly.u(-1)})
     want2 = TruncatedSeries(
         "q", W, {mono((1, 1), (2, 1)): UPoly.u(-1), mono((1, 2)): UPOLY_ONE}
     )
-    layer0 = cutjoin_series(W, 4).u_layer(0) == l0.apply(l0.apply(h01)).u_layer(0)
-    agree = all(hb == hs for _, hb, hs in _hurwitz_routes(4, 4))
+    # W >= 4, so this series holds the degree <= 4 counts the routes compare
+    series = cutjoin_series(W, 4)
+    layer0 = series.u_layer(0) == l0h01.u_layer(0)
+    agree = all(hb == hs for _, hb, hs in _hurwitz_routes(series, 4, 4))
     return [
         boolean_report("hurwitz_anchor_images", img1 == want1 and img2 == want2, W),
         boolean_report("hurwitz_anchor_layer0", layer0, W),

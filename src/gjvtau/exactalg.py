@@ -368,6 +368,36 @@ def convolve(left: list, right: list, W: int) -> dict[Monomial, tuple[int, dict]
     return acc
 
 
+def convolve_below(left: list, right: list, W: int, U: int) -> dict[Monomial, tuple[int, dict]]:
+    """convolve through weight W, keeping u-exponents <= U.  A row's
+    exponents ascend, so a pair whose two lowest exponents sum above U is
+    not visited, and each inner u-loop stops at U: no u-product above U is
+    formed."""
+    acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
+    for m1, w1, c1 in left:
+        top = U - c1[0][0]
+        for m2, w2, c2 in right:
+            if w1 + w2 > W:
+                break
+            low = c2[0][0]
+            if low > top:
+                continue
+            m = mono_mul(m1, m2)
+            got = acc.get(m)
+            if got is None:
+                got = acc[m] = (w1 + w2, {})
+            row = got[1]
+            for e1, n1 in c1:
+                if e1 + low > U:
+                    break
+                for e2, n2 in c2:
+                    e = e1 + e2
+                    if e > U:
+                        break
+                    row[e] = row.get(e, 0) + n1 * n2
+    return acc
+
+
 def summed_rows(acc: Mapping[Monomial, tuple[int, Mapping[int, int]]]) -> list:
     """A kernel's (weight, {u-exp: n}) sums per monomial as rows, zeros dropped."""
     return [(m, w, r) for m, (w, row) in acc.items()
@@ -638,35 +668,53 @@ class TruncatedSeries:
             family=self.family, W=W, rows=[r for r in summed_rows(acc) if r[1] <= W],
             den=den, umin=lo, umax=hi, reliable=rel, u_hi=u_hi)
 
-    def mul(self, other: TruncatedSeries, *,
-            umin: int | None = None, umax: int | None = None) -> TruncatedSeries:
-        """Truncated product.  The result is validated against the union of the
-        operand bands unless a wider band is requested explicitly; escaping it
-        is a :class:`UBandError`, never a silent clip.
-
-        The product holds its exact terms through its reliable weight
-        min(W, a.reliable + b.min_weight(), b.reliable + a.min_weight()) and
-        no rows above it: no report reads an entry above that weight, which
-        could not be certified, so its pairs are not formed.  W, the band and
-        u_hi are as for a full product through W."""
-        self._check_family(other)
+    def product_bounds(self, other: TruncatedSeries) -> tuple[int, int | None]:
+        """The reliable weight and u_hi of self * other: the reliable weight
+        is min(W, a.reliable + b.min_weight(), b.reliable + a.min_weight());
+        a product layer is complete up to each factor's u_hi plus the lowest
+        exponent the other factor can supply, the lower of the two (None if
+        neither factor has a u_hi)."""
         W = min(self.W, other.W)
-        lo = min(self.umin, other.umin) if umin is None else umin
-        hi = max(self.umax, other.umax) if umax is None else umax
-        # completeness of a product layer is limited by each factor's u_hi
-        # plus the lowest exponent the other factor can supply
-        u_hi = None
-        if self.u_hi is not None and other:
-            u_hi = self.u_hi + other.min_u_exp()
-        if other.u_hi is not None and self:
-            h2 = other.u_hi + self.min_u_exp()
-            u_hi = h2 if u_hi is None else min(u_hi, h2)
         rel = W
         if self and other:
             rel = min(W, self.reliable + other.min_weight(),
                       other.reliable + self.min_weight())
+        u_hi = None
+        if self.u_hi is not None and other:
+            u_hi = self.u_hi + other.min_u_exp()
+        if other.u_hi is not None and self:
+            u_hi = self._merge_u_hi(u_hi, other.u_hi + self.min_u_exp())
+        return rel, u_hi
+
+    def mul(self, other: TruncatedSeries, *,
+            umin: int | None = None, umax: int | None = None,
+            _region: tuple[int, int | None] | None = None) -> TruncatedSeries:
+        """Truncated product.  The result is validated against the union of the
+        operand bands unless a wider band is requested explicitly; escaping it
+        is a :class:`UBandError`, never a silent clip.
+
+        The product holds its exact terms through its reliable weight (see
+        :meth:`product_bounds`) and no rows above it: no report reads an
+        entry above that weight, which could not be certified, so its pairs
+        are not formed.  W, the band and u_hi are as for a full product
+        through W.
+
+        _region = (R, U) is the certified region of a sum this product goes
+        into: the product is formed only through weight R and, unless U is
+        None, u-exponent U, and its reliable weight and u_hi are lowered to
+        them."""
+        self._check_family(other)
+        lo = min(self.umin, other.umin) if umin is None else umin
+        hi = max(self.umax, other.umax) if umax is None else umax
+        rel, u_hi = self.product_bounds(other)
+        U = None
+        if _region is not None:
+            R, U = _region
+            rel, u_hi = min(rel, R), self._merge_u_hi(u_hi, U)
+        acc = (convolve(self.rows, other.rows, rel) if U is None
+               else convolve_below(self.rows, other.rows, rel, U))
         return TruncatedSeries._built(
-            family=self.family, W=W, rows=summed_rows(convolve(self.rows, other.rows, rel)),
+            family=self.family, W=min(self.W, other.W), rows=summed_rows(acc),
             den=self.den * other.den, umin=lo, umax=hi, reliable=rel, u_hi=u_hi)
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:

@@ -86,9 +86,10 @@ def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
 
     The signed binomial coefficients are summed per unordered pair {k, a - k}.
     An odd D-monomial cancels there: |k| and |a - k| differ in parity, so the
-    pair's two coefficients have opposite signs.  The scaled products are
-    summed by one add_scaled, so the result carries the lowest reliable
-    weight and u_hi among them."""
+    pair's two coefficients have opposite signs.  The result carries the
+    lowest reliable weight R and u_hi U among the products, read off the
+    factors before any product is formed, and each product is formed only
+    through (R, U): the result stores no entry above weight R or above u^U."""
     pairs: dict = {}
     for coef, avec in P.terms:
         for kvec in iproduct(*(range(a + 1) for a in avec)):
@@ -98,14 +99,18 @@ def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
                 c = -c
             key = (min(kvec, rest), max(kvec, rest))
             pairs[key] = pairs.get(key, 0) + c
+    memo: dict = {}
+    factors = [(c, _multi_partial(tau, kvec, memo), _multi_partial(tau, rest, memo))
+               for (kvec, rest), c in pairs.items() if c]
+    R, U = tau.W, None
+    for _, a, b in factors:
+        rel, u_hi = a.product_bounds(b)
+        R, U = min(R, rel), TruncatedSeries._merge_u_hi(U, u_hi)
     # products can reach twice the factor's extremes, so widen up front
     lo, hi = 2 * tau.umin, 2 * tau.umax
-    memo: dict = {}
     zero = TruncatedSeries.zero(tau.family, tau.W, umin=lo, umax=hi)
-    return zero.add_scaled(
-        (c, _multi_partial(tau, kvec, memo).mul(_multi_partial(tau, rest, memo),
-                                                umin=lo, umax=hi))
-        for (kvec, rest), c in pairs.items() if c)
+    return zero.add_scaled((c, a.mul(b, umin=lo, umax=hi, _region=(R, U)))
+                           for c, a, b in factors)
 
 
 def check_kp(

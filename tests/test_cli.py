@@ -1,5 +1,6 @@
 """End-to-end runs of the command line driver."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -130,6 +131,21 @@ def test_planted_genus_two_count_fails_both_hurwitz_tables(tmp_path, monkeypatch
     assert run(tmp_path, "hurwitz", "--dmax", "4", "--mmax", "4") == 1
     rows = json.loads((tmp_path / "hurwitz.json").read_text())
     assert [(r["g"], r["parts"]) for r in rows if not r["agree"]] == [(2, [3])]
+
+
+def test_hurwitz_anchors_read_one_series(monkeypatch):
+    # the layer-0 anchor and the route table read one cut-and-join series
+    built = []
+    cutjoin_series = cli.cutjoin_series
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return cutjoin_series(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "cutjoin_series", counting)
+    reports = cli._check_hurwitz_anchors(argparse.Namespace(W=8))
+    assert [r.status for r in reports] == ["pass"] * 3
+    assert built == [(6, 4)]
 
 
 def test_hurwitz_run(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gjvtau import exactalg
 from gjvtau.exactalg import (
     FamilyError,
     TruncatedSeries,
@@ -130,9 +131,16 @@ hirota_polys = st.dictionaries(
 @settings(deadline=None)
 @given(hirota_polys, banded_t)
 def test_pair_gathering_matches_the_ordered_expansion(P, tau):
+    # hirota_apply forms its products only through its certified region, so
+    # it matches the full ordered expansion there and stores nothing beyond
     got = hirota_apply(P, tau)
     want = ordered_hirota_apply(P, tau, tau)
-    assert got.terms == want.terms
+    region = want.up_to_weight(got.reliable)
+    if got.u_hi is not None:
+        region = region.clip_u_above(got.u_hi)
+    assert got.terms == region.terms
+    assert all(w <= got.reliable for _, w, _ in got.rows)
+    assert got.u_hi is None or all(r[-1][0] <= got.u_hi for _, _, r in got.rows)
     assert (got.umin, got.umax) == (want.umin, want.umax)
     odd = [a for _, a in P.terms if sum(a) % 2]
     if not odd:
@@ -158,6 +166,24 @@ def test_one_product_per_unordered_pair(kp, muls, monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "mul", counting)
     hirota_apply(kp, tau)
     assert len(calls) == muls
+
+
+@pytest.mark.parametrize("kp, most", [(KP1, 266), (KP2, 144)], ids=["kp1", "kp2"])
+def test_products_stop_at_the_residual_region(kp, most, monkeypatch):
+    # each product is formed only through the residual's reliable weight and
+    # u_hi; formed through its own region instead, KP1 and KP2 visit 540 and
+    # 352 monomial pairs on this tau
+    pairs = []
+    mono_mul = exactalg.mono_mul
+
+    def counting(a, b):
+        pairs.append(1)
+        return mono_mul(a, b)
+
+    tau = to_hirota_vars(assemble_tau_exponential(UPOLY_ONE, 8))
+    monkeypatch.setattr(exactalg, "mono_mul", counting)
+    hirota_apply(kp, tau)
+    assert 0 < len(pairs) <= most
 
 
 @pytest.mark.parametrize("run, partials", [
@@ -283,9 +309,9 @@ def test_kp_catches_a_corrupted_tau():
 
 
 def test_kp_reports_do_not_depend_on_the_product_cut(monkeypatch):
-    # mul stops at the weight it certifies; the reports only read weights up
-    # to the residual's reliable weight, so products taken through W must
-    # give the same reports
+    # hirota_apply forms each product only through the residual's reliable
+    # weight and u_hi, the region the reports read, so products taken through
+    # W and every u-exponent must give the same reports
     closed = to_hirota_vars(assemble_tau_exponential(UPOLY_ONE, 8))
     taus = {
         "linear": TruncatedSeries("t", 8, {mono_var(1): UPOLY_ONE, (): UPOLY_ONE}),
@@ -299,7 +325,7 @@ def test_kp_reports_do_not_depend_on_the_product_cut(monkeypatch):
     mul = TruncatedSeries.mul
     above = []
 
-    def full_mul(self, other, **kw):
+    def full_mul(self, other, _region=None, **kw):
         got = mul(self, other, **kw)
         full = mul(self.with_reliable(self.W), other.with_reliable(other.W), **kw)
         above.append(len(full.rows) > len(got.rows))

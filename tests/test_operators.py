@@ -546,6 +546,37 @@ def fresh_memos():
     operators._leaf_symbol.cache_clear()
 
 
+def ordered_stencil(op, m):
+    """The cut-and-join stencils spelled over ordered pairs: CutPart
+    replaces slot v by every ordered (i, j) with i + j = v + k, JoinPart
+    joins every ordered pair of slots."""
+    if isinstance(op, CutPart):
+        for v, e in m:
+            base = mono_div_var(m, v)
+            for i in range(1, v + op.k):
+                yield mono_mul(base, mono((i, 1), (v + op.k - i, 1))), v * e
+    elif isinstance(op, JoinPart):
+        for vi, ei in m:
+            for vj, ej in m:
+                n = ei * (ej - 1) if vi == vj else ei * ej
+                if n > 0:
+                    base = mono_div_var(mono_div_var(m, vi), vj)
+                    yield mono_mul(base, mono_var(vi + vj + op.k)), vi * vj * n
+    else:
+        yield from ordered_stencil(CutPart(op.k), m)
+        yield from ordered_stencil(JoinPart(op.k), m)
+
+
+@pytest.mark.parametrize("op", [cls(k) for cls in (CutPart, JoinPart, CutJoin)
+                                for k in (0, 1, 2)], ids=repr)
+def test_unordered_stencils_match_the_ordered_expansion(fresh_memos, op):
+    for m in monomials_up_to_weight(10):
+        want: dict = {}
+        for t, k in ordered_stencil(op, m):
+            want[t] = want.get(t, 0) + k
+        assert dict(operators._stencil(op, m)) == {t: k for t, k in want.items() if k}, m
+
+
 def _cut_only_m2(self, m):
     yield from CutPart(self.k).stencil(m)
     if self.k != 2:
