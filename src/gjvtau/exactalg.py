@@ -347,32 +347,18 @@ def numerators(terms: Mapping[Monomial, UPoly]) -> tuple[list, int]:
             for m, c in terms.items() if c], den
 
 
-def convolve(left: list, right: list, W: int) -> dict[Monomial, tuple[int, dict]]:
-    """The product of two row lists through weight W, as (weight, {u-exp: n})
-    per monomial; right must be sorted by weight.  No pair above W is
-    visited, so a negative W gives an empty product."""
-    acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
-    for m1, w1, c1 in left:
-        for m2, w2, c2 in right:
-            if w1 + w2 > W:
-                break
-            m = mono_mul(m1, m2)
-            got = acc.get(m)
-            if got is None:
-                got = acc[m] = (w1 + w2, {})
-            row = got[1]
-            for e1, n1 in c1:
-                for e2, n2 in c2:
-                    e = e1 + e2
-                    row[e] = row.get(e, 0) + n1 * n2
-    return acc
-
-
-def convolve_below(left: list, right: list, W: int, U: int) -> dict[Monomial, tuple[int, dict]]:
-    """convolve through weight W, keeping u-exponents <= U.  A row's
-    exponents ascend, so a pair whose two lowest exponents sum above U is
-    not visited, and each inner u-loop stops at U: no u-product above U is
-    formed."""
+def convolve(left: list, right: list, W: int,
+             U: int | None = None) -> dict[Monomial, tuple[int, dict]]:
+    """The product of two row lists through weight W and, unless U is None,
+    u-exponent U, as (weight, {u-exp: n}) per monomial; right must be sorted
+    by weight.  No pair above W is visited, so a negative W gives an empty
+    product.  A row's exponents ascend, so a pair whose two lowest exponents
+    sum above U is not visited, and each inner u-loop stops at U: no
+    u-product above U is formed."""
+    if U is None:
+        # no exponent sum reaches past the two highest exponents
+        U = (max((r[-1][0] for _, _, r in left), default=0)
+             + max((r[-1][0] for _, _, r in right), default=0))
     acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
     for m1, w1, c1 in left:
         top = U - c1[0][0]
@@ -700,19 +686,19 @@ class TruncatedSeries:
         through W.
 
         _region = (R, U) is the certified region of a sum this product goes
-        into: the product is formed only through weight R and, unless U is
-        None, u-exponent U, and its reliable weight and u_hi are lowered to
-        them."""
+        into, inside this product's own :meth:`product_bounds` (as the
+        minimum over the sum's products is): the product is formed only
+        through weight R and, unless U is None, u-exponent U, and its
+        reliable weight and u_hi are R and U."""
         self._check_family(other)
         lo = min(self.umin, other.umin) if umin is None else umin
         hi = max(self.umax, other.umax) if umax is None else umax
-        rel, u_hi = self.product_bounds(other)
-        U = None
-        if _region is not None:
-            R, U = _region
-            rel, u_hi = min(rel, R), self._merge_u_hi(u_hi, U)
-        acc = (convolve(self.rows, other.rows, rel) if U is None
-               else convolve_below(self.rows, other.rows, rel, U))
+        if _region is None:
+            rel, u_hi = self.product_bounds(other)
+            acc = convolve(self.rows, other.rows, rel)
+        else:
+            rel, u_hi = _region
+            acc = convolve(self.rows, other.rows, rel, u_hi)
         return TruncatedSeries._built(
             family=self.family, W=min(self.W, other.W), rows=summed_rows(acc),
             den=self.den * other.den, umin=lo, umax=hi, reliable=rel, u_hi=u_hi)
