@@ -48,6 +48,9 @@ from .report import FAIL, VACUOUS, CheckReport, boolean_report
 INTERSECTION_GRIDS = ((0, 3), (0, 4), (1, 1), (1, 2))
 # below it, the (0, 4) grid has no profile and the (1, 2) fit 2 rows for 3 unknowns
 INTERSECTIONS_DMAX_MIN = 3
+# the battery's cut-and-join tau order and its intersection fits' dmax
+VERIFY_MMAX = 4
+VERIFY_DMAX = 5
 # the taus: t_1 + c, the cut-and-join series and the closed-form exponential
 ROUTES = ("linear", "cutjoin", "closedform")
 
@@ -107,7 +110,7 @@ def cmd_hurwitz(cfg: argparse.Namespace) -> int:
 
 
 def cmd_tbasis(cfg: argparse.Namespace) -> int:
-    basis = build_tbasis(min(cfg.K, cfg.W - 1), cfg.W)
+    basis = build_tbasis(cfg.W - 1, cfg.W)
     _write_json(
         cfg.out / "tbasis.json",
         [{"k": k, "series": t.to_json_obj()} for k, t in enumerate(basis)],
@@ -120,23 +123,24 @@ def cmd_tbasis(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _tau(route: str, c: UPoly, cfg: argparse.Namespace) -> TruncatedSeries:
-    """One of the ROUTES' taus at weight cfg.W, in Hirota variables."""
+def _tau(route: str, c: UPoly, W: int, mmax: int) -> TruncatedSeries:
+    """One of the ROUTES' taus at weight W, in Hirota variables; mmax is the
+    series order of the cutjoin route."""
     if route == "linear":
         # t_1 + c, in the default band widened to c, as the other routes do
-        lo, hi = band_for_weight(cfg.W)
+        lo, hi = band_for_weight(W)
         if c:
             lo, hi = min(lo, c.min_exp()), max(hi, c.max_exp())
-        return TruncatedSeries("t", cfg.W, {mono((1, 1)): UPOLY_ONE, MONO_ONE: c},
+        return TruncatedSeries("t", W, {mono((1, 1)): UPOLY_ONE, MONO_ONE: c},
                                umin=lo, umax=hi)
     if route == "cutjoin":
-        return to_hirota_vars(cutjoin_series(cfg.W, cfg.mmax, c))
-    return to_hirota_vars(assemble_tau_exponential(c, cfg.W))
+        return to_hirota_vars(cutjoin_series(W, mmax, c))
+    return to_hirota_vars(assemble_tau_exponential(c, W))
 
 
 def cmd_tau(cfg: argparse.Namespace) -> int:
     route = cfg.route
-    tau = _tau(route, cfg.c, cfg)
+    tau = _tau(route, cfg.c, cfg.W, cfg.mmax)
     _write_json(cfg.out / f"tau_{route}.json", tau.to_json_obj())
     _write_csv(
         cfg.out / f"tau_{route}.csv",
@@ -146,15 +150,16 @@ def cmd_tau(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _two_route_records(cfg: argparse.Namespace):
-    """Both extraction routes; returns (merged records, mismatches)."""
+def _two_route_records(W: int, dmax: int):
+    """Both extraction routes, the fits reading counts to degree dmax + 1;
+    returns (merged records, mismatches)."""
     merged: dict = {}
-    for rec in tbasis_records(cfg.W):
+    for rec in tbasis_records(W):
         merged[rec.key()] = {"rec": rec, "routes": ["tbasis"]}
     mismatches = []
     for g, n in INTERSECTION_GRIDS:
-        grid = hurwitz_grid(g, n, dmax=cfg.dmax + 1)
-        for rec in extract_intersections_polyfit(g, n, grid, dmax=cfg.dmax + 1):
+        grid = hurwitz_grid(g, n, dmax=dmax + 1)
+        for rec in extract_intersections_polyfit(g, n, grid, dmax=dmax + 1):
             got = merged.get(rec.key())
             if got is None:
                 merged[rec.key()] = {"rec": rec, "routes": ["polyfit"]}
@@ -173,7 +178,7 @@ def _two_route_records(cfg: argparse.Namespace):
 
 
 def cmd_intersections(cfg: argparse.Namespace) -> int:
-    merged, mismatches = _two_route_records(cfg)
+    merged, mismatches = _two_route_records(cfg.W, cfg.dmax)
     if mismatches:
         # a finding, not a crash: write the diff and signal failure
         _write_json(cfg.out / "intersections_diff.json", mismatches)
@@ -305,7 +310,7 @@ def _check_g_structure(cfg: argparse.Namespace) -> list[CheckReport]:
 
 def _check_kp(cfg: argparse.Namespace) -> list[CheckReport]:
     c = next((x for x in cfg.c_list if x), UPOLY_ONE)
-    taus = [(route, _tau(route, c, cfg)) for route in ROUTES]
+    taus = [(route, _tau(route, c, cfg.W, VERIFY_MMAX)) for route in ROUTES]
     polys = [KP1] + ([KP2] if cfg.kp2 else [])
     out = []
     for kp in polys:
@@ -321,7 +326,7 @@ def _check_kp(cfg: argparse.Namespace) -> list[CheckReport]:
 
 
 def _check_intersection_routes(cfg: argparse.Namespace) -> list[CheckReport]:
-    _, mismatches = _two_route_records(cfg)
+    _, mismatches = _two_route_records(cfg.W, VERIFY_DMAX)
     return [
         boolean_report(
             "intersections_routes", not mismatches, cfg.W,
@@ -460,10 +465,8 @@ FLAGS = {
     "mmax": ("--mmax", dict(type=_int_in(1), default=4, help="series order in beta = u^2")),
     "dmax": ("--dmax", dict(
         type=_int_in(1, DCAP_HARD), default=5,
-        help="hurwitz: largest degree of the table; intersections and verify: the "
-        f"fits read counts to degree dmax + 1 and need dmax >= {INTERSECTIONS_DMAX_MIN}")),
-    "K": ("--K", dict(type=_int_in(1), default=7,
-                      help="largest basis index (clamped to W - 1)")),
+        help="hurwitz: largest degree of the table; intersections: the fits "
+        f"read counts to degree dmax + 1 and need dmax >= {INTERSECTIONS_DMAX_MIN}")),
     "c": ("--c", dict(type=_parse_c, default="0", help="the constant c(u), one choice")),
     "c_list": ("--c", dict(type=_parse_c_list, default="0|1|u^-1+2", metavar="C",
                            help="pipe-separated c(u) choices, at least one")),
@@ -478,9 +481,9 @@ FLAGS = {
 SUBCOMMANDS = {
     "hurwitz": (cmd_hurwitz, ("dmax", "mmax", "out")),
     "intersections": (cmd_intersections, ("W", "dmax", "out")),
-    "tbasis": (cmd_tbasis, ("W", "K", "out")),
+    "tbasis": (cmd_tbasis, ("W", "out")),
     "tau": (cmd_tau, ("W", "mmax", "c", "route", "out")),
-    "verify": (cmd_verify, ("W", "mmax", "dmax", "c_list", "kp2", "checks", "out")),
+    "verify": (cmd_verify, ("W", "c_list", "kp2", "checks", "out")),
 }
 
 
@@ -502,8 +505,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("intersections", "verify") and args.dmax < INTERSECTIONS_DMAX_MIN:
-        print(f"{args.command} needs --dmax >= {INTERSECTIONS_DMAX_MIN}", file=sys.stderr)
+    if args.command == "intersections" and args.dmax < INTERSECTIONS_DMAX_MIN:
+        print(f"intersections needs --dmax >= {INTERSECTIONS_DMAX_MIN}", file=sys.stderr)
         return 2
     try:
         args.out.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Callable
 
 from .exactalg import (
     FamilyError,
@@ -62,60 +61,35 @@ def _tau_head(W: int, lo: int, hi: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _change_family(
-    s: TruncatedSeries,
-    source: str,
-    target: str,
-    image: Callable[[int, int], UPoly],
-    reach: tuple[int, int],
-) -> TruncatedSeries:
-    """x_b -> sum_{b<=i<=W} image(b, i) y_i from the source to the target
-    family, truncated at s.W.
+def change_of_variables(s: TruncatedSeries) -> TruncatedSeries:
+    """p_b -> sum_{i>=b} u^-i (-1)^(i-b) C(i-1, b-1) q_i, truncated at s.W.
 
-    reach is the (lowest, highest) u-exponent the images add per unit of
-    weight; the band is widened by W times it beyond the operand's range.
+    Exact on the truncation: every image term has weight >= b, so dropped
+    source monomials only touch weights beyond W.  beta is already carried
+    as u^2 in the coefficients, so no rewriting is needed here.  An image
+    lowers the u-exponent by at most one per unit of weight, so the band is
+    widened by W below the operand's range.
     """
-    if s.family != source:
+    if s.family != "p":
         raise FamilyError(
-            f"change of variables from the {source}-family got a "
-            f"{s.family}-family series"
+            f"change of variables from the p-family got a {s.family}-family series"
         )
     W = s.W
     lo, hi = band_for_weight(W)
-    mn = min((c.min_exp() for c in s.terms.values()), default=0)
-    mx = max((c.max_exp() for c in s.terms.values()), default=0)
-    lo, hi = min(lo, mn + reach[0] * W), max(hi, mx + reach[1] * W)
+    lo = min(lo, s.min_u_exp() - W)
+    hi = max(hi, max((r[-1][0] for _, _, r in s.rows), default=0))
     rule = {
         b: TruncatedSeries(
-            target,
+            "q",
             W,
-            {mono_var(i): image(b, i) for i in range(b, W + 1)},
+            {mono_var(i): UPoly.u(-i, (-1) ** (i - b) * comb(i - 1, b - 1))
+             for i in range(b, W + 1)},
             umin=lo,
             umax=hi,
         )
         for b in range(1, W + 1)
     }
     return substitute_linear(s, rule, umin=lo, umax=hi)
-
-
-def change_of_variables(s: TruncatedSeries) -> TruncatedSeries:
-    """p_b -> sum_{i>=b} u^-i (-1)^(i-b) C(i-1, b-1) q_i, truncated at s.W.
-
-    Exact on the truncation: every image term has weight >= b, so dropped
-    source monomials only touch weights beyond W.  beta is already carried
-    as u^2 in the coefficients, so no rewriting is needed here.
-    """
-    return _change_family(
-        s, "p", "q",
-        lambda b, i: UPoly.u(-i, (-1) ** (i - b) * comb(i - 1, b - 1)), (-1, 0),
-    )
-
-
-def inverse_change_of_variables(s: TruncatedSeries) -> TruncatedSeries:
-    """q_b -> u^b sum_{i>=b} C(i-1, b-1) p_i; exact inverse up to weight s.W."""
-    return _change_family(
-        s, "q", "p", lambda b, i: UPoly.u(b, comb(i - 1, b - 1)), (0, 1)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +159,15 @@ def extract_G(W: int, Mmax: int) -> TruncatedSeries:
     raise_w = scaled(Lambda(1), _U_INV)
     zero = TruncatedSeries.zero("q", W, umin=X.umin, umax=X.umax)
     layers = [zero, zero]
+    raised = zero  # raise_w applied to the layer below the current one
     for w in range(1, W + 1):
         prev2, prev = layers[-2:]
+        raised2, raised = raised, (raise_w.apply(prev) if prev else zero)
         parts = [(Fraction(1, w * w), X.weight_slice(w))]
         if prev:
-            parts.append((Fraction(1 - 2 * w, w * w), raise_w.apply(prev)))
+            parts.append((Fraction(1 - 2 * w, w * w), raised))
         if prev2:
-            parts.append((Fraction(-1, w * w), raise_w.apply(raise_w.apply(prev2))))
+            parts.append((Fraction(-1, w * w), raise_w.apply(raised2)))
         layers.append(zero.add_scaled(parts))
     G = zero.add_scaled((1, layer) for layer in layers)
     return G.with_reliable(W).with_u_hi(X.u_hi)

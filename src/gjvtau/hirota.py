@@ -27,11 +27,6 @@ class HirotaPolynomial:
     name: str
     terms: tuple[tuple[Rat, tuple[int, ...]], ...]
 
-    def weight(self) -> int:
-        return max(
-            sum(i * a for i, a in enumerate(avec, 1)) for _, avec in self.terms
-        )
-
 
 KP1 = HirotaPolynomial(
     "kp1",

@@ -158,6 +158,14 @@ class Partial(Operator):
         return -self.n
 
 
+def _lower(exps: dict[int, int], v: int) -> None:
+    """Divide the monomial held as {index: exponent} by x_v, in place."""
+    if exps[v] == 1:
+        del exps[v]
+    else:
+        exps[v] -= 1
+
+
 @dataclass(frozen=True)
 class Lambda(Operator):
     """Sum_i x_{i+a} * i * d/dx_i over i >= 1 with i + a >= 1; requires a <= 1.
@@ -173,19 +181,14 @@ class Lambda(Operator):
 
     def stencil(self, m):
         for v, e in m:
-            if v + self.a >= 1:
-                yield mono_mul(mono_div_var(m, v), mono_var(v + self.a)), v * e
+            if (t := v + self.a) >= 1:
+                acc = dict(m)
+                _lower(acc, v)
+                acc[t] = acc.get(t, 0) + 1
+                yield tuple(sorted(acc.items())), v * e
 
     def weight_shift(self):
         return self.a
-
-
-def _lower(exps: dict[int, int], v: int) -> None:
-    """Divide the monomial held as {index: exponent} by x_v, in place."""
-    if exps[v] == 1:
-        del exps[v]
-    else:
-        exps[v] -= 1
 
 
 @dataclass(frozen=True)
@@ -506,7 +509,9 @@ def exponential_apply(
     raises weight + u-degree by >= 1 while lowering neither (terms leave the
     finite weight x u-band box, and the high u side is clipped, recorded in
     u_hi), or every summand raises weight by >= 1 without raising u (terms
-    leave through the weight ceiling).  Anything else needs max_order.
+    leave through the weight ceiling).  Anything else needs max_order, and
+    a capped exponential takes no summand that lowers weight, so its sum is
+    exact wherever s is.
     """
     # a summand's u-shift is the exponent range of its coefficient: no
     # operator that has a weight shift moves u
@@ -523,6 +528,9 @@ def exponential_apply(
             )
         clip = box and any(uh > 0 for _, (_, uh) in shifts)
         cap = s.W + (s.umax - s.umin) + 2
+    elif any(w < 0 for w, _ in shifts):
+        raise OperatorGradingError(
+            f"a capped exponential takes no summand that lowers weight: shifts {shifts}")
     else:
         cap = max_order
     step_up = max((uh for _, (_, uh) in shifts), default=0)
@@ -542,11 +550,14 @@ def exponential_apply(
             raise OperatorGradingError("exponential did not terminate within the box cap")
 
     total = s.add_scaled(powers())
-    wlo = min((w for w, _ in shifts), default=0)
-    rel = s.reliable if wlo >= 0 else s.reliable + wlo * cap
-    if clip:
-        total = total.clip_u_above(s.umax)
-    return total.with_reliable(min(rel, total.reliable))
+    ulo = min((ul for _, (ul, _) in shifts), default=0)
+    if ulo < 0 and s.u_hi is not None:
+        # an inexact entry above s.u_hi moves down at every order that can act
+        # on it, also past the last order formed here: at most max_order, or
+        # W in the raising grading
+        steps = s.W if max_order is None else max_order
+        total = total.with_u_hi(min(total.u_hi, s.u_hi + ulo * steps))
+    return total.clip_u_above(s.umax) if clip else total
 
 
 def bracket_chain(x: Operator, a: Operator, s: TruncatedSeries) -> Iterator[TruncatedSeries]:

@@ -23,7 +23,7 @@ def run(tmp_path, *args):
 
 
 def test_tbasis_artifacts(tmp_path):
-    assert run(tmp_path, "tbasis", "--W", "6", "--K", "3") == 0
+    assert run(tmp_path, "tbasis", "--W", "4") == 0
     rows = json.loads((tmp_path / "tbasis.json").read_text())
     assert [r["k"] for r in rows] == [0, 1, 2, 3]
     assert (tmp_path / "tbasis.csv").read_text().splitlines()[1] == "0,q1"
@@ -73,9 +73,9 @@ def test_verify_only_flags_are_refused_elsewhere(tmp_path, capsys):
 READS = {
     "hurwitz": {"--dmax", "--mmax", "--out"},
     "intersections": {"--W", "--dmax", "--out"},
-    "tbasis": {"--W", "--K", "--out"},
+    "tbasis": {"--W", "--out"},
     "tau": {"--W", "--mmax", "--c", "--route", "--out"},
-    "verify": {"--W", "--mmax", "--dmax", "--c", "--kp2", "--checks", "--out"},
+    "verify": {"--W", "--c", "--kp2", "--checks", "--out"},
 }
 
 
@@ -93,7 +93,8 @@ def test_help_lists_exactly_the_flags_the_subcommand_reads(capsys, command):
     ("intersections", "--c", "1"),
     ("tbasis", "--mmax", "3"), ("tbasis", "--dmax", "3"), ("tbasis", "--c", "1"),
     ("tau", "--dmax", "3"), ("tau", "--K", "3"),
-    ("verify", "--K", "3"),
+    ("tbasis", "--K", "3"),
+    ("verify", "--K", "3"), ("verify", "--mmax", "3"), ("verify", "--dmax", "3"),
     ("tau", "--c", "0|1"),  # tau builds one tau, from one c(u)
 ], ids=" ".join)
 def test_a_flag_the_subcommand_does_not_read_is_refused(tmp_path, capsys, argv):
@@ -210,19 +211,15 @@ def test_intersections_stable_across_W(tmp_path):
 
 
 def test_intersections_dmax_floor(tmp_path, capsys, monkeypatch):
-    # below 3 some grid cannot determine its fit: a usage error, no artifact,
-    # for verify too, whose battery runs the intersection routes
-    for argv, artifact in ((("intersections", "--W", "8"), "intersections.json"),
-                           (("verify", "--W", "4"), "verify.json")):
-        out = tmp_path / argv[0]
-        for dmax in ("1", "2"):
-            assert run(out, *argv, "--dmax", dmax) == 2
-            (line,) = capsys.readouterr().err.splitlines()
-            assert "--dmax" in line
-            assert not out.exists()
-        extra = ("--checks", "intersections") if argv[0] == "verify" else ()
-        assert run(out, *argv, "--dmax", "3", *extra) == 0
-        assert (out / artifact).exists()
+    # below 3 some grid cannot determine its fit: a usage error, no artifact
+    out = tmp_path / "intersections"
+    for dmax in ("1", "2"):
+        assert run(out, "intersections", "--W", "8", "--dmax", dmax) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "--dmax" in line
+        assert not out.exists()
+    assert run(out, "intersections", "--W", "8", "--dmax", "3") == 0
+    assert (out / "intersections.json").exists()
 
     # an inconsistent fit is a finding: it raises, so the process exits 1
     hurwitz_grid = cli.hurwitz_grid

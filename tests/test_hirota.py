@@ -51,11 +51,6 @@ def test_kp1_on_the_polynomial_solution():
     assert hirota_apply(KP1, tau).is_zero()
 
 
-def test_kp1_weight():
-    assert KP1.weight() == 4
-    assert KP2.weight() == 5
-
-
 small_t = st.lists(
     st.tuples(st.integers(1, 3), st.integers(-2, 2)), max_size=3
 ).map(

@@ -182,7 +182,12 @@ def assert_as_public(s):
                  mixed_series_st, st.integers(4, 8), st.none() | st.integers(-3, 3)))
 def test_every_apply_is_what_the_public_constructor_builds(op, s):
     assert_as_public(op.apply(s))
-    assert_as_public(exponential_apply(op, s, max_order=2))
+    if any(part.weight_shift() < 0 for _, part in Sum(op).parts):
+        # a capped exponential takes no summand that lowers weight
+        with pytest.raises(OperatorGradingError):
+            exponential_apply(op, s, max_order=2)
+    else:
+        assert_as_public(exponential_apply(op, s, max_order=2))
 
 
 def test_apply_builds_no_upoly_before_terms_are_read(monkeypatch):
@@ -547,10 +552,15 @@ def fresh_memos():
 
 
 def ordered_stencil(op, m):
-    """The cut-and-join stencils spelled over ordered pairs: CutPart
-    replaces slot v by every ordered (i, j) with i + j = v + k, JoinPart
-    joins every ordered pair of slots."""
-    if isinstance(op, CutPart):
+    """The leaf stencils spelled through mono_mul and mono_div_var, the
+    cut-and-join ones over ordered pairs: Lambda(a) moves slot v to v + a,
+    CutPart replaces slot v by every ordered (i, j) with i + j = v + k,
+    JoinPart joins every ordered pair of slots."""
+    if isinstance(op, Lambda):
+        for v, e in m:
+            if v + op.a >= 1:
+                yield mono_mul(mono_div_var(m, v), mono_var(v + op.a)), v * e
+    elif isinstance(op, CutPart):
         for v, e in m:
             base = mono_div_var(m, v)
             for i in range(1, v + op.k):
@@ -568,7 +578,8 @@ def ordered_stencil(op, m):
 
 
 @pytest.mark.parametrize("op", [cls(k) for cls in (CutPart, JoinPart, CutJoin)
-                                for k in (0, 1, 2)], ids=repr)
+                                for k in (0, 1, 2)]
+                         + [Lambda(a) for a in range(-3, 2)], ids=repr)
 def test_unordered_stencils_match_the_ordered_expansion(fresh_memos, op):
     for m in monomials_up_to_weight(10):
         want: dict = {}
@@ -666,6 +677,18 @@ def test_exponential_needs_a_grading_or_a_cap():
         exponential_apply(Lambda(0), q1)  # weight shift 0: no sound horizon
     capped = exponential_apply(Lambda(0), q1, max_order=3)
     assert str(capped) == "8/3*q1"
+    with pytest.raises(OperatorGradingError):  # a capped sum lowers no weight
+        exponential_apply(Partial(1), q1, max_order=3)
+
+
+def test_exponential_u_hi_covers_orders_it_did_not_form():
+    # the series stops at once on a zero input, but an inexact entry above
+    # u_hi would move down through every order that can act on it
+    zero = TruncatedSeries.zero("q", 6, u_hi=0)
+    assert exponential_apply(scaled(Lambda(0), UPoly.u(-1)), zero, max_order=3).u_hi == -3
+    assert exponential_apply(scaled(Lambda(1), UPoly.u(-1)), zero).u_hi == -6
+    # a coefficient that raises u leaves u_hi where it was
+    assert exponential_apply(scaled(Lambda(0), UPoly.u(2)), zero, max_order=3).u_hi == 0
 
 
 def test_exponential_reads_the_u_shift_off_the_coefficient():
