@@ -51,6 +51,8 @@ INTERSECTIONS_DMAX_MIN = 3
 # the battery's cut-and-join tau order and its intersection fits' dmax
 VERIFY_MMAX = 4
 VERIFY_DMAX = 5
+# --mmax when not given; tau takes it only for the cutjoin route
+DEFAULT_MMAX = 4
 # the taus: t_1 + c, the cut-and-join series and the closed-form exponential
 ROUTES = ("linear", "cutjoin", "closedform")
 
@@ -462,7 +464,8 @@ def _parse_checks(text: str) -> tuple[str, ...]:
 # every flag once, keyed by the attribute it sets: (option, add_argument keywords)
 FLAGS = {
     "W": ("--W", dict(type=_int_in(4), default=8, help="truncation weight")),
-    "mmax": ("--mmax", dict(type=_int_in(1), default=4, help="series order in beta = u^2")),
+    "mmax": ("--mmax", dict(type=_int_in(1), help=f"series order in beta = u^2 (default "
+                            f"{DEFAULT_MMAX}); tau reads it only on the cutjoin route")),
     "dmax": ("--dmax", dict(
         type=_int_in(1, DCAP_HARD), default=5,
         help="hurwitz: largest degree of the table; intersections: the fits "
@@ -508,6 +511,11 @@ def main(argv=None) -> int:
     if args.command == "intersections" and args.dmax < INTERSECTIONS_DMAX_MIN:
         print(f"intersections needs --dmax >= {INTERSECTIONS_DMAX_MIN}", file=sys.stderr)
         return 2
+    if args.command == "tau" and args.route != "cutjoin" and args.mmax is not None:
+        print("tau reads --mmax only with --route cutjoin", file=sys.stderr)
+        return 2
+    if "mmax" in args and args.mmax is None:
+        args.mmax = DEFAULT_MMAX
     try:
         args.out.mkdir(parents=True, exist_ok=True)
     except OSError as e:

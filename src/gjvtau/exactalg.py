@@ -584,12 +584,7 @@ class TruncatedSeries:
 
     def u_layer(self, e: int) -> TruncatedSeries:
         """The coefficient-of-u^e layer, as a series with rational coefficients."""
-        out = {}
-        for m, c in self.terms.items():
-            v = c.coeff(e)
-            if v:
-                out[m] = UPoly.const(v)
-        return TruncatedSeries(self.family, self.W, out, **self._meta())
+        return self._with([(m, w, ((0, n),)) for m, w, r in self.rows for k, n in r if k == e])
 
     def map_coeffs(self, f: Callable[[UPoly], UPoly]) -> TruncatedSeries:
         return TruncatedSeries(

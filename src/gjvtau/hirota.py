@@ -84,7 +84,8 @@ def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
     pair's two coefficients have opposite signs.  The result carries the
     lowest reliable weight R and u_hi U among the products, read off the
     factors before any product is formed, and each product is formed only
-    through (R, U): the result stores no entry above weight R or above u^U."""
+    through (R, U): the result stores no entry above weight R or above u^U.
+    A P that forms no product certifies nothing: R is -1."""
     pairs: dict = {}
     for coef, avec in P.terms:
         for kvec in iproduct(*(range(a + 1) for a in avec)):
@@ -97,13 +98,13 @@ def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
     memo: dict = {}
     factors = [(c, _multi_partial(tau, kvec, memo), _multi_partial(tau, rest, memo))
                for (kvec, rest), c in pairs.items() if c]
-    R, U = tau.W, None
+    R, U = tau.W if factors else -1, None
     for _, a, b in factors:
         rel, u_hi = a.product_bounds(b)
         R, U = min(R, rel), TruncatedSeries._merge_u_hi(U, u_hi)
     # products can reach twice the factor's extremes, so widen up front
     lo, hi = 2 * tau.umin, 2 * tau.umax
-    zero = TruncatedSeries.zero(tau.family, tau.W, umin=lo, umax=hi)
+    zero = TruncatedSeries.zero(tau.family, tau.W, umin=lo, umax=hi, reliable=R)
     return zero.add_scaled((c, a.mul(b, umin=lo, umax=hi, _region=(R, U)))
                            for c, a, b in factors)
 

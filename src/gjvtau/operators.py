@@ -23,8 +23,10 @@ equal at truncation W iff their actions agree on every monomial of weight
 normal-ordered form: op's terms c * x^alpha d^beta with d-weight <= N, each
 leaf's read off its own stencil, composed by the Leibniz rule; two
 operators act equally on every monomial of weight <= N iff their symbols at
-N are equal.  Identities between operators compare symbols; what acts on
-series (exponentials, O-operator actions) compares with ops_equal.
+N are equal.  Identities between operators compare symbols; the
+conjugation sandwich, which acts on series, compares with ops_equal.  The
+O-operator actions are the u-layers of one conjugation by exp((1-u)M2),
+formed by two exponentials, with no bracket expanded.
 """
 
 from __future__ import annotations
@@ -560,17 +562,6 @@ def exponential_apply(
     return total.clip_u_above(s.umax) if clip else total
 
 
-def bracket_chain(x: Operator, a: Operator, s: TruncatedSeries) -> Iterator[TruncatedSeries]:
-    """[(ad_X)^r(a)](s) for r = 0, 1, ... with ad_X(y) = [y, X], expanded as
-    Sum_j C(r, j) (-1)^j X^j a X^(r-j) s over one row, row[j] = X^j a X^(r-j) s,
-    so each such term is formed once."""
-    xs, row = s, [a.apply(s)]
-    for r in itertools.count():
-        yield s._with([], 1).add_scaled(((-1) ** j * comb(r, j), t) for j, t in enumerate(row))
-        xs = x.apply(xs)
-        row = [a.apply(xs)] + [x.apply(t) for t in row]
-
-
 # the longest bracket chain conjugate expands before giving up
 CONJUGATE_DEPTH = 8
 
@@ -599,7 +590,7 @@ def conjugate(x: Operator, a: Operator, *, W: int) -> Symbol:
 
 
 # ---------------------------------------------------------------------------
-# Linear part and the iterated-bracket machinery
+# Linear part and the O-operators
 # ---------------------------------------------------------------------------
 
 
@@ -621,21 +612,24 @@ def n_partial(n: int) -> Operator:
     return scaled(Partial(n), n)
 
 
-def bracket_order_bound(n: int, W: int) -> int:
-    """Largest r for which (ad M)^r(n d/dx_n) can act nontrivially at
-    truncation W: the net weight shift is 2r - n and constants are killed."""
-    return (W + n - 1) // 2
+def o_actions(n: int, seed: TruncatedSeries, W_out: int) -> list[TruncatedSeries]:
+    """O_i(exp(M2) seed) for i = 0, 1, ..., for a seed with u-free
+    coefficients, truncated to W_out, each exact to the reliable weight it
+    reports.
 
-
-def o_actions(n: int, s: TruncatedSeries, W_out: int) -> list[TruncatedSeries]:
-    """[O_i](s) for i = 0..bracket_order_bound(n, W_out), each exact to the
-    reliable weight it reports (truncated to W_out)."""
-    rmax = bracket_order_bound(n, W_out)
-    acts = list(itertools.islice(bracket_chain(CutJoin(2), n_partial(n), s), rmax + 1))
-    zero = TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax)
-    return [zero.add_scaled((Fraction((-1) ** k, factorial(k) * factorial(i)),
-                             acts[i + k]) for k in range(rmax - i + 1)).truncate(W_out)
-            for i in range(rmax + 1)]
+    With B_r = (ad M2)^r(n d/dx_n) and O_i = Sum_k (-1)^k B_{i+k} / (k! i!),
+        Sum_i O_i u^i = Sum_r B_r (u-1)^r / r! = exp((1-u)M2) n d/dx_n exp((u-1)M2),
+    so O_i(exp(M2) seed) is the u^i layer of exp((1-u)M2) n d/dx_n exp(uM2) seed.
+    Both exponentials are in the box grading, so their clip records a u_hi:
+    the layers run up to the highest u-exponent stored, and no index above
+    the series' u_hi is returned."""
+    m2 = CutJoin(2)
+    lifted = exponential_apply(scaled(m2, UPoly.u(1)), seed)
+    # M2 only raises weight, so cutting before the second exponential loses nothing
+    lowered = n_partial(n).apply(lifted).truncate(W_out)
+    series = exponential_apply(scaled(m2, UPoly.parse("1 - u")), lowered)
+    top = min(series.u_hi, max((r[-1][0] for _, _, r in series.rows), default=-1))
+    return [series.u_layer(i) for i in range(top + 1)]
 
 
 def verify_O_operators(n: int, W: int) -> dict[str, bool]:
@@ -656,9 +650,8 @@ def verify_O_operators(n: int, W: int) -> dict[str, bool]:
     comparisons are exact through weight W despite the derivative dip.
     """
     m2 = CutJoin(2)
-    Wi = W + n
-    e_full = exponential_apply(m2, TruncatedSeries.variable("q", Wi, 1))
-    acts = o_actions(n, e_full, W)
+    q1 = TruncatedSeries.variable("q", W + n, 1)
+    acts = o_actions(n, q1, W)
 
     vanish = True
     for i, act in enumerate(acts):
@@ -673,14 +666,13 @@ def verify_O_operators(n: int, W: int) -> dict[str, bool]:
     rel = min(lhs.reliable, rhs.reliable)
     penult = lhs.up_to_weight(rel) == rhs.up_to_weight(rel)
 
-    # Sum_i i*O_i = Sum_r B_r Sum_{i+k=r} i*(-1)^k/(k!*i!) with B_r the r-fold
-    # bracket, and the inner sum is delta_{r,1}: the weighted sum is the single
-    # bracket B_1 as an operator identity, so comparing both on one input
-    # tests the o_actions coefficients
+    # Sum_i i*O_i is d/du of the generating series at u = 1, the single
+    # bracket [n d/dx_n, M2] as an operator identity; applied to exp(M2)x1
+    # built on its own, it checks the conjugation o_actions reads off
     weighted = TruncatedSeries.zero("q", W).add_scaled(
         (i, act) for i, act in enumerate(acts))
     bracket = commutator(n_partial(n), m2)
-    direct = bracket.apply(e_full).truncate(W)
+    direct = bracket.apply(exponential_apply(m2, q1)).truncate(W)
     rel = min(weighted.reliable, direct.reliable)
     return {
         "action_vanishes_off_peak": vanish,

@@ -236,10 +236,19 @@ def test_intersections_dmax_floor(tmp_path, capsys, monkeypatch):
 
 def test_tau_routes_write_series(tmp_path):
     for route in ("linear", "cutjoin", "closedform"):
-        assert run(tmp_path, "tau", "--route", route, "--W", "6",
-                   "--mmax", "3", "--c", "1") == 0
+        mmax = ["--mmax", "3"] if route == "cutjoin" else []
+        assert run(tmp_path, "tau", "--route", route, "--W", "6", *mmax, "--c", "1") == 0
         data = json.loads((tmp_path / f"tau_{route}.json").read_text())
         assert data["family"] == "t" and data["terms"]
+
+
+@pytest.mark.parametrize("route", [[], ["--route", "linear"], ["--route", "closedform"]],
+                         ids=["default", "linear", "closedform"])
+def test_tau_refuses_mmax_off_the_cutjoin_route(tmp_path, capsys, route):
+    # only the cutjoin route reads --mmax; elsewhere it would be ignored
+    assert run(tmp_path, "tau", "--W", "6", "--mmax", "1", *route) == 2
+    assert "--mmax" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_linear_route_widens_its_band_to_c(tmp_path):

@@ -141,11 +141,13 @@ def test_pair_gathering_matches_the_ordered_expansion(P, tau):
     if not odd:
         assert (got.reliable, got.u_hi) == (want.reliable, want.u_hi)
         return
+    if len(odd) == len(P.terms):
+        # no product is formed, so the residual certifies nothing
+        assert got.is_zero() and got.reliable == -1
+        return
     # an odd D-monomial forms no product, so its factors bound nothing
     assert got.reliable >= want.reliable
     assert got.u_hi is None or got.u_hi >= want.u_hi
-    if len(odd) == len(P.terms):
-        assert got.is_zero()
 
 
 @pytest.mark.parametrize("kp, muls", [(KP1, 7), (KP2, 8)], ids=["kp1", "kp2"])
@@ -218,15 +220,26 @@ def test_products_are_summed_in_one_accumulator(monkeypatch):
 
 
 def test_all_odd_monomials_give_an_exact_zero():
-    # every odd D-monomial cancels before any product is formed, so no
-    # factor lowers the reliable weight or bounds u
+    # every odd D-monomial cancels before any product is formed, so the
+    # zero residual certifies no weight and bounds no u
     tau = to_hirota_vars(cutjoin_series(6, 3, UPOLY_ONE))
     assert tau.u_hi == 6
     P = HirotaPolynomial("odd", ((F(1), (1, 0, 0)), (F(-2), (1, 1, 1)),
                                  (F(5), (0, 3, 0))))
     r = hirota_apply(P, tau)
     assert r.is_zero()
-    assert (r.reliable, r.u_hi) == (tau.W, None)
+    assert (r.reliable, r.u_hi) == (-1, None)
+
+
+@pytest.mark.parametrize("P", [
+    HirotaPolynomial("empty", ()),
+    # D1^4 - D1^4 as two terms: each pair's coefficients sum to zero
+    HirotaPolynomial("cancelling", ((F(1), (4, 0, 0)), (F(-1), (4, 0, 0)))),
+], ids=["empty", "cancelling"])
+def test_a_polynomial_that_forms_no_product_is_vacuous(P):
+    tau = to_hirota_vars(assemble_tau_exponential(UPOLY_ONE, 8))
+    rep = check_kp(tau, P)
+    assert (rep.status, rep.reliable_weight) == ("vacuous", -1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import factorial
 
-import itertools
+import json
 import re
 
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gjvtau import operators
+from gjvtau.cli import main
 from gjvtau.gjv import extract_G, verify_tau_routes
 from gjvtau.report import FAIL
 from gjvtau.exactalg import (
@@ -30,13 +31,10 @@ from gjvtau.operators import (
     CutJoin,
     CutPart,
     JoinPart,
-    CONJUGATE_DEPTH,
     Lambda,
     OperatorGradingError,
     Partial,
     Sum,
-    bracket_chain,
-    bracket_order_bound,
     commutator,
     commutator_identities,
     conjugate,
@@ -381,31 +379,6 @@ def test_conjugate_gives_up_past_its_depth_cap():
         conjugate(Lambda(0), Lambda(1), W=4)
 
 
-CONJ_X = scaled(Lambda(1), UPoly.u(-1))
-CHAIN_PAIRS = [
-    pytest.param(CONJ_X, scaled(CutJoin(0), UPoly.u(2)), id="conj_m0"),
-    pytest.param(CONJ_X, scaled(Lambda(0), UPoly.u(1)), id="conj_l0"),
-    *(pytest.param(CutJoin(2), n_partial(n), id=f"m2_np{n}") for n in range(1, 6)),
-]
-
-
-@pytest.mark.parametrize("x,a", CHAIN_PAIRS)
-def test_bracket_chain_is_the_nested_commutator_chain(x, a):
-    # the binomial row against nested commutators (2^r paths at depth r), on
-    # a non-monomial input with u-Laurent coefficients and u_hi set
-    s = TruncatedSeries("q", 8, {mono((1, 1), (2, 1)): UPoly.u(1, Fraction(1, 3)),
-                                 mono_var(3): UPoly.parse("u^-1 + 5/4"),
-                                 mono((1, 2)): UPoly.u(-2, Fraction(-7, 6))},
-                        reliable=7, u_hi=4)
-    chain = bracket_chain(x, a, s)
-    ref = a
-    for r in range(5):
-        got, want = next(chain), ref.apply(s)
-        assert got == want, r
-        assert (got.family, *bookkeeping(got)) == (want.family, *bookkeeping(want)), r
-        ref = commutator(ref, x)
-
-
 # ---------------------------------------------------------------------------
 # normal-ordered symbols against the extensional route
 # ---------------------------------------------------------------------------
@@ -484,14 +457,18 @@ def test_symbol_route_agrees_with_ops_equal(lhs, rhs, headroom, holds):
     assert by_symbol is ops_equal(lhs, rhs, W=ROUTE_W, headroom=headroom) is holds
 
 
+def nested_brackets(x, a, depth):
+    """(ad_X)^k(a) = [..[[a, X], X].., X] for k < depth, as nested commutators."""
+    out = [a]
+    for _ in range(depth - 1):
+        out.append(commutator(out[-1], x))
+    return out
+
+
 def chain_map(x, a):
-    """s -> Sum_k [(ad_X)^k(a)](s) / k! over the first CONJUGATE_DEPTH terms,
-    on series, with no symbol."""
-    def go(s):
-        terms = itertools.islice(bracket_chain(x, a, s), CONJUGATE_DEPTH)
-        return TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax).add_scaled(
-            (Fraction(1, factorial(k)), t) for k, t in enumerate(terms))
-    return go
+    """s -> Sum_k [(ad_X)^k(a)](s) / k! for k < 4, on series, with no symbol;
+    both conjugation chains vanish by depth 3."""
+    return Sum(*nested_brackets(x, a, 4), coeffs=[Fraction(1, factorial(k)) for k in range(4)])
 
 
 @pytest.mark.parametrize("name", list(conjugation_cases()))
@@ -710,11 +687,6 @@ def test_exponential_reads_the_u_shift_off_the_coefficient():
 # ---------------------------------------------------------------------------
 
 
-def test_bracket_order_bound():
-    assert bracket_order_bound(4, 10) == 6
-    assert bracket_order_bound(1, 8) == 4
-
-
 def test_linear_part_is_the_cut_sum():
     assert ops_equal(linear_part(CutJoin(2)).apply, CutPart(2).apply, W=6)
     with pytest.raises(ValueError):
@@ -754,11 +726,16 @@ def test_o_operator_suite_high_n():
     }
 
 
+def o_seed(W):
+    """A non-monomial seed with u-free coefficients."""
+    return qmono([(1, 1), (3, 1)], W=W) + qmono([(2, 2)], W=W)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_weighted_o_sum_equals_bracket_action(n):
-    # sum_i i*O_i(s) == [n d/dx_n, M](s), checked on a non-monomial input
+    # sum_i i*O_i(exp(M2)s) == [n d/dx_n, M](exp(M2)s) on a non-monomial s
     W = 8
-    s = qmono([(1, 1), (3, 1)], W=W) + qmono([(2, 2)], W=W)
+    s = o_seed(W)
     acts = o_actions(n, s, W)
     weighted = sum(
         (a.scale(i) for i, a in enumerate(acts)),
@@ -766,5 +743,49 @@ def test_weighted_o_sum_equals_bracket_action(n):
     )
     m2 = CutJoin(2)
     np_ = n_partial(n)
-    bracket = np_.apply(m2.apply(s)) - m2.apply(np_.apply(s))
+    e = exponential_apply(m2, s)
+    bracket = np_.apply(m2.apply(e)) - m2.apply(np_.apply(e))
     assert weighted == bracket
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_o_actions_match_the_defining_sum(n):
+    # O_i = Sum_k (-1)^k B_{i+k} / (k! i!) with B_r = (ad M2)^r(n d/dx_n) as
+    # nested commutators; B_r shifts weight by 2r - n, so from r = (W + n + 1) // 2
+    # on it kills every input of weight >= 1 at truncation W
+    W = 8
+    m2 = CutJoin(2)
+    e = exponential_apply(m2, o_seed(W))
+    depth = (W + n + 1) // 2
+    bs = [b.apply(e) for b in nested_brackets(m2, n_partial(n), depth + 1)]
+    assert bs[-1].is_zero()
+    acts = o_actions(n, o_seed(W), W)
+    assert len(acts) <= depth
+    for i in range(depth):
+        want = TruncatedSeries.zero("q", W).add_scaled(
+            (Fraction((-1) ** k, factorial(k) * factorial(i)), bs[i + k])
+            for k in range(depth - i))
+        if i < len(acts):
+            assert acts[i] == want and acts[i].reliable == want.reliable == W - n, i
+        else:
+            assert want.is_zero(), i
+
+
+@pytest.mark.parametrize("coef,fault", [
+    pytest.param(UPoly.u(1), scaled(CutPart(2), UPoly.u(1)), id="cut_part_in_first_exponential"),
+    pytest.param(UPoly({0: 1, 1: -1}), scaled(CutJoin(2), UPoly({0: 1, 1: 1})), id="one_plus_u"),
+])
+def test_planted_o_route_fault_fails_the_o_checks(tmp_path, monkeypatch, coef, fault):
+    # o_actions' exponential of coef * M2 applies the fault instead
+    real = operators.exponential_apply
+
+    def faulty(op, s, **kw):
+        hit = isinstance(op, Sum) and op.parts == ((coef, CutJoin(2)),)
+        return real(fault if hit else op, s, **kw)
+    monkeypatch.setattr(operators, "exponential_apply", faulty)
+    assert main(["verify", "--W", "8", "--checks", "o_operators", "--out", str(tmp_path)]) == 1
+    rows = {r["check"]: r for r in json.loads((tmp_path / "verify.json").read_text())}
+    for n in (1, 2, 3):
+        row = rows[f"o_operators_n{n}"]
+        assert row["status"] == FAIL, n
+        assert row["weighted_sum_is_bracket"] is row["action_vanishes_off_peak"] is False, n

@@ -30,7 +30,16 @@ from gjvtau.gjv import (
 )
 from gjvtau.hirota import KP1, hirota_apply, to_hirota_vars
 from gjvtau.hurwitz import cutjoin_series
-from gjvtau.operators import CutJoin, Lambda, Sum, exponential_apply, scaled
+from gjvtau.operators import (
+    CutJoin,
+    Lambda,
+    Sum,
+    conjugate,
+    conjugation_cases,
+    exponential_apply,
+    o_actions,
+    scaled,
+)
 
 W_SMALL, CAP_SMALL = 6, 4
 C = UPoly.parse("u^-1+2")
@@ -91,6 +100,39 @@ def disagreeing_builders() -> set[str]:
 
 def test_certified_entries_survive_refinement():
     assert disagreeing_builders() == set()
+
+
+# (W, n) -> seed: x1 with the headroom verify_O_operators gives it, and a
+# non-monomial seed at W, on which o_actions is exact only through W - n
+O_SEEDS = {
+    "q1": lambda W, n: TruncatedSeries.variable("q", W + n, 1),
+    "mixed": lambda W, n: (TruncatedSeries.monomial("q", W, ((1, 1), (3, 1)))
+                           + TruncatedSeries.monomial("q", W, ((2, 2),))),
+}
+
+
+@pytest.mark.parametrize("seed", list(O_SEEDS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_o_actions_survive_refinement(n, seed):
+    small, big = (o_actions(n, O_SEEDS[seed](W, n), W) for W in (W_SMALL, W_SMALL + 2))
+    assert len(small) <= len(big)
+    for i, layer in enumerate(small):
+        bad, certified, beyond, confirmed = refinement(layer, big[i])
+        print(f"refinement o_actions {seed} n={n} i={i}: {len(bad)} of {certified} certified "
+              f"cells disagree; {confirmed} of {beyond} uncertified entries confirmed")
+        assert bad == [], i
+
+
+def cut_symbol(sym, N):
+    """The terms of a Symbol with d-weight <= N, as Fractions."""
+    return {k: Fraction(n, sym.den) for k, n in sym.terms.items() if mono_weight(k[1]) <= N}
+
+
+@pytest.mark.parametrize("name", list(conjugation_cases()))
+def test_conjugate_symbol_survives_refinement(name):
+    x, a, _ = conjugation_cases()[name]
+    small = conjugate(x, a, W=W_SMALL)
+    assert cut_symbol(small, W_SMALL) == cut_symbol(conjugate(x, a, W=W_SMALL + 2), W_SMALL)
 
 
 def _clip_keeping_u_hi(clip):
