@@ -379,6 +379,37 @@ def test_conjugate_gives_up_past_its_depth_cap():
         conjugate(Lambda(0), Lambda(1), W=4)
 
 
+def series_on(sym, s):
+    """sym applied to the series s term by term, through weight s.W."""
+    out = {}
+    for m, c in s.terms.items():
+        for t, k in symbol_on(sym, m).items():
+            if mono_weight(t) <= s.W:
+                out[t] = out.get(t, UPoly({})) + c * k
+    return {t: c for t, c in out.items() if c}
+
+
+@pytest.mark.parametrize("name", ["conj_m0", "conj_l0"])
+def test_bracket_chain_is_the_nested_commutator_chain(name):
+    # conjugate's chain of symbol brackets, each exact through the top it is
+    # formed at, against nested commutators (2^r paths at depth r): as
+    # symbols, and acting on a non-monomial input with u-Laurent coefficients
+    x, a, _ = conjugation_cases()[name]
+    s = TruncatedSeries("q", 8, {mono((1, 1), (2, 1)): UPoly.u(1, Fraction(1, 3)),
+                                 mono_var(3): UPoly.parse("u^-1 + 5/4"),
+                                 mono((1, 2)): UPoly.u(-2, Fraction(-7, 6))})
+    depth, step = 5, operators._raise(symbol(x, s.W))
+    top = s.W + depth * step
+    chain = [symbol(a, top)]
+    for _ in range(depth - 1):
+        top -= step
+        chain.append(operators._bracket(chain[-1], x, top))
+    for r, (got, ref) in enumerate(zip(chain, nested_brackets(x, a, depth))):
+        assert operators._linear([(UPOLY_ONE, got)], s.W) == symbol(ref, s.W), r
+        assert series_on(got, s) == dict(ref.apply(s).terms), r
+    assert not chain[-1].terms
+
+
 # ---------------------------------------------------------------------------
 # normal-ordered symbols against the extensional route
 # ---------------------------------------------------------------------------
