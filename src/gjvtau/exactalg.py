@@ -746,7 +746,7 @@ class TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# Linear substitution (change of variables)
+# Linear substitution
 # ---------------------------------------------------------------------------
 
 

@@ -24,8 +24,6 @@ from .exactalg import (
     mono,
     mono_str,
     mono_var,
-    prefix_products,
-    substitute_linear,
 )
 from .hurwitz import HurwitzIndex, cutjoin_series, hurwitz_closed_form, profiles
 from .operators import (
@@ -64,11 +62,19 @@ def _tau_head(W: int, lo: int, hi: int) -> TruncatedSeries:
 def change_of_variables(s: TruncatedSeries) -> TruncatedSeries:
     """p_b -> sum_{i>=b} u^-i (-1)^(i-b) C(i-1, b-1) q_i, truncated at s.W.
 
+    Computed as the conjugating map: rename p^m u^e -> q^m u^(e-|m|), then
+    apply exp(-Lambda_1/u), the X of conjugation_cases().  Both sides are
+    ring homomorphisms (exp of a derivation obeys Leibniz) and they agree on
+    each p_b, since (-Lambda_1)^k / k! sends q_b to (-1)^k C(b+k-1, k) q_{b+k}.
+    The exponential raises weight by one per order, so it takes at most W
+    stencil passes and forms no series product.
+
     Exact on the truncation: every image term has weight >= b, so dropped
     source monomials only touch weights beyond W.  beta is already carried
     as u^2 in the coefficients, so no rewriting is needed here.  An image
     lowers the u-exponent by at most one per unit of weight, so the band is
-    widened by W below the operand's range.
+    widened by W below the operand's range; an output entry at weight w and
+    u^e reads the source at u^(e+w), so it is exact up to u_hi - W.
     """
     if s.family != "p":
         raise FamilyError(
@@ -78,18 +84,10 @@ def change_of_variables(s: TruncatedSeries) -> TruncatedSeries:
     lo, hi = band_for_weight(W)
     lo = min(lo, s.min_u_exp() - W)
     hi = max(hi, max((r[-1][0] for _, _, r in s.rows), default=0))
-    rule = {
-        b: TruncatedSeries(
-            "q",
-            W,
-            {mono_var(i): UPoly.u(-i, (-1) ** (i - b) * comb(i - 1, b - 1))
-             for i in range(b, W + 1)},
-            umin=lo,
-            umax=hi,
-        )
-        for b in range(1, W + 1)
-    }
-    return substitute_linear(s, rule, umin=lo, umax=hi)
+    rows = [(m, w, tuple((e - w, n) for e, n in r)) for m, w, r in s.rows]
+    renamed = s._with(rows, family="q", umin=lo, umax=hi, u_hi=None)
+    out = exponential_apply(scaled(Lambda(1), UPoly.u(-1, -1)), renamed)
+    return out.with_u_hi(None if s.u_hi is None else s.u_hi - W)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +252,23 @@ def extract_intersections_tbasis(G: TruncatedSeries) -> list[IntersectionNumber]
     Needs G from extract_G(W, Mmax) with 2*Mmax >= W + 1: an emitted record
     reads the u^(2j+1) layer of a weight-w coefficient with 2j + w <= W, and
     those entries are complete once weight + u-exponent <= 2*Mmax.
+
+    The T-monomial products share one memo across all layers, keyed by the
+    sorted word (k1, ..., kr): tprod(word) = tprod(word[:-1]) * T_{kr}, so
+    each distinct prefix costs one mul for the whole reduction.  A word's
+    leading weight is sum(k_i + 1), and layer w reads only words of that
+    weight and their prefixes, so entries of weight >= w are dropped once
+    layer w is done.
     """
     W = G.W
-    basis = dict(enumerate(build_tbasis(W - 1, W)))
-    one = TruncatedSeries.const("q", W, UPoly.const(1), umin=G.umin, umax=G.umax)
+    basis = build_tbasis(W - 1, W)
+    memo = {(): TruncatedSeries.const("q", W, UPoly.const(1), umin=G.umin, umax=G.umax)}
+
+    def tprod(word: tuple[int, ...]) -> TruncatedSeries:
+        if word not in memo:
+            memo[word] = tprod(word[:-1]).mul(basis[word[-1]], umin=G.umin, umax=G.umax)
+        return memo[word]
+
     residue = G
     records: list[IntersectionNumber] = []
     for w in range(W, -1, -1):
@@ -280,8 +291,9 @@ def extract_intersections_tbasis(G: TruncatedSeries) -> list[IntersectionNumber]
                 j = (exp - 1) // 2
                 records.append(IntersectionNumber(j, ks, (-1) ** j * val * aut))
         if blocks:
-            residue = residue.add_scaled(
-                prefix_products(blocks, basis, one, umin=G.umin, umax=G.umax))
+            residue = residue.add_scaled((c, tprod(ks)) for ks, c in blocks)
+        for word in [word for word in memo if sum(word) + len(word) >= w]:
+            del memo[word]
     return sorted(records, key=_record_sort_key)
 
 

@@ -31,7 +31,8 @@ from gjvtau.exactalg import (
 )
 from gjvtau.gjv import change_of_variables
 from gjvtau.hirota import to_hirota_vars
-from gjvtau.hurwitz import cutjoin_series
+from gjvtau.hurwitz import cutjoin_series, h01_h02_closed_forms
+from gjvtau.operators import Lambda
 
 
 def q(i, W=6, **kw):
@@ -601,6 +602,68 @@ def test_substitute_linear_matches_the_per_term_products(case):
         want.family, want.W, want.umin, want.umax, want.reliable, want.u_hi)
 
 
+def binomial_rule(W, lo, hi):
+    """The paper's change of variables as a linear rule:
+    p_b -> sum_{i>=b} u^-i (-1)^(i-b) C(i-1, b-1) q_i, in the band [lo, hi]."""
+    return {
+        b: TruncatedSeries(
+            "q", W,
+            {mono_var(i): UPoly.u(-i, (-1) ** (i - b) * math.comb(i - 1, b - 1))
+             for i in range(b, W + 1)},
+            umin=lo, umax=hi)
+        for b in range(1, W + 1)
+    }
+
+
+def binomial_substitution(s):
+    """substitute_linear by the binomial rule, in change_of_variables' band."""
+    lo, hi = band_for_weight(s.W)
+    lo = min(lo, s.min_u_exp() - s.W)
+    hi = max(hi, max((r[-1][0] for _, _, r in s.rows), default=0))
+    return substitute_linear(s, binomial_rule(s.W, lo, hi), umin=lo, umax=hi)
+
+
+def assert_same_substitution(got, want):
+    # rows in any order within a weight, over the same reduced denominator
+    assert sorted(got.rows) == sorted(want.rows)
+    assert (got.family, got.W, got.den, got.umin, got.umax, got.reliable, got.u_hi) == (
+        want.family, want.W, want.den, want.umin, want.umax, want.reliable, want.u_hi)
+
+
+def anchor_image_source(which):
+    h01, h02 = h01_h02_closed_forms(6)
+    l0 = Lambda(0)
+    return l0.apply(l0.apply(h01 if which == "h01" else h02))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: cutjoin_series(8, 9), id="cutjoin_8_9_c0"),
+    pytest.param(lambda: cutjoin_series(8, 9, UPOLY_ONE), id="cutjoin_8_9_c1"),
+    pytest.param(lambda: cutjoin_series(8, 9, UPoly.parse("u^-1+2")), id="cutjoin_8_9_c2"),
+    pytest.param(lambda: cutjoin_series(14, 8), id="cutjoin_14_8"),
+    pytest.param(lambda: anchor_image_source("h01"), id="l0sq_h01"),
+    pytest.param(lambda: anchor_image_source("h02"), id="l0sq_h02"),
+    # u-exponents below the default band, so the widened band bottom binds
+    pytest.param(lambda: TruncatedSeries("p", 4, {mono((1, 1), (2, 1)): UPoly.u(-5),
+                                                  mono_var(4): UPoly.u(-7, 3)}, umin=-7),
+                 id="below_the_band"),
+])
+def test_change_of_variables_is_the_binomial_substitution(build):
+    # change_of_variables conjugates by exp(-Lambda_1/u); the paper states it
+    # as the binomial substitution, which substitute_linear applies directly
+    s = build()
+    assert_same_substitution(change_of_variables(s), binomial_substitution(s))
+
+
+@settings(deadline=None, max_examples=100)
+@given(substitution_cases())
+def test_change_of_variables_is_the_binomial_substitution_on_drawn_series(case):
+    # sparse p-series with a drawn reliable weight and u_hi; the rule drawn
+    # with them is not used
+    s, _, _ = case
+    assert_same_substitution(change_of_variables(s), binomial_substitution(s))
+
+
 def test_substitute_linear_forms_one_product_per_prefix(monkeypatch):
     # spelled as nondecreasing indices, a monomial's prefixes are the partial
     # products of its images; each distinct one is one TruncatedSeries.mul
@@ -615,5 +678,5 @@ def test_substitute_linear_forms_one_product_per_prefix(monkeypatch):
         return mul(self, other, **kw)
 
     monkeypatch.setattr(TruncatedSeries, "mul", counting_mul)
-    change_of_variables(s)
+    binomial_substitution(s)
     assert len(calls) == len(prefixes)

@@ -1,5 +1,6 @@
 """Change of variables, tau assemblies, and the two intersection routes."""
 
+import json
 from fractions import Fraction
 from math import factorial, prod
 
@@ -38,7 +39,9 @@ from gjvtau.gjv import (
     verify_string,
     verify_tau_routes,
 )
-from gjvtau.cli import INTERSECTION_GRIDS
+from gjvtau.cli import INTERSECTION_GRIDS, main
+from gjvtau.operators import Lambda, scaled
+from gjvtau.report import FAIL
 from gjvtau.hurwitz import (
     DCAP_HARD,
     HurwitzIndex,
@@ -88,6 +91,46 @@ def test_change_rejects_wrong_family():
         change_of_variables(TruncatedSeries.variable("q", 3, 1))
 
 
+# the operator change_of_variables exponentiates: -X, with X = Lambda_1/u
+X_PARTS = ((UPoly.u(-1, -1), Lambda(1)),)
+
+
+def _rename_shift_off_by_one(s):
+    """The renamed series at u^(e-w+1) instead of u^(e-w)."""
+    return s._with([(m, w, tuple((e + 1, n) for e, n in r)) for m, w, r in s.rows])
+
+
+@pytest.fixture
+def fresh_records():
+    # the T-basis records are memoised per W; a planted fault must not read,
+    # or leave behind, the healthy ones
+    gjv.tbasis_records.cache_clear()
+    yield
+    gjv.tbasis_records.cache_clear()
+
+
+@pytest.mark.parametrize("fault", [
+    pytest.param(lambda op, s: (op, _rename_shift_off_by_one(s)), id="rename_shift_off_by_one"),
+    pytest.param(lambda op, s: (scaled(Lambda(1), UPoly.u(-1)), s), id="x_sign_flipped"),
+])
+def test_planted_change_of_variables_fault_fails_by_name(tmp_path, monkeypatch,
+                                                         fresh_records, fault):
+    real = gjv.exponential_apply
+
+    def faulty(op, s, **kw):
+        if isinstance(op, operators.Sum) and op.parts == X_PARTS:
+            op, s = fault(op, s)
+        return real(op, s, **kw)
+    monkeypatch.setattr(gjv, "exponential_apply", faulty)
+    assert main(["verify", "--W", "8", "--out", str(tmp_path)]) == 1
+    rows = json.loads((tmp_path / "verify.json").read_text())
+    failed = {r["check"] for r in rows if r["status"] == FAIL}
+    # the entries that read the T-basis records end in a residue error, not a
+    # named verdict, so only the named ones are required
+    assert {"hurwitz_anchor_images", "tau_routes_c0", "tau_routes_c1",
+            "tau_routes_c2"} <= failed
+
+
 # ---------------------------------------------------------------------------
 # G and the two tau assemblies
 # ---------------------------------------------------------------------------
@@ -100,19 +143,26 @@ def test_extract_G_bookkeeping():
 
 @pytest.mark.parametrize("W, Mmax", [(8, 5), (14, 8)])
 def test_extract_G_raises_each_layer_once(monkeypatch, W, Mmax):
-    # Mmax orders of the cut-and-join exponential, then one Lambda_1/u raise
-    # of each nonzero layer 2..W-1, shared by the two layers above it, and one
-    # more raise of the raised layers 2..W-2: Mmax + 2W - 5 Sum applies
-    calls = []
-    apply = operators.Sum.apply
+    # Mmax orders of the cut-and-join exponential; W orders of exp(-Lambda_1/u)
+    # in the change of variables, the last one on the weight-W layer alone;
+    # then one Lambda_1/u raise of each nonzero layer 2..W-1, shared by the two
+    # layers above it, and one more raise of the raised layers 2..W-2:
+    # Mmax + W + 2W - 5 Sum applies, and no series product
+    calls = {"apply": 0, "mul": 0}
+    apply, mul = operators.Sum.apply, TruncatedSeries.mul
 
-    def counting(self, s):
-        calls.append(1)
+    def counting_apply(self, s):
+        calls["apply"] += 1
         return apply(self, s)
 
-    monkeypatch.setattr(operators.Sum, "apply", counting)
+    def counting_mul(self, other, **kw):
+        calls["mul"] += 1
+        return mul(self, other, **kw)
+
+    monkeypatch.setattr(operators.Sum, "apply", counting_apply)
+    monkeypatch.setattr(TruncatedSeries, "mul", counting_mul)
     extract_G(W, Mmax)
-    assert len(calls) == Mmax + 2 * W - 5
+    assert calls == {"apply": Mmax + W + 2 * W - 5, "mul": 0}
 
 
 def test_extract_G_is_stable_in_Mmax():
@@ -254,26 +304,26 @@ def test_even_u_power_raises_inside_the_emit_region_only():
 
 
 def test_layer_reduction_folds_each_layer_once(monkeypatch):
-    G = extract_G(10, 6)
-    _, visited = greedy_tbasis(G)
-    layers = {}
-    for m in visited:
-        layers.setdefault(mono_weight(m), set()).add(
-            tuple(i - 1 for i, e in m for _ in range(e)))
-    # a layer's blocks share their prefixes; each distinct one is one mul
-    prefixes = sum(len({w[:k] for w in words for k in range(1, len(w) + 1)})
-                   for words in layers.values())
-    basis = build_tbasis(9, 10)
-    monkeypatch.setattr(gjv, "build_tbasis", lambda K, W: basis)
-    calls = {"mul": 0, "add_scaled": 0, "__sub__": 0, "scale": 0}
-    for name in calls:
-        def counting(self, *a, _name=name, _f=getattr(TruncatedSeries, name), **kw):
-            calls[_name] += 1
-            return _f(self, *a, **kw)
-        monkeypatch.setattr(TruncatedSeries, name, counting)
-    extract_intersections_tbasis(G)
-    assert calls == {"mul": prefixes, "add_scaled": len(layers), "__sub__": 0,
-                     "scale": 0}
+    for W, Mmax, muls in ((10, 6, 102), (14, 8, 373)):
+        G = extract_G(W, Mmax)
+        _, visited = greedy_tbasis(G)
+        words = {tuple(i - 1 for i, e in m for _ in range(e)) for m in visited}
+        # all layers' blocks share one prefix memo; each distinct prefix is one mul
+        prefixes = {w[:k] for w in words for k in range(1, len(w) + 1)}
+        assert len(prefixes) == muls
+        layers = {mono_weight(m) for m in visited}
+        basis = build_tbasis(W - 1, W)
+        calls = {"mul": 0, "add_scaled": 0, "__sub__": 0, "scale": 0}
+        with monkeypatch.context() as mp:
+            mp.setattr(gjv, "build_tbasis", lambda K, W: basis)
+            for name in calls:
+                def counting(self, *a, _name=name, _f=getattr(TruncatedSeries, name), **kw):
+                    calls[_name] += 1
+                    return _f(self, *a, **kw)
+                mp.setattr(TruncatedSeries, name, counting)
+            extract_intersections_tbasis(G)
+        assert calls == {"mul": muls, "add_scaled": len(layers), "__sub__": 0,
+                         "scale": 0}, W
 
 
 def test_lambda_g_records_match_faber_pandharipande():
