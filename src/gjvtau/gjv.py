@@ -1,8 +1,8 @@
 """Tau assemblies, the triangular T-basis, and intersection-number extraction.
 
 Two independent routes build the same tau: a closed-form operator exponential
-acting on c(u) + q_1/u, and the transposition-count generating series pushed
-through the u-weighted change of variables with a triangular solve for G.
+acting on c(u) + q_1/u, and a head plus (Lambda_0 + Lambda_1/u)^2 G, where G
+is the change of variables of the count series' stable part over Lambda_0^2.
 Each route certifies a region of (weight, u-exponent) pairs; every equality
 is asserted coefficient by coefficient where both certificates overlap.
 """
@@ -13,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .exactalg import (
     FamilyError,
@@ -141,34 +141,29 @@ def assemble_tau_from_g(c: UPoly, G: TruncatedSeries) -> TruncatedSeries:
 
 
 def extract_G(W: int, Mmax: int) -> TruncatedSeries:
-    """Invert (Lambda_0 + Lambda_1/u)^2 against the transformed count series.
+    """G = change_of_variables(Lambda_0^-2 (H - H_<=1)), with H =
+    cutjoin_series(W, Mmax) and H_<=1 = cutjoin_series(W, 1), its orders 0, 1.
 
-    The solve runs weight layer by weight layer: Lambda_0^2 scales weight w by
-    w^2 and Lambda_1 strictly raises weight, so each layer is determined by
-    the two below it.  Entries are complete wherever weight + u-exponent
-    <= 2*Mmax (both the source layers and Lambda_1/u preserve that diagonal);
-    the flat u_hi = 2*Mmax - W recorded on the result is the safe minimum
-    over all weights.
+    Lambda_0 + Lambda_1/u = exp(-X) Lambda_0 exp(X) with X = Lambda_1/u (the
+    conj_l0 case divided by u), and change_of_variables is exp(-X) after a
+    rename that commutes with Lambda_0.  So (Lambda_0 + Lambda_1/u)^-2 o
+    change_of_variables = change_of_variables o Lambda_0^-2, which divides
+    each weight-w row by w^2.  H_<=1 = Lambda_0^2 (h01 + h02) maps onto the
+    head that assemble_tau_from_g adds (hurwitz_anchor_images checks this).
+
+    The recorded u_hi is the flat 2*Mmax - W.  That entries are complete on
+    weight + u-exponent <= 2*Mmax is a tested property, not a recorded one.
     """
-    X = change_of_variables(cutjoin_series(W, Mmax))
-    X = X - _tau_head(W, X.umin, X.umax)
-    if X.weight_slice(0):
+    H = cutjoin_series(W, Mmax)
+    # H_<=1 is exact at every exponent, so the difference keeps H's u_hi
+    stable = (H - cutjoin_series(W, 1)).with_u_hi(H.u_hi)
+    if stable.min_weight() == 0:
         raise ArithmeticError("weight-0 component left over; cannot invert on it")
-    raise_w = scaled(Lambda(1), _U_INV)
-    zero = TruncatedSeries.zero("q", W, umin=X.umin, umax=X.umax)
-    layers = [zero, zero]
-    raised = zero  # raise_w applied to the layer below the current one
-    for w in range(1, W + 1):
-        prev2, prev = layers[-2:]
-        raised2, raised = raised, (raise_w.apply(prev) if prev else zero)
-        parts = [(Fraction(1, w * w), X.weight_slice(w))]
-        if prev:
-            parts.append((Fraction(1 - 2 * w, w * w), raised))
-        if prev2:
-            parts.append((Fraction(-1, w * w), raise_w.apply(raised2)))
-        layers.append(zero.add_scaled(parts))
-    G = zero.add_scaled((1, layer) for layer in layers)
-    return G.with_reliable(W).with_u_hi(X.u_hi)
+    # Lambda_0^-2, over one common denominator
+    scale = lcm(*(w * w for _, w, _ in stable.rows))
+    rows = [(m, w, tuple((e, n * (scale // (w * w))) for e, n in r))
+            for m, w, r in stable.rows]
+    return change_of_variables(stable._with(rows, stable.den * scale)).with_reliable(W)
 
 
 def verify_tau_routes(

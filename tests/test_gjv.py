@@ -47,6 +47,7 @@ from gjvtau.hurwitz import (
     HurwitzIndex,
     cutjoin_series,
     extract_hurwitz,
+    h01_h02_closed_forms,
     hurwitz_number,
 )
 
@@ -131,6 +132,47 @@ def test_planted_change_of_variables_fault_fails_by_name(tmp_path, monkeypatch,
             "tau_routes_c2"} <= failed
 
 
+def _verify_w8_statuses(tmp_path) -> dict:
+    assert main(["verify", "--W", "8", "--out", str(tmp_path)]) == 1
+    rows = json.loads((tmp_path / "verify.json").read_text())
+    return {r["check"]: r["status"] for r in rows}
+
+
+TAU_ROUTES = {"tau_routes_c0", "tau_routes_c1", "tau_routes_c2"}
+# the reports of f_identities, g_structure and intersections_routes, the
+# entries that read the T-basis records of G
+TBASIS_REPORTS = {"string_equation", "lambda_square", "q1_second_derivative",
+                  "g_structure", "intersections_routes"}
+
+
+def test_planted_head_fault_fails_the_tau_routes_only(tmp_path, monkeypatch,
+                                                      fresh_records):
+    # a head with q1^2 twice over: G does not read the head, so the T-basis
+    # entries stay healthy and only the assembly that adds it back fails
+    real = gjv._tau_head
+
+    def faulty(W, lo, hi):
+        return real(W, lo, hi) + TruncatedSeries.monomial(
+            "q", W, mono((1, 2)), umin=lo, umax=hi)
+    monkeypatch.setattr(gjv, "_tau_head", faulty)
+    status = _verify_w8_statuses(tmp_path)
+    assert {name for name, st in status.items() if st == FAIL} >= TAU_ROUTES
+    assert {name: status.get(name) for name in TBASIS_REPORTS} == dict.fromkeys(
+        TBASIS_REPORTS, "pass")
+
+
+def test_planted_unstable_part_fault_fails_the_tau_routes(tmp_path, monkeypatch,
+                                                          fresh_records):
+    # extract_G subtracts order 0 of the cut-and-join exponential only, so G
+    # keeps the preimage of the h02 leg; extract_G is the one caller of
+    # cutjoin_series in gjv, and its H has order W//2 + 1 or W + 1 here
+    real = gjv.cutjoin_series
+    monkeypatch.setattr(gjv, "cutjoin_series",
+                        lambda W, Mmax: real(W, 0 if Mmax == 1 else Mmax))
+    status = _verify_w8_statuses(tmp_path)
+    assert {name for name, st in status.items() if st == FAIL} >= TAU_ROUTES
+
+
 # ---------------------------------------------------------------------------
 # G and the two tau assemblies
 # ---------------------------------------------------------------------------
@@ -142,12 +184,10 @@ def test_extract_G_bookkeeping():
 
 
 @pytest.mark.parametrize("W, Mmax", [(8, 5), (14, 8)])
-def test_extract_G_raises_each_layer_once(monkeypatch, W, Mmax):
-    # Mmax orders of the cut-and-join exponential; W orders of exp(-Lambda_1/u)
-    # in the change of variables, the last one on the weight-W layer alone;
-    # then one Lambda_1/u raise of each nonzero layer 2..W-1, shared by the two
-    # layers above it, and one more raise of the raised layers 2..W-2:
-    # Mmax + W + 2W - 5 Sum applies, and no series product
+def test_extract_G_is_one_change_of_variables(monkeypatch, W, Mmax):
+    # Mmax + 1 orders of the two cut-and-join exponentials; W - 1 orders of
+    # exp(-Lambda_1/u) in the change of variables, on a series that starts at
+    # weight 2: Mmax + W Sum applies, and no series product
     calls = {"apply": 0, "mul": 0}
     apply, mul = operators.Sum.apply, TruncatedSeries.mul
 
@@ -162,7 +202,28 @@ def test_extract_G_raises_each_layer_once(monkeypatch, W, Mmax):
     monkeypatch.setattr(operators.Sum, "apply", counting_apply)
     monkeypatch.setattr(TruncatedSeries, "mul", counting_mul)
     extract_G(W, Mmax)
-    assert calls == {"apply": Mmax + W + 2 * W - 5, "mul": 0}
+    assert calls == {"apply": Mmax + W, "mul": 0}
+
+
+@pytest.mark.parametrize("W", range(3, 13))
+def test_G_solves_its_defining_equation(W):
+    # the c = 0 assembly, head + (Lambda_0 + Lambda_1/u)^2 G, is the change of
+    # variables of the whole count series, on every stored row and not only
+    # where G is complete
+    for Mmax in sorted({1, 2, W // 2 + 1, W + 1}):
+        G = extract_G(W, Mmax)
+        want = change_of_variables(cutjoin_series(W, Mmax))
+        assert assemble_tau_from_g(UPOLY_ZERO, G) == want, Mmax
+        assert (G.umin, G.umax, G.reliable, G.u_hi) == (
+            -(W + 2), max(W + 2, 2 * Mmax), W, 2 * Mmax - W), Mmax
+
+
+@pytest.mark.parametrize("W", range(2, 7))
+def test_unstable_part_is_the_two_brute_force_legs(W):
+    # orders 0 and 1 of the cut-and-join exponential are Lambda_0^2 (h01 + h02)
+    h01, h02 = h01_h02_closed_forms(W)
+    l0 = Lambda(0)
+    assert cutjoin_series(W, 1) == l0.apply(l0.apply(h01 + h02))
 
 
 def test_extract_G_is_stable_in_Mmax():

@@ -654,7 +654,8 @@ def _lone_part_u_shift_dropped(kernel):
 
 def test_planted_kernel_fault_fails_the_sandwich_and_the_tau_routes(monkeypatch):
     # scaled(op, c) is a one-part Sum, so X = Lambda(1)/u and the a of each
-    # conjugation lose their u-shift, and so does the raise in extract_G
+    # conjugation lose their u-shift, and so does exp(-Lambda_1/u) in the
+    # change of variables that extract_G runs
     monkeypatch.setattr(operators, "_stencil_sum",
                         _lone_part_u_shift_dropped(operators._stencil_sum))
     got = verify_conjugations(8)
