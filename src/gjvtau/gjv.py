@@ -244,9 +244,13 @@ def extract_intersections_tbasis(G: TruncatedSeries) -> list[IntersectionNumber]
     prod(k_i!) q_{k1+1}...q_{kr+1} alone, so a layer's blocks change only
     lower weights and each layer's coefficients are read once.
 
-    Needs G from extract_G(W, Mmax) with 2*Mmax >= W + 1: an emitted record
-    reads the u^(2j+1) layer of a weight-w coefficient with 2j + w <= W, and
-    those entries are complete once weight + u-exponent <= 2*Mmax.
+    An emitted record reads the u^(2j+1) layer of a weight-w coefficient with
+    2j + w <= W, the emit region w + e <= W + 1; entries beyond it are
+    skipped.  An entry of extract_G(W, Mmax) has even weight + u-exponent,
+    twice its cut-and-join order, and is complete once that is <= 2*Mmax;
+    each T_k is homogeneous in w + e, so no block moves an entry into the
+    region from outside it.  So G needs Mmax >= (W + 1) // 2, and a larger
+    Mmax only adds entries that are skipped (see tbasis_records).
 
     The T-monomial products share one memo across all layers, keyed by the
     sorted word (k1, ..., kr): tprod(word) = tprod(word[:-1]) * T_{kr}, so
@@ -452,9 +456,18 @@ def lambda_g_mismatches(records) -> list[IntersectionNumber]:
 @functools.lru_cache(maxsize=1)
 def tbasis_records(W: int) -> tuple[IntersectionNumber, ...]:
     """The T-basis records to weight W, computed once per W and shared by
-    every check that reads them."""
-    # Mmax = W // 2 + 1 is the smallest order making every emitted record exact
-    return tuple(extract_intersections_tbasis(extract_G(W, W // 2 + 1)))
+    every check that reads them.
+
+    Built at W' = W - 1 + W % 2, the largest odd weight <= W, and cut-and-join
+    order (W' + 1) // 2.  A record has odd 2j + w (2j + sum d = 4g - 3 + n,
+    w = sum(d_i + 1)), so the records to W are those to W'.  An entry of G
+    has even weight + u-exponent, twice its cut-and-join order (H sits at
+    u^(2k), the rename sends (w, e) to (w, e - w), exp(-Lambda_1/u) keeps
+    w + e), so that order is the smallest making every record exact, and G
+    holds nothing outside the reduction's emit region w + e <= W' + 1.
+    """
+    odd = W - 1 + W % 2
+    return tuple(extract_intersections_tbasis(extract_G(odd, (odd + 1) // 2)))
 
 
 def intersection_F(W: int) -> TruncatedSeries:

@@ -126,10 +126,10 @@ def test_planted_change_of_variables_fault_fails_by_name(tmp_path, monkeypatch,
     assert main(["verify", "--W", "8", "--out", str(tmp_path)]) == 1
     rows = json.loads((tmp_path / "verify.json").read_text())
     failed = {r["check"] for r in rows if r["status"] == FAIL}
-    # the entries that read the T-basis records end in a residue error, not a
-    # named verdict, so only the named ones are required
+    # g_structure reports the residue error as its verdict; the other entries
+    # that read the T-basis records end in that error, so they are not required
     assert {"hurwitz_anchor_images", "tau_routes_c0", "tau_routes_c1",
-            "tau_routes_c2"} <= failed
+            "tau_routes_c2", "g_structure"} <= failed
 
 
 def _verify_w8_statuses(tmp_path) -> dict:
@@ -165,12 +165,14 @@ def test_planted_unstable_part_fault_fails_the_tau_routes(tmp_path, monkeypatch,
                                                           fresh_records):
     # extract_G subtracts order 0 of the cut-and-join exponential only, so G
     # keeps the preimage of the h02 leg; extract_G is the one caller of
-    # cutjoin_series in gjv, and its H has order W//2 + 1 or W + 1 here
+    # cutjoin_series in gjv, and its H has order 4 here for the records (built
+    # at W' = 7) and W + 1 = 9 for the tau routes
     real = gjv.cutjoin_series
     monkeypatch.setattr(gjv, "cutjoin_series",
                         lambda W, Mmax: real(W, 0 if Mmax == 1 else Mmax))
     status = _verify_w8_statuses(tmp_path)
-    assert {name for name, st in status.items() if st == FAIL} >= TAU_ROUTES
+    assert {name for name, st in status.items() if st == FAIL} >= TAU_ROUTES | {
+        "g_structure"}
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +218,19 @@ def test_G_solves_its_defining_equation(W):
         assert assemble_tau_from_g(UPOLY_ZERO, G) == want, Mmax
         assert (G.umin, G.umax, G.reliable, G.u_hi) == (
             -(W + 2), max(W + 2, 2 * Mmax), W, 2 * Mmax - W), Mmax
+
+
+@pytest.mark.parametrize("W", range(3, 15))
+def test_G_entries_sit_at_even_weight_plus_u_exponent(W):
+    # H sits at u^(2k), the rename sends (w, e) to (w, e - w) and
+    # exp(-Lambda_1/u) keeps w + e: an entry's w + e is twice its cut-and-join
+    # order, so at Mmax = (W + 1) // 2 all of G lies in the T-basis reduction's
+    # emit region w + e <= W + 1
+    for Mmax in sorted({1, 2, (W + 1) // 2, W // 2 + 1, W + 1}):
+        sums = {w + e for _, w, r in extract_G(W, Mmax).rows for e, _ in r}
+        assert all(x % 2 == 0 for x in sums), (Mmax, sums)
+        if Mmax == (W + 1) // 2:
+            assert max(sums) <= W + 1, sums
 
 
 @pytest.mark.parametrize("W", range(2, 7))
@@ -365,7 +380,7 @@ def test_even_u_power_raises_inside_the_emit_region_only():
 
 
 def test_layer_reduction_folds_each_layer_once(monkeypatch):
-    for W, Mmax, muls in ((10, 6, 102), (14, 8, 373)):
+    for W, Mmax, muls in ((10, 6, 102), (13, 7, 184), (14, 8, 373)):
         G = extract_G(W, Mmax)
         _, visited = greedy_tbasis(G)
         words = {tuple(i - 1 for i, e in m for _ in range(e)) for m in visited}
@@ -385,6 +400,33 @@ def test_layer_reduction_folds_each_layer_once(monkeypatch):
             extract_intersections_tbasis(G)
         assert calls == {"mul": muls, "add_scaled": len(layers), "__sub__": 0,
                          "scale": 0}, W
+
+
+def full_build_records(W):
+    """Reference: the records reduced off G at W itself and order W // 2 + 1,
+    one weight layer and, at even W, one cut-and-join order more than any
+    record reads."""
+    return tuple(extract_intersections_tbasis(extract_G(W, W // 2 + 1)))
+
+
+@pytest.mark.parametrize("W", range(4, 17))
+def test_tbasis_records_match_the_full_build(W, fresh_records):
+    records = tbasis_records(W)
+    assert records == full_build_records(W)
+    # 2j + sum d = 4g - 3 + n, so 2j + w = 4g - 3 + 2n with w = sum(d_i + 1)
+    assert all((2 * r.j + sum(r.degrees) + r.n) % 2 == 1 for r in records)
+
+
+def test_tbasis_records_build_one_G_at_the_odd_weight(monkeypatch, fresh_records):
+    calls = []
+    real = gjv.extract_G
+
+    def spy(W, Mmax):
+        calls.append((W, Mmax))
+        return real(W, Mmax)
+    monkeypatch.setattr(gjv, "extract_G", spy)
+    tbasis_records(14)
+    assert calls == [(13, 7)]
 
 
 def test_lambda_g_records_match_faber_pandharipande():
