@@ -46,11 +46,11 @@ from .operators import Lambda, verify_commutators, verify_conjugations, verify_O
 from .report import FAIL, VACUOUS, CheckReport, boolean_report
 
 INTERSECTION_GRIDS = ((0, 3), (0, 4), (1, 1), (1, 2))
-# below it, the (0, 4) grid has no profile and the (1, 2) fit 2 rows for 3 unknowns
-INTERSECTIONS_DMAX_MIN = 3
-# the battery's cut-and-join tau order and its intersection fits' dmax
+# the count degree of the intersection fits; from 4 to 8 each grid gives the
+# same records, at 3 the (1, 2) fit has 2 rows for 3 unknowns
+FIT_DEGREE = 6
+# the battery's cut-and-join tau order
 VERIFY_MMAX = 4
-VERIFY_DMAX = 5
 # --mmax when not given; tau takes it only for the cutjoin route
 DEFAULT_MMAX = 4
 # the taus: t_1 + c, the cut-and-join series and the closed-form exponential
@@ -152,35 +152,36 @@ def cmd_tau(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _two_route_records(W: int, dmax: int):
-    """Both extraction routes, the fits reading counts to degree dmax + 1;
-    returns (merged records, mismatches)."""
+def _two_route_records(W: int):
+    """Both extraction routes; returns (merged records, mismatches).
+
+    A fit record the T-basis reaches, 2j + sum(d_i + 1) <= W, must carry its
+    T-basis value, an absent one read as 0: the reduction emits every nonzero
+    record it reaches.
+    """
     merged: dict = {}
     for rec in tbasis_records(W):
         merged[rec.key()] = {"rec": rec, "routes": ["tbasis"]}
     mismatches = []
     for g, n in INTERSECTION_GRIDS:
-        grid = hurwitz_grid(g, n, dmax=dmax + 1)
-        for rec in extract_intersections_polyfit(g, n, grid, dmax=dmax + 1):
+        grid = hurwitz_grid(g, n, dmax=FIT_DEGREE)
+        for rec in extract_intersections_polyfit(g, n, grid, dmax=FIT_DEGREE):
             got = merged.get(rec.key())
             if got is None:
                 merged[rec.key()] = {"rec": rec, "routes": ["polyfit"]}
+                reached = 2 * rec.j + sum(rec.degrees) + rec.n <= W
+                tbasis = 0 if reached else rec.value
             else:
                 got["routes"].append("polyfit")
-                if got["rec"].value != rec.value:
-                    mismatches.append(
-                        {
-                            "degrees": list(rec.degrees),
-                            "j": rec.j,
-                            "tbasis": str(got["rec"].value),
-                            "polyfit": str(rec.value),
-                        }
-                    )
+                tbasis = got["rec"].value
+            if tbasis != rec.value:
+                mismatches.append({"degrees": list(rec.degrees), "j": rec.j,
+                                   "tbasis": str(tbasis), "polyfit": str(rec.value)})
     return merged, mismatches
 
 
 def cmd_intersections(cfg: argparse.Namespace) -> int:
-    merged, mismatches = _two_route_records(cfg.W, cfg.dmax)
+    merged, mismatches = _two_route_records(cfg.W)
     if mismatches:
         # a finding, not a crash: write the diff and signal failure
         _write_json(cfg.out / "intersections_diff.json", mismatches)
@@ -328,7 +329,7 @@ def _check_kp(cfg: argparse.Namespace) -> list[CheckReport]:
 
 
 def _check_intersection_routes(cfg: argparse.Namespace) -> list[CheckReport]:
-    _, mismatches = _two_route_records(cfg.W, VERIFY_DMAX)
+    _, mismatches = _two_route_records(cfg.W)
     return [
         boolean_report(
             "intersections_routes", not mismatches, cfg.W,
@@ -466,10 +467,8 @@ FLAGS = {
     "W": ("--W", dict(type=_int_in(4), default=8, help="truncation weight")),
     "mmax": ("--mmax", dict(type=_int_in(1), help=f"series order in beta = u^2 (default "
                             f"{DEFAULT_MMAX}); tau reads it only on the cutjoin route")),
-    "dmax": ("--dmax", dict(
-        type=_int_in(1, DCAP_HARD), default=5,
-        help="hurwitz: largest degree of the table; intersections: the fits "
-        f"read counts to degree dmax + 1 and need dmax >= {INTERSECTIONS_DMAX_MIN}")),
+    "dmax": ("--dmax", dict(type=_int_in(1, DCAP_HARD), default=5,
+                            help="largest degree of the table")),
     "c": ("--c", dict(type=_parse_c, default="0", help="the constant c(u), one choice")),
     "c_list": ("--c", dict(type=_parse_c_list, default="0|1|u^-1+2", metavar="C",
                            help="pipe-separated c(u) choices, at least one")),
@@ -483,7 +482,7 @@ FLAGS = {
 # each subcommand's runner and the flags it reads
 SUBCOMMANDS = {
     "hurwitz": (cmd_hurwitz, ("dmax", "mmax", "out")),
-    "intersections": (cmd_intersections, ("W", "dmax", "out")),
+    "intersections": (cmd_intersections, ("W", "out")),
     "tbasis": (cmd_tbasis, ("W", "out")),
     "tau": (cmd_tau, ("W", "mmax", "c", "route", "out")),
     "verify": (cmd_verify, ("W", "c_list", "kp2", "checks", "out")),
@@ -508,9 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "intersections" and args.dmax < INTERSECTIONS_DMAX_MIN:
-        print(f"intersections needs --dmax >= {INTERSECTIONS_DMAX_MIN}", file=sys.stderr)
-        return 2
     if args.command == "tau" and args.route != "cutjoin" and args.mmax is not None:
         print("tau reads --mmax only with --route cutjoin", file=sys.stderr)
         return 2

@@ -141,29 +141,30 @@ def assemble_tau_from_g(c: UPoly, G: TruncatedSeries) -> TruncatedSeries:
 
 
 def extract_G(W: int, Mmax: int) -> TruncatedSeries:
-    """G = change_of_variables(Lambda_0^-2 (H - H_<=1)), with H =
-    cutjoin_series(W, Mmax) and H_<=1 = cutjoin_series(W, 1), its orders 0, 1.
+    """G = change_of_variables(Lambda_0^-2 S), with S the stable part of
+    H = cutjoin_series(W, Mmax): H less its cut-and-join orders 0 and 1.
+
+    H is built with c = 0, so order k sits at u^(2k): S is H without its
+    layers u^0 and u^2, which are Lambda_0^2 (h01 + h02) and map onto the
+    head that assemble_tau_from_g adds (hurwitz_anchor_images checks this).
+    H has no weight-0 row, so Lambda_0^-2 is defined on S.
 
     Lambda_0 + Lambda_1/u = exp(-X) Lambda_0 exp(X) with X = Lambda_1/u (the
     conj_l0 case divided by u), and change_of_variables is exp(-X) after a
     rename that commutes with Lambda_0.  So (Lambda_0 + Lambda_1/u)^-2 o
     change_of_variables = change_of_variables o Lambda_0^-2, which divides
-    each weight-w row by w^2.  H_<=1 = Lambda_0^2 (h01 + h02) maps onto the
-    head that assemble_tau_from_g adds (hurwitz_anchor_images checks this).
+    each weight-w row by w^2.
 
     The recorded u_hi is the flat 2*Mmax - W.  That entries are complete on
     weight + u-exponent <= 2*Mmax is a tested property, not a recorded one.
     """
     H = cutjoin_series(W, Mmax)
-    # H_<=1 is exact at every exponent, so the difference keeps H's u_hi
-    stable = (H - cutjoin_series(W, 1)).with_u_hi(H.u_hi)
-    if stable.min_weight() == 0:
-        raise ArithmeticError("weight-0 component left over; cannot invert on it")
-    # Lambda_0^-2, over one common denominator
-    scale = lcm(*(w * w for _, w, _ in stable.rows))
-    rows = [(m, w, tuple((e, n * (scale // (w * w))) for e, n in r))
-            for m, w, r in stable.rows]
-    return change_of_variables(stable._with(rows, stable.den * scale)).with_reliable(W)
+    # Lambda_0^-2 on the layers above u^2, over one common denominator
+    stable = [(m, w, kept) for m, w, r in H.rows
+              if (kept := tuple(en for en in r if en[0] > 2))]
+    scale = lcm(*(w * w for _, w, _ in stable))
+    rows = [(m, w, tuple((e, n * (scale // (w * w))) for e, n in r)) for m, w, r in stable]
+    return change_of_variables(H._with(rows, H.den * scale))
 
 
 def verify_tau_routes(

@@ -72,7 +72,7 @@ def test_verify_only_flags_are_refused_elsewhere(tmp_path, capsys):
 # the flags each subcommand reads; any other is a usage error
 READS = {
     "hurwitz": {"--dmax", "--mmax", "--out"},
-    "intersections": {"--W", "--dmax", "--out"},
+    "intersections": {"--W", "--out"},
     "tbasis": {"--W", "--out"},
     "tau": {"--W", "--mmax", "--c", "--route", "--out"},
     "verify": {"--W", "--c", "--kp2", "--checks", "--out"},
@@ -90,7 +90,7 @@ def test_help_lists_exactly_the_flags_the_subcommand_reads(capsys, command):
 @pytest.mark.parametrize("argv", [
     ("hurwitz", "--W", "8"), ("hurwitz", "--K", "3"), ("hurwitz", "--c", "1"),
     ("intersections", "--mmax", "3"), ("intersections", "--K", "3"),
-    ("intersections", "--c", "1"),
+    ("intersections", "--c", "1"), ("intersections", "--dmax", "3"),
     ("tbasis", "--mmax", "3"), ("tbasis", "--dmax", "3"), ("tbasis", "--c", "1"),
     ("tau", "--dmax", "3"), ("tau", "--K", "3"),
     ("tbasis", "--K", "3"),
@@ -210,17 +210,7 @@ def test_intersections_stable_across_W(tmp_path):
     assert all(big[k] == v for k, v in small.items())
 
 
-def test_intersections_dmax_floor(tmp_path, capsys, monkeypatch):
-    # below 3 some grid cannot determine its fit: a usage error, no artifact
-    out = tmp_path / "intersections"
-    for dmax in ("1", "2"):
-        assert run(out, "intersections", "--W", "8", "--dmax", dmax) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert "--dmax" in line
-        assert not out.exists()
-    assert run(out, "intersections", "--W", "8", "--dmax", "3") == 0
-    assert (out / "intersections.json").exists()
-
+def test_intersections_inconsistent_fit_raises(tmp_path, monkeypatch):
     # an inconsistent fit is a finding: it raises, so the process exits 1
     hurwitz_grid = cli.hurwitz_grid
 
@@ -231,7 +221,35 @@ def test_intersections_dmax_floor(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "hurwitz_grid", off_by_one)
     with pytest.raises(ValueError, match="inconsistent"):
-        run(tmp_path, "intersections", "--W", "8", "--dmax", "3")
+        run(tmp_path, "intersections", "--W", "8")
+
+
+def test_a_dropped_tbasis_record_is_a_route_mismatch(tmp_path, monkeypatch):
+    # <lambda_2 tau_0>_1 = 1/24 lies in the T-basis reach at W = 8 (2j + w = 3)
+    # and the (1, 1) fit computes it: without its T-basis record it is a
+    # mismatch against 0, not a polyfit-only row
+    tbasis_records = cli.tbasis_records
+    monkeypatch.setattr(cli, "tbasis_records", lambda W: tuple(
+        r for r in tbasis_records(W) if r.key() != (1, (0,))))
+    assert run(tmp_path / "verify", "verify", "--W", "8") == 1
+    rows = json.loads((tmp_path / "verify" / "verify.json").read_text())
+    assert {r["check"] for r in rows if r["status"] == "fail"} == {
+        "intersections_routes", "o_operators_n4", "o_operators_n5",
+        "proposition_n4", "proposition_n5"}
+    out = tmp_path / "intersections"
+    assert run(out, "intersections", "--W", "8") == 1
+    assert json.loads((out / "intersections_diff.json").read_text()) == [
+        {"degrees": [0], "j": 1, "polyfit": "1/24", "tbasis": "0"}]
+    assert not (out / "intersections.json").exists()
+
+
+def test_fit_records_beyond_the_tbasis_reach_stay_polyfit_only(tmp_path):
+    # at W = 4 the T-basis reaches 2j + w <= 4, and the (0, 4) and (1, 2) fits
+    # give records at 2j + w = 5
+    assert run(tmp_path, "intersections", "--W", "4") == 0
+    rows = json.loads((tmp_path / "intersections.json").read_text())
+    beyond = [r for r in rows if 2 * r["j"] + sum(r["degrees"]) + len(r["degrees"]) > 4]
+    assert len(beyond) == 4 and all(r["routes"] == ["polyfit"] for r in beyond)
 
 
 def test_tau_routes_write_series(tmp_path):
@@ -402,8 +420,8 @@ GOLDEN_DIGESTS = {
     ("hurwitz", "--dmax", "7", "--mmax", "8"): {
         "hurwitz.json": "2eef879734ef721dadf4ae4350b5267dc0f10c0c6a003da34d6481e341b70ec0",
         "hurwitz.csv": "2217b6b8c30636c01b45668c82b722aff54438fb6c66ae4c1a91823783dc3d73"},
-    # grids of degree 8, every count above brute force's reach
-    ("intersections", "--W", "12", "--dmax", "7"): {
+    # grids of degree 6; degree 8, above brute force's reach, gives the same table
+    ("intersections", "--W", "12"): {
         "intersections.json":
             "47425f2d2452c1a040b66a16e6b09fb47bd07f59101b3cf8788eb144df894ba3",
         "intersections.csv":

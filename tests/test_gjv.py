@@ -2,7 +2,7 @@
 
 import json
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import pytest
 
@@ -18,7 +18,7 @@ from gjvtau.exactalg import (
     mono_var,
     mono_weight,
 )
-from gjvtau import gjv, hurwitz, operators
+from gjvtau import cli, gjv, hurwitz, operators
 from gjvtau.gjv import (
     IntersectionNumber,
     assemble_tau_exponential,
@@ -161,15 +161,26 @@ def test_planted_head_fault_fails_the_tau_routes_only(tmp_path, monkeypatch,
         TBASIS_REPORTS, "pass")
 
 
+def _order_one_image(W):
+    """change_of_variables of Lambda_0^-2 applied to order 1 of the count
+    series, its u^2 layer: the image of the h02 leg."""
+    leg = cutjoin_series(W, 1).u_layer(2)
+    return change_of_variables(TruncatedSeries(
+        "p", W, {m: UPoly.u(2, c.coeff(0) / mono_weight(m) ** 2) for m, c in leg.terms.items()},
+        umin=0, umax=2))
+
+
 def test_planted_unstable_part_fault_fails_the_tau_routes(tmp_path, monkeypatch,
                                                           fresh_records):
-    # extract_G subtracts order 0 of the cut-and-join exponential only, so G
-    # keeps the preimage of the h02 leg; extract_G is the one caller of
-    # cutjoin_series in gjv, and its H has order 4 here for the records (built
-    # at W' = 7) and W + 1 = 9 for the tau routes
-    real = gjv.cutjoin_series
-    monkeypatch.setattr(gjv, "cutjoin_series",
-                        lambda W, Mmax: real(W, 0 if Mmax == 1 else Mmax))
+    # G keeps the image of the h02 leg, as if extract_G dropped order 0 of the
+    # count series only: extract_G, in gjv for the records (built at W' = 7)
+    # and in the cli for the tau routes, returns the healthy G plus that image
+    real = gjv.extract_G
+
+    def faulty(W, Mmax):
+        return real(W, Mmax) + _order_one_image(W)
+    monkeypatch.setattr(gjv, "extract_G", faulty)
+    monkeypatch.setattr(cli, "extract_G", faulty)
     status = _verify_w8_statuses(tmp_path)
     assert {name for name, st in status.items() if st == FAIL} >= TAU_ROUTES | {
         "g_structure"}
@@ -185,11 +196,45 @@ def test_extract_G_bookkeeping():
     assert extract_G(8, 5).u_hi == 2
 
 
+def two_build_G(W, Mmax):
+    """Reference: G from H less a second count series of orders 0 and 1."""
+    H = cutjoin_series(W, Mmax)
+    stable = (H - cutjoin_series(W, 1)).with_u_hi(H.u_hi)
+    scale = lcm(*(w * w for _, w, _ in stable.rows))
+    rows = [(m, w, tuple((e, n * (scale // (w * w))) for e, n in r))
+            for m, w, r in stable.rows]
+    return change_of_variables(stable._with(rows, stable.den * scale)).with_reliable(W)
+
+
+def _layout(s):
+    return (s.family, s.W, s.den, s.umin, s.umax, s.reliable, s.u_hi, s.rows)
+
+
+@pytest.mark.parametrize("W", range(3, 17))
+def test_extract_G_matches_the_two_build_reference(W):
+    # dropping H's layers u^0 and u^2 is subtracting its orders 0 and 1: the
+    # same rows, denominator, band and bookkeeping
+    for Mmax in sorted({1, 2, 3, (W + 1) // 2, W // 2 + 1, W + 1, W + 3}):
+        assert _layout(extract_G(W, Mmax)) == _layout(two_build_G(W, Mmax)), Mmax
+
+
+def test_extract_G_builds_one_count_series(monkeypatch):
+    calls = []
+    real = gjv.cutjoin_series
+
+    def spy(W, Mmax):
+        calls.append((W, Mmax))
+        return real(W, Mmax)
+    monkeypatch.setattr(gjv, "cutjoin_series", spy)
+    extract_G(9, 6)
+    assert calls == [(9, 6)]
+
+
 @pytest.mark.parametrize("W, Mmax", [(8, 5), (14, 8)])
 def test_extract_G_is_one_change_of_variables(monkeypatch, W, Mmax):
-    # Mmax + 1 orders of the two cut-and-join exponentials; W - 1 orders of
+    # Mmax orders of the cut-and-join exponential; W - 1 orders of
     # exp(-Lambda_1/u) in the change of variables, on a series that starts at
-    # weight 2: Mmax + W Sum applies, and no series product
+    # weight 2: Mmax + W - 1 Sum applies, and no series product
     calls = {"apply": 0, "mul": 0}
     apply, mul = operators.Sum.apply, TruncatedSeries.mul
 
@@ -204,7 +249,7 @@ def test_extract_G_is_one_change_of_variables(monkeypatch, W, Mmax):
     monkeypatch.setattr(operators.Sum, "apply", counting_apply)
     monkeypatch.setattr(TruncatedSeries, "mul", counting_mul)
     extract_G(W, Mmax)
-    assert calls == {"apply": Mmax + W, "mul": 0}
+    assert calls == {"apply": Mmax + W - 1, "mul": 0}
 
 
 @pytest.mark.parametrize("W", range(3, 13))
@@ -458,12 +503,14 @@ def test_polyfit_route():
 
 @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2)])
 def test_routes_cross_check(g, n):
-    by_fit = {
-        (r.j, r.degrees): r.value
-        for r in extract_intersections_polyfit(g, n, hurwitz_grid(g, n, dmax=6),
-                                               dmax=6)
-    }
-    assert by_fit  # the fit produced something
+    # the cli fits at one count degree; any from 4 to 8 gives the same
+    # records, each one the T-basis reduction gives at W = 12
+    fits = [{r.key(): r.value for r in extract_intersections_polyfit(
+        g, n, hurwitz_grid(g, n, dmax=degree), dmax=degree)} for degree in range(4, 9)]
+    by_fit = fits[0]
+    assert by_fit and all(fit == by_fit for fit in fits)
+    tbasis = {r.key(): r.value for r in tbasis_records(12)}
+    assert all(tbasis[key] == val for key, val in by_fit.items())
     for key, val in by_fit.items():
         if key in RECORDS_W8:
             assert RECORDS_W8[key] == val, key
