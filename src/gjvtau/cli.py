@@ -14,8 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from .exactalg import (MONO_ONE, TruncatedSeries, UPoly, UPOLY_ONE, band_for_weight, mono,
-                       mono_str)
+from .exactalg import (MONO_ONE, TruncatedSeries, UPoly, UPOLY_ONE, UPOLY_ZERO,
+                       band_for_weight, mono, mono_str)
 from .gjv import (
     assemble_tau_exponential,
     build_tbasis,
@@ -49,10 +49,12 @@ INTERSECTION_GRIDS = ((0, 3), (0, 4), (1, 1), (1, 2))
 # the count degree of the intersection fits; from 4 to 8 each grid gives the
 # same records, at 3 the (1, 2) fit has 2 rows for 3 unknowns
 FIT_DEGREE = 6
-# the battery's cut-and-join tau order
-VERIFY_MMAX = 4
-# --mmax when not given; tau takes it only for the cutjoin route
+# the cut-and-join tau order: the battery's, and --mmax when not given
 DEFAULT_MMAX = 4
+# the battery's c(u) choices, one tau_routes report each.  Each tau is
+# c + tau_0 (test_taus_are_affine_in_c) and the routes are compared at or
+# below u^(W+2), so no other choice changes the residual
+VERIFY_C = (UPOLY_ZERO, UPOLY_ONE, UPoly.parse("u^-1+2"))
 # the taus: t_1 + c, the cut-and-join series and the closed-form exponential
 ROUTES = ("linear", "cutjoin", "closedform")
 
@@ -245,7 +247,7 @@ def _check_conjugations(cfg: argparse.Namespace) -> list[CheckReport]:
 def _check_tau_routes(cfg: argparse.Namespace) -> list[CheckReport]:
     G = extract_G(cfg.W, cfg.W + 1)
     out = []
-    for i, c in enumerate(cfg.c_list):
+    for i, c in enumerate(VERIFY_C):
         rep = verify_tau_routes(c, cfg.W, G=G)
         rep.name = f"tau_routes_c{i}"
         out.append(rep)
@@ -312,8 +314,7 @@ def _check_g_structure(cfg: argparse.Namespace) -> list[CheckReport]:
 
 
 def _check_kp(cfg: argparse.Namespace) -> list[CheckReport]:
-    c = next((x for x in cfg.c_list if x), UPOLY_ONE)
-    taus = [(route, _tau(route, c, cfg.W, VERIFY_MMAX)) for route in ROUTES]
+    taus = [(route, _tau(route, UPOLY_ONE, cfg.W, DEFAULT_MMAX)) for route in ROUTES]
     polys = [KP1] + ([KP2] if cfg.kp2 else [])
     out = []
     for kp in polys:
@@ -435,23 +436,12 @@ def _int_in(lo: int, hi: int | None = None):
     return parse
 
 
-def _parse_c_list(text: str) -> tuple[UPoly, ...]:
-    """An argparse type: pipe-separated c(u) choices, at least one."""
+def _parse_c(text: str) -> UPoly:
+    """An argparse type: one c(u)."""
     try:
-        c_list = tuple(UPoly.parse(part) for part in text.split("|") if part.strip())
+        return UPoly.parse(text)
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
-    if not c_list:
-        raise argparse.ArgumentTypeError(f"{text!r} names no c(u)")
-    return c_list
-
-
-def _parse_c(text: str) -> UPoly:
-    """An argparse type: exactly one c(u)."""
-    if "|" in text:
-        raise argparse.ArgumentTypeError(f"{text!r} is a list; tau takes one c(u)")
-    (c,) = _parse_c_list(text)
-    return c
 
 
 def _parse_checks(text: str) -> tuple[str, ...]:
@@ -469,9 +459,7 @@ FLAGS = {
                             f"{DEFAULT_MMAX}); tau reads it only on the cutjoin route")),
     "dmax": ("--dmax", dict(type=_int_in(1, DCAP_HARD), default=5,
                             help="largest degree of the table")),
-    "c": ("--c", dict(type=_parse_c, default="0", help="the constant c(u), one choice")),
-    "c_list": ("--c", dict(type=_parse_c_list, default="0|1|u^-1+2", metavar="C",
-                           help="pipe-separated c(u) choices, at least one")),
+    "c": ("--c", dict(type=_parse_c, default="0", help="the constant c(u)")),
     "route": ("--route", dict(choices=ROUTES, default="closedform")),
     "kp2": ("--kp2", dict(action="store_true", help="also run the next bilinear equation")),
     "checks": ("--checks", dict(type=_parse_checks,
@@ -485,7 +473,7 @@ SUBCOMMANDS = {
     "intersections": (cmd_intersections, ("W", "out")),
     "tbasis": (cmd_tbasis, ("W", "out")),
     "tau": (cmd_tau, ("W", "mmax", "c", "route", "out")),
-    "verify": (cmd_verify, ("W", "c_list", "kp2", "checks", "out")),
+    "verify": (cmd_verify, ("W", "kp2", "checks", "out")),
 }
 
 
@@ -493,10 +481,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="gjvtau",
         description="exact verification runs for the tau-function package",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="command", required=True)
     for name, (run, flags) in SUBCOMMANDS.items():
-        cmd = sub.add_parser(name)
+        cmd = sub.add_parser(name, allow_abbrev=False)
         cmd.set_defaults(run=run)
         for dest in flags:
             option, kw = FLAGS[dest]

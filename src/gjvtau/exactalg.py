@@ -42,7 +42,7 @@ import re
 from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 Rat = Fraction
 
@@ -193,9 +193,6 @@ class UPoly:
         if not c:
             return UPOLY_ZERO
         return UPoly({e: v * c for e, v in self.terms})
-
-    def clip_above(self, hi: int) -> UPoly:
-        return UPoly({e: c for e, c in self.terms if e <= hi})
 
     def check_band(self, umin: int, umax: int) -> None:
         if self.terms and (self.terms[0][0] < umin or self.terms[-1][0] > umax):
@@ -585,13 +582,6 @@ class TruncatedSeries:
     def u_layer(self, e: int) -> TruncatedSeries:
         """The coefficient-of-u^e layer, as a series with rational coefficients."""
         return self._with([(m, w, ((0, n),)) for m, w, r in self.rows for k, n in r if k == e])
-
-    def map_coeffs(self, f: Callable[[UPoly], UPoly]) -> TruncatedSeries:
-        return TruncatedSeries(
-            self.family, self.W,
-            {m: f(c) for m, c in self.terms.items()},
-            **self._meta(),
-        )
 
     # -- ring operations -----------------------------------------------------
 

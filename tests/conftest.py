@@ -1,9 +1,11 @@
-"""Session guard: the tests must import the package they are pointed at.
+"""Session guard, and the fixtures that planted-fault tests share.
 
+The guard: the tests must import the package they are pointed at.
 pyproject.toml's `pythonpath = ["src"]` puts this checkout's `src` ahead of
 PYTHONPATH, so `PYTHONPATH=<copy>/src python -m pytest` run from here would
 silently test this checkout instead of the copy.  When the first PYTHONPATH
 entry holds a gjvtau package that is not the one imported, stop the session.
+gjvtau is imported only inside the hooks and fixtures, after that check.
 """
 
 import os
@@ -25,3 +27,27 @@ def pytest_configure(config):
     if imported.resolve() != wanted.resolve():
         pytest.exit(f"PYTHONPATH names {wanted}, but the tests import {imported}; "
                     "run pytest from that copy's root", returncode=pytest.ExitCode.USAGE_ERROR)
+
+
+@pytest.fixture
+def fresh_memos():
+    # leaf stencils and symbols are memoised per leaf; a planted fault must
+    # not read, or leave behind, the healthy entries
+    from gjvtau import operators
+
+    operators._stencil.cache_clear()
+    operators._leaf_symbol.cache_clear()
+    yield
+    operators._stencil.cache_clear()
+    operators._leaf_symbol.cache_clear()
+
+
+@pytest.fixture
+def fresh_records():
+    # the T-basis records are memoised per W; a planted fault must not read,
+    # or leave behind, the healthy ones
+    from gjvtau import gjv
+
+    gjv.tbasis_records.cache_clear()
+    yield
+    gjv.tbasis_records.cache_clear()

@@ -134,7 +134,7 @@ def test_criterion_05_tau_assemblies_agree():
     G = extract_G(W, W + 1)  # complete on the whole band box w<=8, e<=10
     ok = True
     for c in (UPOLY_ZERO, UPOLY_ONE, UPoly.parse("u^-1+2")):
-        t1 = assemble_tau_from_g(c, G).map_coeffs(lambda v: v.clip_above(W + 2))
+        t1 = assemble_tau_from_g(c, G).clip_u_above(W + 2)
         t2 = assemble_tau_exponential(c, W)
         ok = ok and t1 == t2
     secs = verdict(5, ok, t0)
@@ -213,7 +213,7 @@ def test_criterion_08_hirota_suite():
     rep_b = check_kp(cut, tau_label="cutjoin")
     ok = ok and rep_b.status == "pass" and rep_b.reliable_weight >= 4
     res_b = hirota_apply(KP1, cut)
-    res_b = res_b.map_coeffs(lambda v: v.clip_above(res_b.u_hi))
+    res_b = res_b.clip_u_above(res_b.u_hi)
     for m in range(5):  # beta-layer by beta-layer, m <= 4
         ok = ok and res_b.u_layer(2 * m).up_to_weight(4).is_zero()
 
@@ -222,7 +222,7 @@ def test_criterion_08_hirota_suite():
     ok = ok and rep_c.status == "pass" and rep_c.reliable_weight >= 4
     res_c = hirota_apply(KP1, closed)
     hi_c = res_c.u_hi  # one below the tau's certified top: a 1/u head shifts it
-    res_c = res_c.map_coeffs(lambda v: v.clip_above(hi_c))
+    res_c = res_c.clip_u_above(hi_c)
     for e in range(res_c.min_u_exp(), hi_c + 1):  # u-layer by u-layer
         ok = ok and res_c.u_layer(e).up_to_weight(4).is_zero()
 

@@ -5,8 +5,10 @@ import hashlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,8 +16,9 @@ import pytest
 
 from gjvtau import cli
 from gjvtau.cli import main
-from gjvtau.exactalg import TruncatedSeries, UPoly, mono
+from gjvtau.exactalg import TruncatedSeries, UPoly, mono, mono_div_var, mono_mul, mono_var
 from gjvtau.hurwitz import HurwitzIndex
+from gjvtau.operators import JoinPart
 
 
 def run(tmp_path, *args):
@@ -46,8 +49,6 @@ def test_usage_errors_exit_2(tmp_path):
         ["tau", "--c", "u^"],
         ["tau", "--c", "1/0"],
         ["tau", "--c", "2*"],
-        ["verify", "--c", ""],
-        ["verify", "--c", "|"],
         ["verify", "--checks", ","],
         ["verify", "--checks", ""],
         ["verify", "--inject-corruption"],
@@ -75,7 +76,7 @@ READS = {
     "intersections": {"--W", "--out"},
     "tbasis": {"--W", "--out"},
     "tau": {"--W", "--mmax", "--c", "--route", "--out"},
-    "verify": {"--W", "--c", "--kp2", "--checks", "--out"},
+    "verify": {"--W", "--kp2", "--checks", "--out"},
 }
 
 
@@ -95,7 +96,10 @@ def test_help_lists_exactly_the_flags_the_subcommand_reads(capsys, command):
     ("tau", "--dmax", "3"), ("tau", "--K", "3"),
     ("tbasis", "--K", "3"),
     ("verify", "--K", "3"), ("verify", "--mmax", "3"), ("verify", "--dmax", "3"),
+    ("verify", "--c", "1"),  # the battery's c(u) choices are fixed
     ("tau", "--c", "0|1"),  # tau builds one tau, from one c(u)
+    # no abbreviation stands for a flag, even an unambiguous one
+    ("verify", "--ch", "kp"), ("hurwitz", "--dm", "3"), ("tau", "--ro", "linear"),
 ], ids=" ".join)
 def test_a_flag_the_subcommand_does_not_read_is_refused(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -168,10 +172,54 @@ def test_verify_battery_reports_the_known_failures(tmp_path, capsys):
     assert reports["proposition_n5"]["status"] == "vacuous"
     assert reports["proposition_n4"]["status"] == "pass"
     assert reports["proposition_n4"]["reliable_weight"] == 2
-    # the default --c is 0|1|u^-1+2: one tau_routes report per choice
+    # one tau_routes report per c(u) in cli.VERIFY_C: 0, 1 and u^-1+2
     assert {k for k in reports if k.startswith("tau_routes")} == {
         "tau_routes_c0", "tau_routes_c1", "tau_routes_c2"}
     assert "FAIL" in capsys.readouterr().out
+
+
+# the four FAILs of every default verify run (ROADMAP item 1)
+STANDING_FAILS = {"o_operators_n4", "o_operators_n5", "proposition_n4", "proposition_n5"}
+
+
+def _join_with_a_cube_term(stencil):
+    """JoinPart.stencil plus a spurious diagonal term v^2 x_v^(e-2) x_(2v+k)
+    on each x_v^e with e >= 3."""
+    def faulty(self, m):
+        yield from stencil(self, m)
+        for v, e in m:
+            if e >= 3:
+                base = mono_div_var(mono_div_var(m, v), v)
+                yield mono_mul(base, mono_var(2 * v + self.k)), v * v
+    return faulty
+
+
+# (owner, attribute, fault made from the healthy attribute, reports it fails)
+PLANTED_VERIFY_FAULTS = [
+    pytest.param(cli, "to_hirota_vars", lambda real: lambda s: s._with(family="t"),
+                 {"kp1_closedform", "kp1_cutjoin", "linearized_kp1"},
+                 id="hirota_vars_without_i_power_scaling"),
+    pytest.param(TruncatedSeries, "partial",
+                 lambda real: lambda self, i: real(self, i).with_reliable(self.reliable),
+                 {"proposition_n1", "proposition_n2", "proposition_n3", "string_equation",
+                  "q1_second_derivative"},
+                 id="partial_keeps_reliable"),
+    pytest.param(JoinPart, "stencil", _join_with_a_cube_term,
+                 {"conjugation_conj_m0_sandwich", "hurwitz_route_agreement",
+                  "o_operators_n1", "o_operators_n2", "o_operators_n3"},
+                 id="join_cube_term"),
+]
+
+
+@pytest.mark.parametrize("owner,name,fault,fails", PLANTED_VERIFY_FAULTS)
+def test_planted_fault_fails_verify_by_name(tmp_path, monkeypatch, fresh_memos,
+                                            fresh_records, owner, name, fault, fails):
+    # one fault at a time, in this process; the stencils, leaf symbols and
+    # T-basis records are memoised, so the fixtures drop the healthy ones
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    assert run(tmp_path, "verify", "--W", "8") == 1
+    rows = json.loads((tmp_path / "verify.json").read_text())
+    assert fails | STANDING_FAILS <= {r["check"] for r in rows if r["status"] == "fail"}
 
 
 def test_verify_filter_can_go_green(tmp_path):
@@ -359,6 +407,23 @@ def test_benchmark_tracer_finds_every_layer(tmp_path):
     # and the operator kernel inside the traced apply and ops_equal spans
     assert got["metrics"]["operators.apply.calls"] > 0
     assert got["metrics"]["operators.ops_equal.probes"] > 0
+
+
+@pytest.mark.parametrize("workload", ["verify-w8", "intersections-w14", "kp-w12"])
+def test_benchmark_output_checks_pass(tmp_path, workload):
+    # one plain round as perfbench/run.py starts it, then the benchmark's own
+    # output check: a change it would refuse as incorrect fails here first
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "round.py"), workload, "plain", "1",
+         str(tmp_path), repr(time.monotonic())],
+        cwd=tmp_path, env=env, check=True, capture_output=True, timeout=120,
+    )
+    # run_path compiles checks.py without caching bytecode under perfbench/
+    check = runpy.run_path(str(ROOT / "perfbench" / "checks.py"))["CHECKS"][workload]
+    exit_code = json.loads((tmp_path / "round.json").read_text())["exit_code"]
+    attempted, failed, problems = check(exit_code, tmp_path)
+    assert attempted > 0 and (failed, problems) == (0, [])
 
 
 def test_a_shadowed_package_stops_the_session(tmp_path):

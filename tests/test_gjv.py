@@ -1,6 +1,7 @@
 """Change of variables, tau assemblies, and the two intersection routes."""
 
 import json
+import random
 from fractions import Fraction
 from math import factorial, lcm, prod
 
@@ -83,7 +84,7 @@ def test_u_times_full_sum_collapses():
     allp = sum(
         (TruncatedSeries.variable("p", 3, i) for i in (1, 2, 3)),
         TruncatedSeries.zero("p", 3),
-    ).map_coeffs(lambda c: c * UPoly.u(1))
+    ).scale(UPoly.u(1))
     assert str(change_of_variables(allp)) == "q1"
 
 
@@ -99,15 +100,6 @@ X_PARTS = ((UPoly.u(-1, -1), Lambda(1)),)
 def _rename_shift_off_by_one(s):
     """The renamed series at u^(e-w+1) instead of u^(e-w)."""
     return s._with([(m, w, tuple((e + 1, n) for e, n in r)) for m, w, r in s.rows])
-
-
-@pytest.fixture
-def fresh_records():
-    # the T-basis records are memoised per W; a planted fault must not read,
-    # or leave behind, the healthy ones
-    gjv.tbasis_records.cache_clear()
-    yield
-    gjv.tbasis_records.cache_clear()
 
 
 @pytest.mark.parametrize("fault", [
@@ -313,6 +305,43 @@ def test_tau_routes_agree_when_c_reaches_above_the_band():
         planted = G + TruncatedSeries.monomial("q", W, mono_var(2), UPoly.u(1, F(1, 7)),
                                                umin=G.umin, umax=G.umax)
         assert verify_tau_routes(c, W, G=planted).status == "fail", c
+
+
+def _draw_c(rng, W):
+    """A nonzero c(u) of one to three terms, inside the band [-(W+2), W+2]."""
+    exps = rng.sample(range(-(W + 2), W + 3), rng.randint(1, 3))
+    return UPoly({e: F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 7])) for e in exps})
+
+
+def _tau_builders(W):
+    G = extract_G(W, W + 1)
+    return {
+        "exponential": lambda c: assemble_tau_exponential(c, W),
+        "from_g": lambda c: assemble_tau_from_g(c, G),
+        "cutjoin": lambda c: cutjoin_series(W, cli.DEFAULT_MMAX, c),
+        "linear": lambda c: cli._tau("linear", c, W, cli.DEFAULT_MMAX),
+    }
+
+
+@pytest.mark.parametrize("W", range(4, 11))
+def test_taus_are_affine_in_c(W):
+    # every operator in exp(M2 + 2uM1 + u^2 M0), in Lambda_0 + Lambda_1/u and
+    # in u^2 M0 kills constants, so tau_c is tau_0 in the band widened to c,
+    # plus c: the same rows, denominator, band and bookkeeping.  The draws
+    # stay inside the band: a c above u^(W+2) widens the closed form's band,
+    # and the closed form then keeps more of tau_0 instead of clipping it at
+    # W + 2.  verify_tau_routes clips both routes at W + 2, so its residual is
+    # the c = 0 one for every c, and the battery's VERIFY_C choices certify
+    # no more than c = 0 does.
+    rng = random.Random(W)
+    for name, build in _tau_builders(W).items():
+        tau0 = build(UPOLY_ZERO)
+        for _ in range(6):
+            c = _draw_c(rng, W)
+            lo, hi = min(tau0.umin, c.min_exp()), max(tau0.umax, c.max_exp())
+            want = tau0.with_band(lo, hi) + TruncatedSeries.const(
+                tau0.family, W, c, umin=lo, umax=hi)
+            assert _layout(build(c)) == _layout(want), (name, str(c))
 
 
 def test_tau_assemblies_share_the_singular_head():

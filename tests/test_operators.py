@@ -548,17 +548,6 @@ def test_conjugations_form_one_exponential_per_basis_monomial(monkeypatch):
     assert len(calls) == len(list(monomials_up_to_weight(8))) == 67
 
 
-@pytest.fixture
-def fresh_memos():
-    # leaf stencils and symbols are memoised per leaf; a planted fault must
-    # not read, or leave behind, the healthy entries
-    operators._stencil.cache_clear()
-    operators._leaf_symbol.cache_clear()
-    yield
-    operators._stencil.cache_clear()
-    operators._leaf_symbol.cache_clear()
-
-
 def ordered_stencil(op, m):
     """The leaf stencils spelled through mono_mul and mono_div_var, the
     cut-and-join ones over ordered pairs: Lambda(a) moves slot v to v + a,
