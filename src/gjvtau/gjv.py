@@ -30,6 +30,7 @@ from .operators import (
     CutJoin,
     Lambda,
     Sum,
+    exp_join_power,
     exponential_apply,
     scaled,
 )
@@ -106,12 +107,14 @@ def build_tbasis(K: int, W: int) -> list[TruncatedSeries]:
     return basis
 
 
+@functools.lru_cache(maxsize=4)
 def assemble_tau_exponential(c: UPoly, W: int) -> TruncatedSeries:
     """exp(M2 + 2u*M1 + u^2*M0) applied to c(u) + q_1/u.
 
     Every summand raises weight + u-exponent by exactly 2 and lowers neither,
     so the expansion terminates inside the weight x band box and the top of
-    the band is clipped (recorded in u_hi).
+    the band is clipped (recorded in u_hi).  Memoised per (c, W): the tau
+    routes and the KP checks both read the tau at c = 1.
     """
     lo, hi = band_for_weight(W)
     if c:
@@ -385,7 +388,7 @@ def extract_intersections_polyfit(
 
 def exp_join_of_q1(W: int) -> TruncatedSeries:
     """exp(M2) q_1 at truncation W; the right-hand side of the F identities."""
-    return exponential_apply(CutJoin(2), TruncatedSeries.variable("q", W, 1))
+    return exp_join_power(1, W)
 
 
 def extract_F(records, W: int) -> TruncatedSeries:
@@ -494,11 +497,8 @@ def verify_proposition(n: int, W: int) -> CheckReport:
     if W < n + 2:
         raise ValueError("need W >= n + 2 to see anything")
     E = exp_join_of_q1(W)
-    power = TruncatedSeries.monomial(
-        "q", W, mono((1, n - 1)) if n > 1 else (), UPoly.const(1)
-    )
     lhs = E.partial(n).scale(n)
-    rhs = Lambda(2 - n).apply(E) + exponential_apply(CutJoin(2), power)
+    rhs = Lambda(2 - n).apply(E) + exp_join_power(n - 1, W)
     return residual_report(
         f"proposition_n{n}", lhs - rhs, detail={"n": n, "W": W}
     )

@@ -19,14 +19,18 @@ the result is exact, and a coefficient with negative u-powers lowers ``u_hi``.
 
 Operator equality has two routes.  ops_equal is extensional: two maps are
 equal at truncation W iff their actions agree on every monomial of weight
-<= W, compared over the common reliable region.  symbol(op, N) is the
-normal-ordered form: op's terms c * x^alpha d^beta with d-weight <= N, each
-leaf's read off its own stencil, composed by the Leibniz rule; two
-operators act equally on every monomial of weight <= N iff their symbols at
-N are equal.  Identities between operators compare symbols; the
-conjugation sandwich, which acts on series, compares with ops_equal.  The
-O-operator actions are the u-layers of one conjugation by exp((1-u)M2),
-formed by two exponentials, with no bracket expanded.
+<= W, compared over the common reliable region.  Each map acts once, on a
+probe that tags the i-th monomial with u^(i K), K twice the width of a
+monomial's band: the maps must act u-linearly and keep each monomial's
+image inside that band, and an image that leaves it raises.
+symbol(op, N) is the normal-ordered form: op's terms c * x^alpha d^beta
+with d-weight <= N, each leaf's read off its own stencil, composed by the
+Leibniz rule; two operators act equally on every monomial of weight <= N
+iff their symbols at N are equal.  Identities between operators compare
+symbols; the conjugation sandwich, which acts on series, compares with
+ops_equal.  The O-operator actions are the u-layers of one conjugation by
+exp((1-u)M2), formed by two exponentials, with no bracket expanded.  The
+exponentials of q_1 that several verify checks read are memoised.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from gjvtau.exactalg import (
     UBandError,
     UPOLY_ONE,
     UPoly,
+    band_for_weight,
     mono,
     mono_div_var,
     mono_exp,
@@ -321,6 +326,28 @@ def commutator(a: Operator, b: Operator) -> Operator:
     return Sum(Compose(a, b), Compose(b, a), coeffs=(1, -1))
 
 
+def _probe_windows(W: int, headroom: int) -> tuple[int, int, int]:
+    """(lo, hi, K): the band [lo, hi] of a monomial built at W + headroom,
+    and the u-spacing K = 2 (hi - lo + 1) of tagged_probe(W, headroom)."""
+    lo, hi = band_for_weight(W + headroom)
+    return lo, hi, 2 * (hi - lo + 1)
+
+
+def tagged_probe(W: int, headroom: int = 0) -> TruncatedSeries:
+    """Sum_i u^(i K) m_i over the N monomials m_0, m_1, ... of weight <= W,
+    at truncation W + headroom, in the band [lo, (N - 1) K + hi] that holds
+    each block's window [i K + lo, i K + hi] (see _probe_windows).
+
+    A map that acts u-linearly sends block i to u^(i K) times its image of
+    m_i, so the blocks of two results agree exactly when the two maps agree
+    on every m_i; the windows are disjoint, so no two blocks can cancel."""
+    lo, hi, K = _probe_windows(W, headroom)
+    rows = [(m, mono_weight(m), ((i * K, 1),))
+            for i, m in enumerate(monomials_up_to_weight(W))]
+    return TruncatedSeries._built(family="q", W=W + headroom, rows=rows, den=1, umin=lo,
+                                  umax=(len(rows) - 1) * K + hi, reliable=None, u_hi=None)
+
+
 def ops_equal(
     f: Callable[[TruncatedSeries], TruncatedSeries],
     g: Callable[[TruncatedSeries], TruncatedSeries],
@@ -329,20 +356,36 @@ def ops_equal(
     headroom: int = 0,
 ) -> bool:
     """Extensional equality on every monomial of weight <= W, compared over
-    the common reliable weight of the two results.
+    the common reliable weight of the two results, on one probe: f and g
+    each act once, on tagged_probe(W, headroom).
+
+    f and g must act u-linearly, as every operator and every exponential in
+    the weight-raising grading does, and keep the image of each monomial in
+    the band [lo, hi] it would have alone.  A result exponent farther than
+    that from its nearest multiple of K left its block's window, where the
+    monomial's own band check would have raised: that raises
+    :class:`UBandError` here too.  A result that records a u_hi was clipped
+    in u, as a box-grading exponential clips, at the probe's top instead of
+    each block's: that raises :class:`OperatorGradingError`.
 
     headroom widens the internal truncation so that operators whose composites
     dip through derivatives still compare at full strength up to W: pass the
     largest single-step weight raise that precedes a derivative.
     """
-    Wi = W + headroom
-    for m in monomials_up_to_weight(W):
-        s = TruncatedSeries.monomial("q", Wi, m)
-        fa, fb = f(s), g(s)
-        rel = min(fa.reliable, fb.reliable)
-        if fa.up_to_weight(rel) != fb.up_to_weight(rel):
-            return False
-    return True
+    probe = tagged_probe(W, headroom)
+    fa, fb = f(probe), g(probe)
+    lo, hi, K = _probe_windows(W, headroom)
+    for s in (fa, fb):
+        if s.u_hi is not None:
+            raise OperatorGradingError(
+                f"a map clipped the tagged probe at u^{s.u_hi}, not at each block's top")
+        for _, _, r in s.rows:
+            for e, _ in r:
+                if not lo <= e - (e + K // 2) // K * K <= hi:
+                    raise UBandError(f"u^{e} leaves its block's window [{lo}, {hi}] "
+                                     f"around a multiple of {K}")
+    rel = min(fa.reliable, fb.reliable)
+    return fa.up_to_weight(rel) == fb.up_to_weight(rel)
 
 
 # ---------------------------------------------------------------------------
@@ -612,24 +655,49 @@ def n_partial(n: int) -> Operator:
     return scaled(Partial(n), n)
 
 
-def o_actions(n: int, seed: TruncatedSeries, W_out: int) -> list[TruncatedSeries]:
-    """O_i(exp(M2) seed) for i = 0, 1, ..., for a seed with u-free
-    coefficients, truncated to W_out, each exact to the reliable weight it
-    reports.
+def exp_u_join(seed: TruncatedSeries) -> TruncatedSeries:
+    """exp(uM2) seed, in the box grading: its clip records a u_hi."""
+    return exponential_apply(scaled(CutJoin(2), UPoly.u(1)), seed)
+
+
+def o_actions(n: int, lifted: TruncatedSeries, W_out: int) -> list[TruncatedSeries]:
+    """O_i(exp(M2) seed) for i = 0, 1, ..., given lifted = exp_u_join(seed)
+    for a seed with u-free coefficients, truncated to W_out, each exact to
+    the reliable weight it reports.
 
     With B_r = (ad M2)^r(n d/dx_n) and O_i = Sum_k (-1)^k B_{i+k} / (k! i!),
         Sum_i O_i u^i = Sum_r B_r (u-1)^r / r! = exp((1-u)M2) n d/dx_n exp((u-1)M2),
     so O_i(exp(M2) seed) is the u^i layer of exp((1-u)M2) n d/dx_n exp(uM2) seed.
     Both exponentials are in the box grading, so their clip records a u_hi:
     the layers run up to the highest u-exponent stored, and no index above
-    the series' u_hi is returned."""
-    m2 = CutJoin(2)
-    lifted = exponential_apply(scaled(m2, UPoly.u(1)), seed)
+    the series' u_hi is returned; a u_hi of None bounds nothing."""
     # M2 only raises weight, so cutting before the second exponential loses nothing
     lowered = n_partial(n).apply(lifted).truncate(W_out)
-    series = exponential_apply(scaled(m2, UPoly.parse("1 - u")), lowered)
-    top = min(series.u_hi, max((r[-1][0] for _, _, r in series.rows), default=-1))
+    series = exponential_apply(scaled(CutJoin(2), UPoly.parse("1 - u")), lowered)
+    top = max((r[-1][0] for _, _, r in series.rows), default=-1)
+    if series.u_hi is not None:
+        top = min(top, series.u_hi)
     return [series.u_layer(i) for i in range(top + 1)]
+
+
+# Memoised builds that several verify checks read, each formed once per
+# argument and immutable: exp(M2) q_1^k, and exp(uM2) q_1 for the
+# O-operators.  The O-operator checks build both q_1 exponentials once, at
+# W + O_HEADROOM, the headroom of their largest n, and cut them to W + n.
+O_HEADROOM = 5
+
+
+@functools.lru_cache(maxsize=8)
+def exp_join_power(k: int, W: int) -> TruncatedSeries:
+    """exp(M2) q_1^k at truncation W: k = n - 1 for the propositions and
+    the O-operators, k = 1 for the F identities, the linearized KP and the
+    O-operators' bracket side."""
+    return exponential_apply(CutJoin(2), TruncatedSeries.monomial("q", W, mono_var(1, k)))
+
+
+@functools.lru_cache(maxsize=1)
+def _exp_u_join_of_q1(W: int) -> TruncatedSeries:
+    return exp_u_join(TruncatedSeries.variable("q", W, 1))
 
 
 def verify_O_operators(n: int, W: int) -> dict[str, bool]:
@@ -647,11 +715,17 @@ def verify_O_operators(n: int, W: int) -> dict[str, bool]:
         picks up the two-derivative term (n/2) Sum_{i+j=n-2} ij d/dx_i d/dx_j.
 
     Actions are computed at internal truncation W + n so that the reported
-    comparisons are exact through weight W despite the derivative dip.
+    comparisons are exact through weight W despite the derivative dip.  The
+    two q_1 exponentials there are the memoised ones at W + O_HEADROOM (or
+    W + n if larger), cut to W + n: both only raise weight, so the rows to
+    W + n are the same, and the cut restores the band, reliable weight and
+    u_hi of a build at W + n.
     """
     m2 = CutJoin(2)
-    q1 = TruncatedSeries.variable("q", W + n, 1)
-    acts = o_actions(n, q1, W)
+    Wn, top = W + n, W + max(n, O_HEADROOM)
+    lo, hi = band_for_weight(Wn)
+    lifted = _exp_u_join_of_q1(top).truncate(Wn).clip_u_above(hi).with_band(lo, hi)
+    acts = o_actions(n, lifted, W)
 
     vanish = True
     for i, act in enumerate(acts):
@@ -660,9 +734,7 @@ def verify_O_operators(n: int, W: int) -> dict[str, bool]:
         vanish = vanish and act.up_to_weight(act.reliable).is_zero()
 
     lhs = acts[n - 1]
-    rhs = exponential_apply(
-        m2, TruncatedSeries.monomial("q", W, mono_var(1, n - 1))
-    ).scale(n)
+    rhs = exp_join_power(n - 1, W).scale(n)
     rel = min(lhs.reliable, rhs.reliable)
     penult = lhs.up_to_weight(rel) == rhs.up_to_weight(rel)
 
@@ -672,7 +744,8 @@ def verify_O_operators(n: int, W: int) -> dict[str, bool]:
     weighted = TruncatedSeries.zero("q", W).add_scaled(
         (i, act) for i, act in enumerate(acts))
     bracket = commutator(n_partial(n), m2)
-    direct = bracket.apply(exponential_apply(m2, q1)).truncate(W)
+    joined = exp_join_power(1, top).truncate(Wn).with_band(lo, hi)
+    direct = bracket.apply(joined).truncate(W)
     rel = min(weighted.reliable, direct.reliable)
     return {
         "action_vanishes_off_peak": vanish,
@@ -722,21 +795,21 @@ def verify_conjugations(W: int) -> dict[str, bool]:
     """Each conjugation exp(-X) a exp(X) = T checked through the bracket
     chain, as symbols at W, and in intertwining form a exp(X) = exp(X) T on
     every basis monomial: exp(X) is unipotent on weight <= W, so both forms
-    give the same verdict.  exp(X) acts through its columns exp(X) m, one
-    exponential per basis monomial m, shared by the cases with the same X:
-    the left side applies a to the column of m, the right side reads T m as
-    a combination of columns."""
+    give the same verdict.  The intertwining form is one ops_equal per case,
+    on tagged_probe(W): X = L1/u, a and T act u-linearly, exp(X) is in the
+    weight-raising grading, and each monomial's images stay in its band
+    (exp(X) lowers u by at most W, a and T raise it by at most 2).  The
+    left side applies a to exp(X) probe, formed once for the cases that
+    share X; the right side forms exp(X) T probe, once per case."""
     cases = conjugation_cases()
-
-    @functools.cache
-    def column(x: Operator, m: Monomial) -> TruncatedSeries:
-        return exponential_apply(x, TruncatedSeries.monomial("q", W, m))
+    probe = tagged_probe(W)
+    lifted = {x: exponential_apply(x, probe)
+              for x in dict.fromkeys(x for x, _, _ in cases.values())}
 
     def intertwines(x: Operator, a: Operator, target: Operator) -> bool:
-        def exp_x(s: TruncatedSeries) -> TruncatedSeries:
-            return s._with([], 1).add_scaled((c, column(x, m)) for m, c in s.terms.items())
-        return ops_equal(lambda s: a.apply(column(x, s.rows[0][0])),
-                         lambda s: exp_x(target.apply(s)), W=W)
+        # ops_equal hands both sides a probe equal to this one
+        return ops_equal(lambda s: a.apply(lifted[x]),
+                         lambda s: exponential_apply(x, target.apply(s)), W=W)
 
     return {
         **{f"{name}_chain": conjugate(x, a, W=W) == symbol(target, W)

@@ -31,15 +31,18 @@ def pytest_configure(config):
 
 @pytest.fixture
 def fresh_memos():
-    # leaf stencils and symbols are memoised per leaf; a planted fault must
-    # not read, or leave behind, the healthy entries
-    from gjvtau import operators
+    # leaf stencils and symbols are memoised per leaf, and the builds several
+    # verify checks share per argument; a planted fault must not read, or
+    # leave behind, the healthy entries
+    from gjvtau import gjv, operators
 
-    operators._stencil.cache_clear()
-    operators._leaf_symbol.cache_clear()
+    memos = (operators._stencil, operators._leaf_symbol, operators.exp_join_power,
+             operators._exp_u_join_of_q1, gjv.assemble_tau_exponential)
+    for memo in memos:
+        memo.cache_clear()
     yield
-    operators._stencil.cache_clear()
-    operators._leaf_symbol.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
 
 
 @pytest.fixture

@@ -14,11 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from gjvtau import cli
+from gjvtau import cli, gjv, operators
 from gjvtau.cli import main
-from gjvtau.exactalg import TruncatedSeries, UPoly, mono, mono_div_var, mono_mul, mono_var
+from gjvtau.exactalg import (MONO_ONE, UPOLY_ONE, TruncatedSeries, UPoly, mono, mono_div_var,
+                             mono_mul, mono_var)
 from gjvtau.hurwitz import HurwitzIndex
-from gjvtau.operators import JoinPart
+from gjvtau.operators import CutJoin, JoinPart, Sum, scaled
 
 
 def run(tmp_path, *args):
@@ -208,6 +209,11 @@ PLANTED_VERIFY_FAULTS = [
                  {"conjugation_conj_m0_sandwich", "hurwitz_route_agreement",
                   "o_operators_n1", "o_operators_n2", "o_operators_n3"},
                  id="join_cube_term"),
+    # o_actions reads the u_hi of None this leaves as exact at every stored
+    # exponent, so the O-operator checks run; the tau's products see the fault
+    pytest.param(TruncatedSeries, "clip_u_above",
+                 lambda real: lambda self, hi: real(self, hi).with_u_hi(self.u_hi),
+                 {"kp1_closedform"}, id="clip_keeps_u_hi"),
 ]
 
 
@@ -220,6 +226,54 @@ def test_planted_fault_fails_verify_by_name(tmp_path, monkeypatch, fresh_memos,
     assert run(tmp_path, "verify", "--W", "8") == 1
     rows = json.loads((tmp_path / "verify.json").read_text())
     assert fails | STANDING_FAILS <= {r["check"] for r in rows if r["status"] == "fail"}
+    # none of these faults crashes the O-operator entry: each n has its report
+    assert {f"o_operators_n{n}" for n in range(1, 6)} <= {r["check"] for r in rows}
+
+
+def test_verify_builds_each_shared_exponential_once(tmp_path, monkeypatch, fresh_memos,
+                                                    fresh_records):
+    # exp(M2) q1 at W, the closed-form tau at c = 1 and the two O-route
+    # exponentials, exp(uM2) q1 and exp(M2) q1 at W + 5, are memoised builds
+    # that several checks read: a run forms each once
+    built = []
+    for owner in (operators, gjv):
+        def spy(op, s, real=owner.exponential_apply, **kw):
+            built.append((Sum(op).parts, s))
+            return real(op, s, **kw)
+        monkeypatch.setattr(owner, "exponential_apply", spy)
+    assert run(tmp_path, "verify", "--W", "8") == 1
+
+    def count(op, seed):
+        return sum(parts == Sum(op).parts and s == seed and s.W == seed.W
+                   for parts, s in built)
+
+    q1_at_8, q1_at_13 = (TruncatedSeries.variable("q", W, 1) for W in (8, 13))
+    # the closed form's exponent and its seed q1/u + c at c = 1
+    closed_form = Sum(CutJoin(2), scaled(CutJoin(1), UPoly.u(1, 2)), scaled(CutJoin(0), UPoly.u(2)))
+    tau_seed = TruncatedSeries("q", 8, {mono_var(1): UPoly.u(-1), MONO_ONE: UPOLY_ONE})
+    lift = scaled(CutJoin(2), UPoly.u(1))
+    assert count(CutJoin(2), q1_at_8) == 1
+    assert count(closed_form, tau_seed) == 1
+    assert count(lift, q1_at_13) == count(CutJoin(2), q1_at_13) == 1
+    # and no O-route exponential is built at any other weight
+    assert sum(parts == Sum(lift).parts for parts, _ in built) == 1
+
+
+def test_a_shared_build_that_crashes_fails_each_reader_by_name(tmp_path, monkeypatch,
+                                                               fresh_memos):
+    # exp(M2) q1 at W is memoised for four entries; a crash is not memoised,
+    # so each entry that reads the build fails under its own name
+    real = operators.exponential_apply
+
+    def crashing(op, s, **kw):
+        if op == CutJoin(2) and s == TruncatedSeries.variable("q", 8, 1) and s.W == 8:
+            raise ArithmeticError("planted crash")
+        return real(op, s, **kw)
+    monkeypatch.setattr(operators, "exponential_apply", crashing)
+    assert run(tmp_path, "verify", "--W", "8") == 1
+    rows = {r["check"]: r for r in json.loads((tmp_path / "verify.json").read_text())}
+    crashed = {name for name, r in rows.items() if "planted crash" in r.get("error", "")}
+    assert crashed == {"f_identities", "propositions", "o_operators", "kp"}
 
 
 def test_verify_filter_can_go_green(tmp_path):

@@ -106,7 +106,7 @@ def _rename_shift_off_by_one(s):
     pytest.param(lambda op, s: (op, _rename_shift_off_by_one(s)), id="rename_shift_off_by_one"),
     pytest.param(lambda op, s: (scaled(Lambda(1), UPoly.u(-1)), s), id="x_sign_flipped"),
 ])
-def test_planted_change_of_variables_fault_fails_by_name(tmp_path, monkeypatch,
+def test_planted_change_of_variables_fault_fails_by_name(tmp_path, monkeypatch, fresh_memos,
                                                          fresh_records, fault):
     real = gjv.exponential_apply
 
@@ -137,7 +137,7 @@ TBASIS_REPORTS = {"string_equation", "lambda_square", "q1_second_derivative",
                   "g_structure", "intersections_routes"}
 
 
-def test_planted_head_fault_fails_the_tau_routes_only(tmp_path, monkeypatch,
+def test_planted_head_fault_fails_the_tau_routes_only(tmp_path, monkeypatch, fresh_memos,
                                                       fresh_records):
     # a head with q1^2 twice over: G does not read the head, so the T-basis
     # entries stay healthy and only the assembly that adds it back fails
@@ -163,7 +163,7 @@ def _order_one_image(W):
 
 
 def test_planted_unstable_part_fault_fails_the_tau_routes(tmp_path, monkeypatch,
-                                                          fresh_records):
+                                                          fresh_memos, fresh_records):
     # G keeps the image of the h02 leg, as if extract_G dropped order 0 of the
     # count series only: extract_G, in gjv for the records (built at W' = 7)
     # and in the cli for the tau routes, returns the healthy G plus that image

@@ -1,5 +1,6 @@
 """Operator layer: cut-and-join actions, commutators, graded exponentials."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -32,6 +33,7 @@ from gjvtau.operators import (
     CutPart,
     JoinPart,
     Lambda,
+    Operator,
     OperatorGradingError,
     Partial,
     Sum,
@@ -39,6 +41,7 @@ from gjvtau.operators import (
     commutator_identities,
     conjugate,
     conjugation_cases,
+    exp_u_join,
     exponential_apply,
     linear_part,
     n_partial,
@@ -534,8 +537,10 @@ def test_intertwining_form_agrees_with_the_literal_sandwich(monkeypatch, planted
         assert got[f"{name}_sandwich"] is literal is (not planted), name
 
 
-def test_conjugations_form_one_exponential_per_basis_monomial(monkeypatch):
-    # both cases share X, so each column exp(X) m is formed once
+@pytest.mark.parametrize("W", [8, 10])
+def test_conjugations_form_three_exponentials(monkeypatch, W):
+    # exp(X) probe once for both cases, which share X, and exp(X) T probe
+    # once per case, whatever the number of basis monomials
     calls = []
     real = operators.exponential_apply
 
@@ -544,8 +549,59 @@ def test_conjugations_form_one_exponential_per_basis_monomial(monkeypatch):
         return real(*args, **kw)
 
     monkeypatch.setattr(operators, "exponential_apply", counting)
-    assert all(verify_conjugations(8).values())
-    assert len(calls) == len(list(monomials_up_to_weight(8))) == 67
+    assert all(verify_conjugations(W).values())
+    assert len(calls) == 3
+
+
+@dataclass(frozen=True)
+class Cancelling(Operator):
+    """q1^2 -> q2 and q2 -> -q2: its images cancel in the plain sum of the
+    weight <= W monomials, but not on the tagged probe."""
+
+    def stencil(self, m):
+        if m == mono((1, 2)):
+            yield mono_var(2), 1
+        elif m == mono_var(2):
+            yield mono_var(2), -1
+
+    def weight_shift(self):
+        return 0
+
+
+@dataclass(frozen=True)
+class OnlyQ1(Operator):
+    """The projection onto q1."""
+
+    def stencil(self, m):
+        if m == mono_var(1):
+            yield m, 1
+
+    def weight_shift(self):
+        return 0
+
+
+def test_ops_equal_sees_images_that_cancel_in_the_plain_sum():
+    plain = sum((qmono(list(m), W=4) for m in monomials_up_to_weight(4)),
+                TruncatedSeries.zero("q", 4))
+    assert Cancelling().apply(plain).is_zero()
+    assert not ops_equal(Lambda(0), Sum(Lambda(0), Cancelling()), W=4)
+
+
+def test_ops_equal_raises_on_an_image_moved_out_of_its_window():
+    # the band of a weight-4 monomial is [-6, 6], so K = 26: u^(K/2) moves
+    # q1's image halfway to the next block, as far from either as can be
+    K = 26
+    assert ops_equal(OnlyQ1(), scaled(OnlyQ1(), UPoly.u(K)), W=4) is False
+    with pytest.raises(UBandError):
+        ops_equal(OnlyQ1(), scaled(OnlyQ1(), UPoly.u(K // 2)), W=4)
+    with pytest.raises(UBandError):  # alone, q1 would leave its band
+        scaled(OnlyQ1(), UPoly.u(K // 2)).apply(qmono([(1, 1)], W=4))
+
+
+def test_ops_equal_refuses_a_clip_in_u():
+    # a box-grading exponential clips at the probe's top, not at each block's
+    with pytest.raises(OperatorGradingError):
+        ops_equal(exp_u_join, exp_u_join, W=4)
 
 
 def ordered_stencil(op, m):
@@ -641,7 +697,7 @@ def _lone_part_u_shift_dropped(kernel):
     return faulty
 
 
-def test_planted_kernel_fault_fails_the_sandwich_and_the_tau_routes(monkeypatch):
+def test_planted_kernel_fault_fails_the_sandwich_and_the_tau_routes(monkeypatch, fresh_memos):
     # scaled(op, c) is a one-part Sum, so X = Lambda(1)/u and the a of each
     # conjugation lose their u-shift, and so does exp(-Lambda_1/u) in the
     # change of variables that extract_G runs
@@ -757,7 +813,7 @@ def test_weighted_o_sum_equals_bracket_action(n):
     # sum_i i*O_i(exp(M2)s) == [n d/dx_n, M](exp(M2)s) on a non-monomial s
     W = 8
     s = o_seed(W)
-    acts = o_actions(n, s, W)
+    acts = o_actions(n, exp_u_join(s), W)
     weighted = sum(
         (a.scale(i) for i, a in enumerate(acts)),
         TruncatedSeries.zero("q", W),
@@ -780,7 +836,7 @@ def test_o_actions_match_the_defining_sum(n):
     depth = (W + n + 1) // 2
     bs = [b.apply(e) for b in nested_brackets(m2, n_partial(n), depth + 1)]
     assert bs[-1].is_zero()
-    acts = o_actions(n, o_seed(W), W)
+    acts = o_actions(n, exp_u_join(o_seed(W)), W)
     assert len(acts) <= depth
     for i in range(depth):
         want = TruncatedSeries.zero("q", W).add_scaled(
@@ -796,8 +852,10 @@ def test_o_actions_match_the_defining_sum(n):
     pytest.param(UPoly.u(1), scaled(CutPart(2), UPoly.u(1)), id="cut_part_in_first_exponential"),
     pytest.param(UPoly({0: 1, 1: -1}), scaled(CutJoin(2), UPoly({0: 1, 1: 1})), id="one_plus_u"),
 ])
-def test_planted_o_route_fault_fails_the_o_checks(tmp_path, monkeypatch, coef, fault):
-    # o_actions' exponential of coef * M2 applies the fault instead
+def test_planted_o_route_fault_fails_the_o_checks(tmp_path, monkeypatch, fresh_memos,
+                                                  coef, fault):
+    # o_actions' exponential of coef * M2 applies the fault instead; the
+    # fixture drops the memoised healthy exp(uM2) q1
     real = operators.exponential_apply
 
     def faulty(op, s, **kw):

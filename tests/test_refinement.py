@@ -36,6 +36,7 @@ from gjvtau.operators import (
     Sum,
     conjugate,
     conjugation_cases,
+    exp_u_join,
     exponential_apply,
     o_actions,
     scaled,
@@ -114,7 +115,8 @@ O_SEEDS = {
 @pytest.mark.parametrize("seed", list(O_SEEDS))
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_o_actions_survive_refinement(n, seed):
-    small, big = (o_actions(n, O_SEEDS[seed](W, n), W) for W in (W_SMALL, W_SMALL + 2))
+    small, big = (o_actions(n, exp_u_join(O_SEEDS[seed](W, n)), W)
+                  for W in (W_SMALL, W_SMALL + 2))
     assert len(small) <= len(big)
     for i, layer in enumerate(small):
         bad, certified, beyond, confirmed = refinement(layer, big[i])
@@ -155,7 +157,10 @@ def _partial_keeping_reliable(partial):
     pytest.param("partial", _partial_keeping_reliable, {"kp1_residual"},
                  id="partial_keeps_reliable"),
 ])
-def test_planted_bookkeeping_fault_fails_the_oracle(monkeypatch, method, fault, fails):
+def test_planted_bookkeeping_fault_fails_the_oracle(monkeypatch, fresh_memos, method, fault,
+                                                   fails):
+    # the closed-form tau and exp(M2) q1 are memoised: the fixture drops the
+    # healthy ones, so the builders run under the fault
     monkeypatch.setattr(TruncatedSeries, method, fault(getattr(TruncatedSeries, method)))
     assert disagreeing_builders() == fails
 
