@@ -25,12 +25,12 @@ from .gjv import (
     extract_intersections_polyfit,
     hurwitz_grid,
     intersection_F,
+    tau_route_reports,
     tbasis_records,
     verify_lambda_square,
     verify_proposition,
     verify_second_derivative,
     verify_string,
-    verify_tau_routes,
 )
 from .hirota import KP1, KP2, check_kp, check_linearized_kp, to_hirota_vars
 from .hurwitz import (
@@ -245,12 +245,9 @@ def _check_conjugations(cfg: argparse.Namespace) -> list[CheckReport]:
 
 
 def _check_tau_routes(cfg: argparse.Namespace) -> list[CheckReport]:
-    G = extract_G(cfg.W, cfg.W + 1)
-    out = []
-    for i, c in enumerate(VERIFY_C):
-        rep = verify_tau_routes(c, cfg.W, G=G)
+    out = tau_route_reports(VERIFY_C, cfg.W, G=extract_G(cfg.W, cfg.W + 1))
+    for i, rep in enumerate(out):
         rep.name = f"tau_routes_c{i}"
-        out.append(rep)
     return out
 
 

@@ -599,11 +599,11 @@ class TruncatedSeries:
     ) -> TruncatedSeries:
         """self + the sum of c * s over the (c, s) parts, with the bookkeeping
         of that chain of ``+``; c is a rational or a UPoly, and each c * s
-        must stay inside the band of s (else :class:`UBandError`).  The parts'
-        rows are summed one at a time over one common denominator."""
-        acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
-        W, lo, hi, rel, u_hi, den = (self.W, self.umin, self.umax,
-                                     self.reliable, self.u_hi, 1)
+        must stay inside the band of s (else :class:`UBandError`), checked
+        part by part as the parts arrive.  The parts' rows are summed over
+        one common denominator, the lcm of all of theirs, taken once."""
+        held: list[tuple[UPoly, TruncatedSeries]] = []
+        W, lo, hi, rel, u_hi = self.W, self.umin, self.umax, self.reliable, self.u_hi
         for c, s in itertools.chain([(1, self)], parts):
             self._check_family(s)
             c = c if isinstance(c, UPoly) else UPoly.const(c)
@@ -616,13 +616,13 @@ class TruncatedSeries:
                     or max(r[-1][0] for _, _, r in s.rows) + uhi > s.umax):
                 raise UBandError(f"{c} times a series escapes its band "
                                  f"[{s.umin}, {s.umax}]")
-            cd = math.lcm(*(v.denominator for _, v in c.terms))
-            common = math.lcm(den, cd * s.den)
-            if common != den:  # move the sum so far onto the new denominator
-                for _, row in acc.values():
-                    for e in row:
-                        row[e] *= common // den
-                den = common
+            held.append((c, s))
+            W, lo, hi = min(W, s.W), min(lo, s.umin), max(hi, s.umax)
+            rel = min(rel, s.reliable)
+            u_hi = self._merge_u_hi(u_hi, None if s.u_hi is None else s.u_hi + ulo)
+        den = math.lcm(*(v.denominator * s.den for c, s in held for _, v in c.terms))
+        acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
+        for c, s in held:
             fs = [(k, v.numerator * (den // (v.denominator * s.den))) for k, v in c.terms]
             for m, w, row_in in s.rows:
                 got = acc.get(m)
@@ -632,9 +632,6 @@ class TruncatedSeries:
                 for k, f in fs:
                     for e, n in row_in:
                         row[e + k] = row.get(e + k, 0) + f * n
-            W, lo, hi = min(W, s.W), min(lo, s.umin), max(hi, s.umax)
-            rel = min(rel, s.reliable)
-            u_hi = self._merge_u_hi(u_hi, None if s.u_hi is None else s.u_hi + ulo)
         return TruncatedSeries._built(
             family=self.family, W=W, rows=[r for r in summed_rows(acc) if r[1] <= W],
             den=den, umin=lo, umax=hi, reliable=rel, u_hi=u_hi)

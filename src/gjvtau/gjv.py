@@ -14,8 +14,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
+from typing import Iterable
 
 from .exactalg import (
+    UPOLY_ZERO,
     FamilyError,
     Rat,
     TruncatedSeries,
@@ -107,21 +109,27 @@ def build_tbasis(K: int, W: int) -> list[TruncatedSeries]:
     return basis
 
 
-@functools.lru_cache(maxsize=4)
 def assemble_tau_exponential(c: UPoly, W: int) -> TruncatedSeries:
-    """exp(M2 + 2u*M1 + u^2*M0) applied to c(u) + q_1/u.
+    """exp(M2 + 2u*M1 + u^2*M0) applied to c(u) + q_1/u, in the default band
+    widened to c.
 
     Every summand raises weight + u-exponent by exactly 2 and lowers neither,
     so the expansion terminates inside the weight x band box and the top of
-    the band is clipped (recorded in u_hi).  Memoised per (c, W): the tau
-    routes and the KP checks both read the tau at c = 1.
+    the band is clipped (recorded in u_hi).  Every summand kills constants,
+    so this is c + tau_0 with tau_0 = exp(...)(q_1/u) in the same band: the
+    same rows, denominator, band and bookkeeping as the exponential of
+    c + q_1/u.  tau_0 is memoised per (W, band), so the tau routes and the
+    KP checks form it once for every c that leaves the band alone.
     """
-    lo, hi = band_for_weight(W)
-    if c:
-        lo, hi = min(lo, c.min_exp()), max(hi, c.max_exp())
+    lo, hi = _widened(band_for_weight(W), c)
+    tau0 = _tau_zero(W, lo, hi)
+    return tau0 + TruncatedSeries.const("q", W, c, umin=lo, umax=hi) if c else tau0
+
+
+@functools.lru_cache(maxsize=4)
+def _tau_zero(W: int, lo: int, hi: int) -> TruncatedSeries:
+    """exp(M2 + 2u*M1 + u^2*M0) q_1/u at truncation W, in the band [lo, hi]."""
     seed = TruncatedSeries("q", W, {mono_var(1): _U_INV}, umin=lo, umax=hi)
-    if c:
-        seed = seed + TruncatedSeries.const("q", W, c, umin=lo, umax=hi)
     mixed = Sum(
         CutJoin(2),
         scaled(CutJoin(1), UPoly.u(1, 2)),
@@ -130,11 +138,17 @@ def assemble_tau_exponential(c: UPoly, W: int) -> TruncatedSeries:
     return exponential_apply(mixed, seed)
 
 
+def _widened(band: tuple[int, int], c: UPoly) -> tuple[int, int]:
+    """The band [lo, hi] widened to hold every exponent of c."""
+    lo, hi = band
+    return (min(lo, c.min_exp()), max(hi, c.max_exp())) if c else (lo, hi)
+
+
 def assemble_tau_from_g(c: UPoly, G: TruncatedSeries) -> TruncatedSeries:
-    """c + (q_1 + q_1 q_2)/u + q_1^2 + (Lambda_0 + Lambda_1/u)^2 G."""
+    """c + (q_1 + q_1 q_2)/u + q_1^2 + (Lambda_0 + Lambda_1/u)^2 G, in G's
+    band widened to [-1, 0] and to c."""
     W = G.W
-    lo = min(G.umin, -1, c.min_exp() if c else 0)
-    hi = max(G.umax, 0, c.max_exp() if c else 0)
+    lo, hi = _widened((min(G.umin, -1), max(G.umax, 0)), c)
     g = G.with_band(lo, hi)
     head = _tau_head(W, lo, hi)
     if c:
@@ -180,14 +194,32 @@ def verify_tau_routes(
     clipping both routes to that band makes them exact on everything stored,
     also when c reaches above it and widens the exponential's band.
     """
+    (rep,) = tau_route_reports((c,), W, G=G)
+    return rep
+
+
+def tau_route_reports(
+    cs: Iterable[UPoly], W: int, *, G: TruncatedSeries | None = None
+) -> list[CheckReport]:
+    """verify_tau_routes for each c, with the G-route's tau_0 formed once:
+    each c that leaves its band alone reads c + tau_0 on both routes, which
+    is the tau at c (test_taus_are_affine_in_c); any other c is built
+    directly."""
     if G is None:
         G = extract_G(W, Mmax=W + 1)
     _, hi = band_for_weight(W)
-    t1 = assemble_tau_from_g(c, G).clip_u_above(hi)
-    t2 = assemble_tau_exponential(c, W).clip_u_above(hi)
-    return residual_report(
-        "tau_routes", t1 - t2, reliable=W, detail={"c": str(c), "W": W}
-    )
+    g_tau0 = assemble_tau_from_g(UPOLY_ZERO, G)
+    out = []
+    for c in cs:
+        if _widened((g_tau0.umin, g_tau0.umax), c) == (g_tau0.umin, g_tau0.umax):
+            t1 = g_tau0 + TruncatedSeries.const("q", W, c, umin=g_tau0.umin,
+                                                umax=g_tau0.umax) if c else g_tau0
+        else:
+            t1 = assemble_tau_from_g(c, G)
+        t2 = assemble_tau_exponential(c, W)
+        out.append(residual_report("tau_routes", t1.clip_u_above(hi) - t2.clip_u_above(hi),
+                                   reliable=W, detail={"c": str(c), "W": W}))
+    return out
 
 
 # ---------------------------------------------------------------------------

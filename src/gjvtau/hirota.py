@@ -77,14 +77,17 @@ def _multi_partial(s: TruncatedSeries, kvec: tuple[int, ...],
 
 
 def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
-    """Evaluate P(D) tau.tau, forming each product d^k tau * d^(a-k) tau once.
+    """Evaluate P(D) tau.tau, forming one product per shared factor.
 
     The signed binomial coefficients are summed per unordered pair {k, a - k}.
     An odd D-monomial cancels there: |k| and |a - k| differ in parity, so the
-    pair's two coefficients have opposite signs.  The result carries the
-    lowest reliable weight R and u_hi U among the products, read off the
-    factors before any product is formed, and each product is formed only
-    through (R, U): the result stores no entry above weight R or above u^U.
+    pair's two coefficients have opposite signs.  The pairs are grouped
+    greedily by a factor d^k tau they share, the one in the most remaining
+    pairs first, and each group forms the one product
+    d^k tau * Sum_pair c * partner.  The result carries the lowest reliable
+    weight R and u_hi U among the pairs' products, read off the factors
+    before any product is formed, and each product is formed only through
+    (R, U): the result stores no entry above weight R or above u^U.
     A P that forms no product certifies nothing: R is -1."""
     pairs: dict = {}
     for coef, avec in P.terms:
@@ -95,18 +98,32 @@ def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
                 c = -c
             key = (min(kvec, rest), max(kvec, rest))
             pairs[key] = pairs.get(key, 0) + c
+    pairs = {key: c for key, c in pairs.items() if c}
     memo: dict = {}
-    factors = [(c, _multi_partial(tau, kvec, memo), _multi_partial(tau, rest, memo))
-               for (kvec, rest), c in pairs.items() if c]
-    R, U = tau.W if factors else -1, None
-    for _, a, b in factors:
-        rel, u_hi = a.product_bounds(b)
+
+    def d(kvec: tuple[int, ...]) -> TruncatedSeries:
+        return _multi_partial(tau, kvec, memo)
+
+    R, U = tau.W if pairs else -1, None
+    for kvec, rest in pairs:
+        rel, u_hi = d(kvec).product_bounds(d(rest))
         R, U = min(R, rel), TruncatedSeries._merge_u_hi(U, u_hi)
     # products can reach twice the factor's extremes, so widen up front
     lo, hi = 2 * tau.umin, 2 * tau.umax
+    products = []
+    while pairs:
+        counts: dict = {}
+        for pair in pairs:
+            for kvec in set(pair):
+                counts[kvec] = counts.get(kvec, 0) + 1
+        shared = max(counts, key=counts.get)
+        partners = [(pairs.pop(pair), d(pair[pair[0] == shared]))
+                    for pair in [pair for pair in pairs if shared in pair]]
+        c, g = partners[0] if len(partners) == 1 else (1, TruncatedSeries.zero(
+            tau.family, tau.W, umin=tau.umin, umax=tau.umax).add_scaled(partners))
+        products.append((c, d(shared).mul(g, umin=lo, umax=hi, _region=(R, U))))
     zero = TruncatedSeries.zero(tau.family, tau.W, umin=lo, umax=hi, reliable=R)
-    return zero.add_scaled((c, a.mul(b, umin=lo, umax=hi, _region=(R, U)))
-                           for c, a, b in factors)
+    return zero.add_scaled(products)
 
 
 def check_kp(

@@ -2,11 +2,12 @@
 
 Operators are immutable AST nodes: the single-variable derivative, the
 lowering family Lambda(a), the three cut-and-join operators, Compose, and
-Sum, a linear combination whose coefficients are Laurent polynomials in u.
-A scalar is a coefficient: scaled(op, c) is a one-part Sum.  A leaf, the
-derivative included, declares only a stencil: the (target monomial, integer
-multiplier) pairs of one source monomial, over a class-level denominator,
-memoised per (leaf, monomial) since it does not depend on the truncation.
+Sum, a linear combination whose coefficients are Laurent polynomials in u;
+a Bracket is the Sum a.b - b.a.  A scalar is a coefficient: scaled(op, c)
+is a one-part Sum.  A leaf, the derivative included, declares only a
+stencil: the (target monomial, integer multiplier) pairs of one source
+monomial, over a class-level denominator, memoised in one dict per leaf
+since it does not depend on the truncation.
 One stencil kernel applies a leaf, and every leaf part of a Sum at once: in
 one pass over the input's integer rows it sums c_i * leaf_i(s) into one
 integer accumulator and writes the output's rows.  Only a Sum's Compose
@@ -24,13 +25,16 @@ probe that tags the i-th monomial with u^(i K), K twice the width of a
 monomial's band: the maps must act u-linearly and keep each monomial's
 image inside that band, and an image that leaves it raises.
 symbol(op, N) is the normal-ordered form: op's terms c * x^alpha d^beta
-with d-weight <= N, each leaf's read off its own stencil, composed by the
-Leibniz rule; two operators act equally on every monomial of weight <= N
-iff their symbols at N are equal.  Identities between operators compare
-symbols; the conjugation sandwich, which acts on series, compares with
-ops_equal.  The O-operator actions are the u-layers of one conjugation by
-exp((1-u)M2), formed by two exponentials, with no bracket expanded.  The
-exponentials of q_1 that several verify checks read are memoised.
+with d-weight <= N, each leaf's read off its own stencil one d-weight layer
+at a time, each layer once for every N, composed by the Leibniz rule; a
+bracket sums only the contractions, the Leibniz terms with kappa != 0, as
+its uncontracted terms cancel.  Two operators act equally on every monomial
+of weight <= N iff their symbols at N are equal.  Identities between
+operators compare symbols; the conjugation sandwich, which acts on series,
+compares with ops_equal.  The O-operator actions are the u-layers of one
+conjugation by exp((1-u)M2), formed by two exponentials, with no bracket
+expanded.  The exponentials of q_1 that several verify checks read are
+memoised.
 """
 
 from __future__ import annotations
@@ -66,14 +70,28 @@ class OperatorGradingError(ValueError):
     """An operator exponential cannot be truncated soundly as requested."""
 
 
-@functools.cache
+# per leaf, {monomial: its merged stencil}: a stencil holds no W, so one
+# entry serves every truncation.  The stencil kernel fetches a leaf's dict
+# once per pass, so the leaf is hashed once per pass, not once per row.
+_STENCILS: dict[Operator, dict[Monomial, tuple[tuple[Monomial, int], ...]]] = {}
+
+
 def _stencil(op: Operator, m: Monomial) -> tuple[tuple[Monomial, int], ...]:
     """op's stencil at m with repeated targets merged, memoised per (leaf,
-    monomial); it holds no W, so it serves every truncation."""
-    merged: dict[Monomial, int] = {}
-    for target, k in op.stencil(m):
-        merged[target] = merged.get(target, 0) + k
-    return tuple((t, k) for t, k in merged.items() if k)
+    monomial)."""
+    memo = _STENCILS.setdefault(op, {})
+    got = memo.get(m)
+    if got is None:
+        merged: dict[Monomial, int] = {}
+        for target, k in op.stencil(m):
+            merged[target] = merged.get(target, 0) + k
+        got = memo[m] = tuple((t, k) for t, k in merged.items() if k)
+    return got
+
+
+def clear_stencils() -> None:
+    """Drop every memoised stencil, as a changed leaf needs."""
+    _STENCILS.clear()
 
 
 def _stencil_sum(s: TruncatedSeries, parts: list[tuple[UPoly, Operator]],
@@ -88,21 +106,26 @@ def _stencil_sum(s: TruncatedSeries, parts: list[tuple[UPoly, Operator]],
     out of the band: that range covers leaf_i(s)'s, so the check is never
     looser than add_scaled's, also when another part cancels the escape."""
     den = lcm(*(op.den * v.denominator for c, op in parts for _, v in c.terms))
-    # per nonzero part: c_i, its leaf, its weight shift, its (u-power, integer
-    # factor) pairs, and if c_i moves u, the [lowest, highest] u-exponent of
-    # the rows that reach a target
-    legs = [(c, op, op.weight_shift(),
+    # per nonzero part: c_i, its leaf, its stencil memo, its weight shift, its
+    # (u-power, integer factor) pairs, and if c_i moves u, the [lowest,
+    # highest] u-exponent of the rows that reach a target
+    legs = [(c, op, _STENCILS.setdefault(op, {}), op.weight_shift(),
              [(e, v.numerator * (den // (op.den * v.denominator))) for e, v in c.terms],
              [inf, -inf] if c.min_exp() or c.max_exp() else None)
             for c, op in parts if c]
     # the rows are in ascending weight: none past top reaches the truncation
-    top = s.W - min((shift for _, _, shift, _, _ in legs), default=0)
+    top = s.W - min((shift for _, _, _, shift, _, _ in legs), default=0)
     acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
     for m, w, r in s.rows:
         if w > top:
             break
-        for _, op, shift, fs, span in legs:
-            if w + shift > s.W or not (targets := _stencil(op, m)):
+        for _, op, memo, shift, fs, span in legs:
+            if w + shift > s.W:
+                continue
+            targets = memo.get(m)
+            if targets is None:
+                targets = _stencil(op, m)
+            if not targets:
                 continue
             if span:
                 span[0], span[1] = min(span[0], r[0][0]), max(span[1], r[-1][0])
@@ -115,7 +138,7 @@ def _stencil_sum(s: TruncatedSeries, parts: list[tuple[UPoly, Operator]],
                     kf = k * f
                     for e, n in r:
                         row[e + ce] = row.get(e + ce, 0) + kf * n
-    for c, _, _, _, span in legs:
+    for c, _, _, _, _, span in legs:
         if span and span[0] <= span[1] and (
                 span[0] + c.min_exp() < s.umin or span[1] + c.max_exp() > s.umax):
             raise UBandError(f"{c} times a series escapes its band [{s.umin}, {s.umax}]")
@@ -322,8 +345,20 @@ def scaled(op: Operator, c: Rat | int | UPoly) -> Operator:
     return Sum(op, coeffs=(c,))
 
 
-def commutator(a: Operator, b: Operator) -> Operator:
-    return Sum(Compose(a, b), Compose(b, a), coeffs=(1, -1))
+class Bracket(Sum):
+    """The commutator [a, b]: it acts as the Sum a.b - b.a, and its symbol
+    is formed from the contractions of the two products alone (see
+    _contracted)."""
+
+    __slots__ = ("pair",)
+
+    def __init__(self, a: Operator, b: Operator):
+        super().__init__(Compose(a, b), Compose(b, a), coeffs=(1, -1))
+        object.__setattr__(self, "pair", (a, b))
+
+
+def commutator(a: Operator, b: Operator) -> Bracket:
+    return Bracket(a, b)
 
 
 def _probe_windows(W: int, headroom: int) -> tuple[int, int, int]:
@@ -422,6 +457,10 @@ def symbol(op: Operator, N: int) -> Symbol:
     operators act equally on every monomial of weight <= N exactly when
     their symbols at N are equal.
     """
+    if isinstance(op, Bracket):
+        a, b = op.pair
+        sa, sb = symbol(a, N), symbol(b, N)
+        return _contracted(symbol(a, N + _raise(sb)), sa, symbol(b, N + _raise(sa)), sb, N)
     if isinstance(op, Sum):
         return _linear((c, symbol(part, N)) for c, part in op.parts)
     if isinstance(op, Compose):
@@ -434,31 +473,44 @@ def symbol(op: Operator, N: int) -> Symbol:
 
 @functools.cache
 def _leaf_symbol(op: Operator, N: int) -> Symbol:
-    """A stencil leaf's symbol, read off its actions on 1, q_v and q_v q_w:
-    every leaf has order <= 2, so peeling the lower-order terms off each
-    action leaves the coefficient of d^beta times beta!.  Numerators are
-    over 2 * op.den, so the beta! = 2 of d_v^2 divides."""
+    """A stencil leaf's symbol at N: its layers of d-weight 0..N, over
+    2 * op.den (see _leaf_layer)."""
+    acc = {(t, beta, 0): n for d in range(N + 1)
+           for beta, terms in _leaf_layer(op, d).items() for t, n in terms.items()}
+    return _reduced(acc, 2 * op.den)
+
+
+@functools.cache
+def _leaf_layer(op: Operator, d: int) -> dict[Monomial, dict[Monomial, int]]:
+    """A stencil leaf's symbol terms of d-weight d, as {beta: {alpha: n}}
+    with numerators n over 2 * op.den, read off its actions on q_d and on
+    q_v q_w with v + w = d: every leaf has order <= 2, so peeling the terms
+    of the lower layers off each action leaves the coefficient of d^beta
+    times beta!, and the beta! = 2 of d_v^2 divides.  Layer 0 is the action
+    on 1.  Each layer is read once, for every N that reaches it."""
     def act(m: Monomial) -> dict[Monomial, int]:
         return {t: 2 * k for t, k in _stencil(op, m)}
 
-    zero = act(())
-    acc = {(t, (), 0): n for t, n in zero.items()}
-    first = {}
-    for v in range(1, N + 1):
-        qv = mono_var(v)
-        first[v] = _peel(act(qv), zero, qv)
-        acc.update(((t, qv, 0), n) for t, n in first[v].items())
-    for v in range(1, N // 2 + 1):
-        for w in range(v, N - v + 1):
-            beta = mono((v, 1), (w, 1))
-            rest = _peel(act(beta), zero, beta)
-            if v == w:  # d_v q_v^2 = 2 q_v, d_v^2 q_v^2 = 2
-                rest = _peel(rest, first[v], mono_var(v), 2)
-                acc.update(((t, beta, 0), n // 2) for t, n in rest.items())
-            else:
-                rest = _peel(_peel(rest, first[v], mono_var(w)), first[w], mono_var(v))
-                acc.update(((t, beta, 0), n) for t, n in rest.items())
-    return _reduced(acc, 2 * op.den)
+    if d == 0:
+        zero = act(())
+        return {(): zero} if zero else {}
+    zero = _leaf_layer(op, 0).get((), {})
+
+    def first(v: int) -> dict[Monomial, int]:
+        return _leaf_layer(op, v).get(mono_var(v), {})
+
+    qd = mono_var(d)
+    out = {qd: _peel(act(qd), zero, qd)}
+    for v in range(1, d // 2 + 1):
+        w = d - v
+        beta = mono((v, 1), (w, 1))
+        rest = _peel(act(beta), zero, beta)
+        if v == w:  # d_v q_v^2 = 2 q_v, d_v^2 q_v^2 = 2
+            rest = {t: n // 2 for t, n in _peel(rest, first(v), mono_var(v), 2).items()}
+        else:
+            rest = _peel(_peel(rest, first(v), mono_var(w)), first(w), mono_var(v))
+        out[beta] = rest
+    return {beta: terms for beta, terms in out.items() if terms}
 
 
 def _peel(acted: dict, terms: dict, factor: Monomial, mult: int = 1) -> dict:
@@ -489,32 +541,53 @@ def _leibniz(beta: Monomial, gamma: Monomial) -> tuple[tuple[Monomial, Monomial,
     return tuple(out)
 
 
-def _compose(a: Symbol, b: Symbol, N: int) -> Symbol:
+def _compose(a: Symbol, b: Symbol, N: int, *, free: bool = True) -> Symbol:
     """The symbol of a.b through d-weight N, by the multi-index Leibniz rule
     x^alpha d^beta . x^gamma d^delta
         = Sum_kappa C(beta, kappa) C(gamma, kappa) kappa!
                     x^(alpha+gamma-kappa) d^(beta+delta-kappa).
     A product term's d-weight is at least beta's minus b's raise, so a must
-    be exact through N + _raise(b) and b through N."""
+    be exact through N + _raise(b) and b through N.
+
+    With free=False, only the contractions, the terms with kappa != 0, are
+    summed, so only the pairs in which beta shares a variable with gamma
+    are visited: b's terms are indexed by the variables of gamma."""
     right = [(x, d, e, n, mono_weight(x), mono_weight(d)) for (x, d, e), n in b.terms.items()]
+    by_var: dict[int, list[int]] = {}
+    if not free:
+        for i, (x, *_) in enumerate(right):
+            for v, _ in x:
+                by_var.setdefault(v, []).append(i)
+    skip = 0 if free else 1  # _leibniz lists kappa = 0 first
     acc: dict[SymbolKey, int] = {}
     for (xa, da, ea), na in a.terms.items():
         wa = mono_weight(da)
-        for xb, db, eb, nb, wx, wd in right:
+        pairs = right if free else [right[i] for i in set().union(
+            *(by_var.get(v, ()) for v, _ in da))]
+        for xb, db, eb, nb, wx, wd in pairs:
             if wa + wd - wx > N:
                 continue
             n = na * nb
-            for x_rest, d_rest, wr, mult in _leibniz(da, xb):
+            for x_rest, d_rest, wr, mult in _leibniz(da, xb)[skip:]:
                 if wr + wd <= N:
                     key = (mono_mul(xa, x_rest), mono_mul(d_rest, db), ea + eb)
                     acc[key] = acc.get(key, 0) + mult * n
     return _reduced(acc, a.den * b.den)
 
 
+def _contracted(a_hi: Symbol, a: Symbol, b_hi: Symbol, b: Symbol, N: int) -> Symbol:
+    """[a, b] through d-weight N, from a and b at N and from a_hi and b_hi,
+    the same symbols exact through N plus the other one's raise.  The
+    kappa = 0 term x^(alpha+gamma) d^(beta+delta) of a.b is that of b.a and
+    passes the same cut, so the two cancel: the bracket is the difference
+    of the two products' contractions alone."""
+    return _linear(((UPOLY_ONE, _compose(a_hi, b, N, free=False)),
+                    (UPoly.const(-1), _compose(b_hi, a, N, free=False))))
+
+
 def _bracket(y: Symbol, x: Operator, N: int) -> Symbol:
     """[y, X] through d-weight N; y must be exact through N + the raise of X."""
-    return _linear(((UPOLY_ONE, _compose(y, symbol(x, N), N)),
-                    (UPoly.const(-1), _compose(symbol(x, N + _raise(y)), y, N))))
+    return _contracted(y, y, symbol(x, N + _raise(y)), symbol(x, N), N)
 
 
 def _raise(s: Symbol) -> int:

@@ -31,18 +31,21 @@ def pytest_configure(config):
 
 @pytest.fixture
 def fresh_memos():
-    # leaf stencils and symbols are memoised per leaf, and the builds several
-    # verify checks share per argument; a planted fault must not read, or
-    # leave behind, the healthy entries
+    # leaf stencils, symbol layers and symbols are memoised per leaf, and the
+    # builds several verify checks share, tau_0 among them, per argument; a
+    # planted fault must not read, or leave behind, the healthy entries
     from gjvtau import gjv, operators
 
-    memos = (operators._stencil, operators._leaf_symbol, operators.exp_join_power,
-             operators._exp_u_join_of_q1, gjv.assemble_tau_exponential)
-    for memo in memos:
-        memo.cache_clear()
+    memos = (operators._leaf_layer, operators._leaf_symbol, operators.exp_join_power,
+             operators._exp_u_join_of_q1, gjv._tau_zero)
+
+    def clear():
+        operators.clear_stencils()
+        for memo in memos:
+            memo.cache_clear()
+    clear()
     yield
-    for memo in memos:
-        memo.cache_clear()
+    clear()
 
 
 @pytest.fixture

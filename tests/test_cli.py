@@ -16,8 +16,7 @@ import pytest
 
 from gjvtau import cli, gjv, operators
 from gjvtau.cli import main
-from gjvtau.exactalg import (MONO_ONE, UPOLY_ONE, TruncatedSeries, UPoly, mono, mono_div_var,
-                             mono_mul, mono_var)
+from gjvtau.exactalg import TruncatedSeries, UPoly, mono, mono_div_var, mono_mul, mono_var
 from gjvtau.hurwitz import HurwitzIndex
 from gjvtau.operators import CutJoin, JoinPart, Sum, scaled
 
@@ -232,7 +231,7 @@ def test_planted_fault_fails_verify_by_name(tmp_path, monkeypatch, fresh_memos,
 
 def test_verify_builds_each_shared_exponential_once(tmp_path, monkeypatch, fresh_memos,
                                                     fresh_records):
-    # exp(M2) q1 at W, the closed-form tau at c = 1 and the two O-route
+    # exp(M2) q1 at W, the closed-form tau_0 and the two O-route
     # exponentials, exp(uM2) q1 and exp(M2) q1 at W + 5, are memoised builds
     # that several checks read: a run forms each once
     built = []
@@ -248,12 +247,14 @@ def test_verify_builds_each_shared_exponential_once(tmp_path, monkeypatch, fresh
                    for parts, s in built)
 
     q1_at_8, q1_at_13 = (TruncatedSeries.variable("q", W, 1) for W in (8, 13))
-    # the closed form's exponent and its seed q1/u + c at c = 1
+    # the closed form's exponent, on tau_0's seed q1/u: each c in VERIFY_C
+    # reads c + tau_0, so no seed q1/u + c is exponentiated
     closed_form = Sum(CutJoin(2), scaled(CutJoin(1), UPoly.u(1, 2)), scaled(CutJoin(0), UPoly.u(2)))
-    tau_seed = TruncatedSeries("q", 8, {mono_var(1): UPoly.u(-1), MONO_ONE: UPOLY_ONE})
+    tau0_seed = TruncatedSeries("q", 8, {mono_var(1): UPoly.u(-1)})
+    assert count(closed_form, tau0_seed) == 1
+    assert sum(parts == Sum(closed_form).parts for parts, _ in built) == 1
     lift = scaled(CutJoin(2), UPoly.u(1))
     assert count(CutJoin(2), q1_at_8) == 1
-    assert count(closed_form, tau_seed) == 1
     assert count(lift, q1_at_13) == count(CutJoin(2), q1_at_13) == 1
     # and no O-route exponential is built at any other weight
     assert sum(parts == Sum(lift).parts for parts, _ in built) == 1

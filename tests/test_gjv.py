@@ -8,11 +8,13 @@ from math import factorial, lcm, prod
 import pytest
 
 from gjvtau.exactalg import (
+    MONO_ONE,
     FamilyError,
     TruncatedSeries,
     UPOLY_ONE,
     UPOLY_ZERO,
     UPoly,
+    band_for_weight,
     mono,
     mono_key,
     mono_str,
@@ -41,7 +43,7 @@ from gjvtau.gjv import (
     verify_tau_routes,
 )
 from gjvtau.cli import INTERSECTION_GRIDS, main
-from gjvtau.operators import Lambda, scaled
+from gjvtau.operators import CutJoin, Lambda, Sum, scaled
 from gjvtau.report import FAIL
 from gjvtau.hurwitz import (
     DCAP_HARD,
@@ -342,6 +344,28 @@ def test_taus_are_affine_in_c(W):
             want = tau0.with_band(lo, hi) + TruncatedSeries.const(
                 tau0.family, W, c, umin=lo, umax=hi)
             assert _layout(build(c)) == _layout(want), (name, str(c))
+
+
+def direct_closed_form(c, W):
+    """exp(M2 + 2uM1 + u^2 M0) applied to c + q1/u itself, in the default
+    band widened to c."""
+    lo, hi = band_for_weight(W)
+    if c:
+        lo, hi = min(lo, c.min_exp()), max(hi, c.max_exp())
+    seed = TruncatedSeries("q", W, {mono_var(1): UPoly.u(-1), MONO_ONE: c}, umin=lo, umax=hi)
+    closed = Sum(CutJoin(2), scaled(CutJoin(1), UPoly.u(1, 2)), scaled(CutJoin(0), UPoly.u(2)))
+    return operators.exponential_apply(closed, seed)
+
+
+@pytest.mark.parametrize("W", range(4, 13))
+def test_closed_form_tau_is_c_plus_the_memoised_tau0(W, fresh_memos):
+    # the choices in VERIFY_C leave the band alone; u^(W + 4) widens it, and
+    # tau_0 is then formed in the widened band
+    for c in (*cli.VERIFY_C, UPoly.parse(f"u^{W + 4} + 1")):
+        got, want = assemble_tau_exponential(c, W), direct_closed_form(c, W)
+        assert (got.family, got.W, got.den, got.umin, got.umax, got.reliable, got.u_hi) == \
+            (want.family, want.W, want.den, want.umin, want.umax, want.reliable, want.u_hi)
+        assert {m: (w, r) for m, w, r in got.rows} == {m: (w, r) for m, w, r in want.rows}
 
 
 def test_tau_assemblies_share_the_singular_head():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjvtau import exactalg
+from gjvtau import cli, exactalg
 from gjvtau.exactalg import (
     FamilyError,
     TruncatedSeries,
@@ -23,6 +23,7 @@ from gjvtau.hirota import (
     KP2,
     T_CONVENTION,
     HirotaPolynomial,
+    _multi_partial,
     check_kp,
     check_linearized_kp,
     hirota_apply,
@@ -150,7 +151,48 @@ def test_pair_gathering_matches_the_ordered_expansion(P, tau):
     assert got.u_hi is None or got.u_hi >= want.u_hi
 
 
-@pytest.mark.parametrize("kp, muls", [(KP1, 7), (KP2, 8)], ids=["kp1", "kp2"])
+def pairwise_hirota_apply(P, tau):
+    """P(D) tau.tau with one product per unordered pair {k, a - k}, each
+    formed through the region (R, U) of all the pairs' products."""
+    pairs = {}
+    for coef, avec in P.terms:
+        for kvec in iproduct(*(range(a + 1) for a in avec)):
+            rest = tuple(a - k for a, k in zip(avec, kvec))
+            c = coef * prod(comb(a, k) for a, k in zip(avec, kvec))
+            key = (min(kvec, rest), max(kvec, rest))
+            pairs[key] = pairs.get(key, 0) + (-c if sum(rest) % 2 else c)
+    memo = {}
+    factors = [(c, _multi_partial(tau, k, memo), _multi_partial(tau, r, memo))
+               for (k, r), c in pairs.items() if c]
+    R, U = tau.W if factors else -1, None
+    for _, a, b in factors:
+        rel, u_hi = a.product_bounds(b)
+        R, U = min(R, rel), TruncatedSeries._merge_u_hi(U, u_hi)
+    lo, hi = 2 * tau.umin, 2 * tau.umax
+    zero = TruncatedSeries.zero(tau.family, tau.W, umin=lo, umax=hi, reliable=R)
+    return zero.add_scaled((c, a.mul(b, umin=lo, umax=hi, _region=(R, U)))
+                           for c, a, b in factors)
+
+
+def layout(s):
+    return (s.family, s.W, s.den, s.umin, s.umax, s.reliable, s.u_hi,
+            {m: (w, r) for m, w, r in s.rows})
+
+
+@pytest.mark.parametrize("W", range(6, 13))
+def test_grouped_products_match_the_pairwise_sum(W):
+    # one product per shared factor sums the same pairs as one product per
+    # unordered pair: the same rows, denominator, band and bookkeeping
+    for route in cli.ROUTES:
+        tau = cli._tau(route, UPOLY_ONE, W, cli.DEFAULT_MMAX)
+        for kp in (KP1, KP2):
+            assert layout(hirota_apply(kp, tau)) == layout(pairwise_hirota_apply(kp, tau)), \
+                (route, kp.name)
+
+
+# KP1's seven pairs: three share d^0 tau, two d_1 tau, so four products;
+# KP2's eight: three share d^0 tau, two d_1 tau, two d_2 tau, so four
+@pytest.mark.parametrize("kp, muls", [(KP1, 4), (KP2, 4)], ids=["kp1", "kp2"])
 def test_one_product_per_unordered_pair(kp, muls, monkeypatch):
     calls = []
     mul = TruncatedSeries.mul

@@ -211,7 +211,7 @@ def test_apply_builds_no_upoly_before_terms_are_read(monkeypatch):
 
 def test_stencil_memo_carries_no_truncation():
     # the memo is filled at W = 6, then read at 10 and at 6 again
-    operators._stencil.cache_clear()
+    operators.clear_stencils()
     base = {mono((1, 1), (2, 1)): UPoly({0: Fraction(5, 4), 1: Fraction(-7, 6)}),
             mono((1, 3)): UPoly.const(Fraction(1, 3)), mono_var(4): UPOLY_ONE,
             mono((2, 2)): UPoly.u(-1, Fraction(3, 2))}
@@ -447,6 +447,90 @@ def test_leaf_symbol_reproduces_the_action(leaf):
     sym = symbol(leaf, 8)
     for m in monomials_up_to_weight(8):
         assert symbol_on(sym, m) == dict(leaf.apply(qmono(m, W=10)).terms), m
+
+
+def whole_read_leaf_symbol(op, N):
+    """A stencil leaf's symbol at N read off its actions on 1, q_v and
+    q_v q_w in one pass, with no layer shared between N: the reference for
+    the layered reader."""
+    def act(m):
+        return {t: 2 * k for t, k in operators._stencil(op, m)}
+
+    zero = act(())
+    acc = {(t, (), 0): n for t, n in zero.items()}
+    first = {}
+    for v in range(1, N + 1):
+        qv = mono_var(v)
+        first[v] = operators._peel(act(qv), zero, qv)
+        acc.update(((t, qv, 0), n) for t, n in first[v].items())
+    for v in range(1, N // 2 + 1):
+        for w in range(v, N - v + 1):
+            beta = mono((v, 1), (w, 1))
+            rest = operators._peel(act(beta), zero, beta)
+            if v == w:
+                rest = operators._peel(rest, first[v], mono_var(v), 2)
+                acc.update(((t, beta, 0), n // 2) for t, n in rest.items())
+            else:
+                rest = operators._peel(operators._peel(rest, first[v], mono_var(w)),
+                                       first[w], mono_var(v))
+                acc.update(((t, beta, 0), n) for t, n in rest.items())
+    return operators._reduced(acc, 2 * op.den)
+
+
+@pytest.mark.parametrize("leaf", SYMBOL_LEAVES, ids=repr)
+def test_layered_leaf_symbol_matches_the_whole_read(fresh_memos, leaf):
+    # N ascending, then descending: every N reads the layers the others left
+    for N in [*range(13), *range(12, -1, -1)]:
+        assert operators._leaf_symbol(leaf, N) == whole_read_leaf_symbol(leaf, N), N
+
+
+CLOSED_FORM = Sum(CutJoin(2), scaled(CutJoin(1), UPoly.u(1, 2)), scaled(CutJoin(0), UPoly.u(2)))
+BRACKET_MATRIX = [*(CutJoin(k) for k in range(3)), CutPart(1), JoinPart(0),
+                  *(Lambda(a) for a in range(-2, 2)), Partial(1), Partial(3), n_partial(4),
+                  scaled(Lambda(1), UPoly.u(-1)), scaled(CutJoin(0), UPoly.u(2)), CLOSED_FORM]
+
+
+def two_product_bracket(a, b, N):
+    """The symbol of [a, b] at N as the difference of the full symbols of
+    a.b and b.a, with every uncontracted term formed and cancelled."""
+    return operators._linear([(UPOLY_ONE, symbol(Compose(a, b), N)),
+                              (UPoly.const(-1), symbol(Compose(b, a), N))])
+
+
+@pytest.mark.parametrize("N", range(4, 11))
+def test_bracket_symbol_is_the_difference_of_the_two_products(N):
+    for a in BRACKET_MATRIX:
+        for b in BRACKET_MATRIX:
+            assert symbol(commutator(a, b), N) == two_product_bracket(a, b, N), (a, b)
+
+
+def two_product_conjugate(x, a, W):
+    """conjugate with each bracket [y, X] formed as the difference of the
+    full symbols of y.X and X.y."""
+    step = operators._raise(symbol(x, W))
+    for depth in range(1, operators.CONJUGATE_DEPTH + 1):
+        top = W + depth * step
+        chain = [symbol(a, top)]
+        for _ in range(depth):
+            top -= step
+            y = chain[-1]
+            chain.append(operators._linear([
+                (UPOLY_ONE, operators._compose(y, symbol(x, top), top)),
+                (UPoly.const(-1), operators._compose(symbol(x, top + operators._raise(y)),
+                                                     y, top))]))
+        if not chain[-1].terms:
+            return operators._linear(((UPoly.const(Fraction(1, factorial(k))), t)
+                                      for k, t in enumerate(chain[:-1])), W)
+    raise OperatorGradingError("no chain vanished")
+
+
+@pytest.mark.parametrize("W", range(4, 11))
+def test_conjugate_matches_the_two_product_reference(W):
+    cases = [case[:2] for case in conjugation_cases().values()]
+    cases += [(CutJoin(2), CutJoin(2)), (scaled(Lambda(1), UPoly.u(-1)), CLOSED_FORM),
+              (Lambda(1), scaled(CutJoin(0), UPoly.u(2)))]
+    for x, a in cases:
+        assert conjugate(x, a, W=W) == two_product_conjugate(x, a, W), (x, a)
 
 
 COMPOSITES = [
