@@ -2,8 +2,9 @@
 
 All JSON artifacts are canonical (sorted keys, fixed separators), so identical
 configurations produce byte-identical files; the CSVs mirror them for human
-reading.  Exit codes: 0 all checks pass or are vacuous, 1 any verification
-failure, 2 usage or configuration error.
+reading.  Exit codes: 0 no check failed and at least one passed, 1 any
+verification failure, 2 usage or configuration error, 3 (verify) every check
+vacuous: the run certified nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .hurwitz import (
     profiles,
 )
 from .operators import Lambda, verify_commutators, verify_conjugations, verify_O_operators
-from .report import FAIL, VACUOUS, CheckReport, boolean_report
+from .report import FAIL, PASS, VACUOUS, CheckReport, boolean_report
 
 INTERSECTION_GRIDS = ((0, 3), (0, 4), (1, 1), (1, 2))
 # the count degree of the intersection fits; from 4 to 8 each grid gives the
@@ -406,7 +407,12 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         print(f"{r.status.upper():8} {r.name}{extra}")
     failed = [r for r in reports if r.status == FAIL]
     print(f"{len(reports) - len(failed)}/{len(reports)} checks ok")
-    return 1 if failed else 0
+    if failed:
+        return 1
+    if not any(r.status == PASS for r in reports):
+        print("every check is vacuous: this run certified nothing", file=sys.stderr)
+        return 3
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,19 @@ minimum reliable weight of the operands.
 
 A series stores its coefficients as integer rows over one denominator:
 ``(monomial, weight, ((u-exp, n), ...))`` per nonzero coefficient, each entry
-``n / den``.  The exact kernels (:meth:`TruncatedSeries.mul`,
-:meth:`~TruncatedSeries.add_scaled`, :meth:`~TruncatedSeries.partial` and the
-operator kernel) read and write those rows and never do ``Fraction``
-arithmetic term by term; their outputs go through one internal constructor
-that checks weight and band on the rows.  ``terms``, the ``monomial -> UPoly``
-map, is a view built on first read.  ``add_scaled`` is the one addition path:
-``+``, ``-``, :meth:`~TruncatedSeries.scale` and the linear substitution all
-sum their series through it.
+``n / den``.  The exact kernels read and write those rows and never do
+``Fraction`` arithmetic term by term; their outputs go through one internal
+constructor that checks weight and band on the rows.  ``terms``, the
+``monomial -> UPoly`` map, is a view built on first read.  Each kernel has
+one core that works on rows alone, so a caller can keep its intermediates
+as rows and build only its result: :func:`convolve` is the product
+(:meth:`TruncatedSeries.mul` runs it), :func:`derivative` the derivative
+(:meth:`~TruncatedSeries.partial` runs it) and :func:`combine_rows` the sum
+of scaled rows over one common denominator.
+:meth:`~TruncatedSeries.add_scaled`, which ``+``, ``-``,
+:meth:`~TruncatedSeries.scale` and the linear substitution go through, runs
+the last one; so do the operator exponential and the Hirota residual, which
+sum rows they never build as series.
 """
 
 from __future__ import annotations
@@ -387,6 +392,67 @@ def summed_rows(acc: Mapping[Monomial, tuple[int, Mapping[int, int]]]) -> list:
             if (r := tuple(sorted(kv for kv in row.items() if kv[1])))]
 
 
+def combine_rows(parts: Iterable[tuple[UPoly | Rat | int, list, int]]
+                 ) -> tuple[dict[Monomial, tuple[int, dict[int, int]]], int]:
+    """Sum_i c_i * rows_i / den_i over one common denominator, the lcm of
+    the den(c_i) * den_i, taken once, as ((weight, {u-exp: n}) per monomial,
+    den); c_i is a rational or a UPoly, whose powers of u shift exponents.
+    A monomial takes its place in the sum where a part first lists it."""
+    parts = [(c.terms if isinstance(c, UPoly) else ((0, Fraction(c)),) if c else (),
+              rows, d) for c, rows, d in parts]
+    den = math.lcm(*(v.denominator * d for cs, _, d in parts for _, v in cs))
+    acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
+    for cs, rows, d in parts:
+        fs = [(k, v.numerator * (den // (v.denominator * d))) for k, v in cs]
+        for m, w, row_in in rows:
+            got = acc.get(m)
+            if got is None:
+                got = acc[m] = (w, {})
+            row = got[1]
+            for k, f in fs:
+                for e, n in row_in:
+                    row[e + k] = row.get(e + k, 0) + f * n
+    return acc, den
+
+
+def derivative(rows: list, reliable: int, i: int) -> tuple[list, int]:
+    """d/dx_i of rows in ascending weight, over the same denominator and in
+    ascending weight, with the reliable weight of the result: the weight
+    drops by i, so the reliable weight drops too."""
+    if i < 1:
+        raise ValueError("variable index must be >= 1")
+    # dividing by x_i is one-to-one, so no two rows meet
+    out = []
+    for m, w, r in rows:
+        for j, (v, k) in enumerate(m):
+            if v == i:
+                # m is sorted by index, and lowering one exponent keeps it so
+                m = m[:j] + ((v, k - 1),) + m[j + 1:] if k > 1 else m[:j] + m[j + 1:]
+                out.append((m, w - i, tuple((e, k * n) for e, n in r)))
+                break
+    return out, reliable - i
+
+
+def product_bounds(W: int, a: tuple[list, int, int | None],
+                   b: tuple[list, int, int | None]) -> tuple[int, int | None]:
+    """The reliable weight and u_hi of the product through W of a and b,
+    each (rows in ascending weight, reliable weight, u_hi): the reliable
+    weight is min(W, a.reliable + b's lowest weight, b.reliable + a's); a
+    product layer is complete up to each factor's u_hi plus the lowest
+    exponent the other factor can supply, the lower of the two (None if
+    neither factor has a u_hi)."""
+    (ra, rel_a, hi_a), (rb, rel_b, hi_b) = a, b
+    rel = W
+    if ra and rb:
+        rel = min(W, rel_a + rb[0][1], rel_b + ra[0][1])
+    u_hi = None
+    if hi_a is not None and rb:
+        u_hi = hi_a + min(r[0][0] for _, _, r in rb)
+    if hi_b is not None and ra:
+        u_hi = TruncatedSeries._merge_u_hi(u_hi, hi_b + min(r[0][0] for _, _, r in ra))
+    return rel, u_hi
+
+
 class TruncatedSeries:
     """Sparse weight-truncated series with UPoly coefficients.
 
@@ -620,69 +686,30 @@ class TruncatedSeries:
             W, lo, hi = min(W, s.W), min(lo, s.umin), max(hi, s.umax)
             rel = min(rel, s.reliable)
             u_hi = self._merge_u_hi(u_hi, None if s.u_hi is None else s.u_hi + ulo)
-        den = math.lcm(*(v.denominator * s.den for c, s in held for _, v in c.terms))
-        acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
-        for c, s in held:
-            fs = [(k, v.numerator * (den // (v.denominator * s.den))) for k, v in c.terms]
-            for m, w, row_in in s.rows:
-                got = acc.get(m)
-                if got is None:
-                    got = acc[m] = (w, {})
-                row = got[1]
-                for k, f in fs:
-                    for e, n in row_in:
-                        row[e + k] = row.get(e + k, 0) + f * n
+        acc, den = combine_rows((c, s.rows, s.den) for c, s in held)
         return TruncatedSeries._built(
             family=self.family, W=W, rows=[r for r in summed_rows(acc) if r[1] <= W],
             den=den, umin=lo, umax=hi, reliable=rel, u_hi=u_hi)
 
-    def product_bounds(self, other: TruncatedSeries) -> tuple[int, int | None]:
-        """The reliable weight and u_hi of self * other: the reliable weight
-        is min(W, a.reliable + b.min_weight(), b.reliable + a.min_weight());
-        a product layer is complete up to each factor's u_hi plus the lowest
-        exponent the other factor can supply, the lower of the two (None if
-        neither factor has a u_hi)."""
-        W = min(self.W, other.W)
-        rel = W
-        if self and other:
-            rel = min(W, self.reliable + other.min_weight(),
-                      other.reliable + self.min_weight())
-        u_hi = None
-        if self.u_hi is not None and other:
-            u_hi = self.u_hi + other.min_u_exp()
-        if other.u_hi is not None and self:
-            u_hi = self._merge_u_hi(u_hi, other.u_hi + self.min_u_exp())
-        return rel, u_hi
-
     def mul(self, other: TruncatedSeries, *,
-            umin: int | None = None, umax: int | None = None,
-            _region: tuple[int, int | None] | None = None) -> TruncatedSeries:
+            umin: int | None = None, umax: int | None = None) -> TruncatedSeries:
         """Truncated product.  The result is validated against the union of the
         operand bands unless a wider band is requested explicitly; escaping it
         is a :class:`UBandError`, never a silent clip.
 
         The product holds its exact terms through its reliable weight (see
-        :meth:`product_bounds`) and no rows above it: no report reads an
+        :func:`product_bounds`) and no rows above it: no report reads an
         entry above that weight, which could not be certified, so its pairs
         are not formed.  W, the band and u_hi are as for a full product
-        through W.
-
-        _region = (R, U) is the certified region of a sum this product goes
-        into, inside this product's own :meth:`product_bounds` (as the
-        minimum over the sum's products is): the product is formed only
-        through weight R and, unless U is None, u-exponent U, and its
-        reliable weight and u_hi are R and U."""
+        through W."""
         self._check_family(other)
         lo = min(self.umin, other.umin) if umin is None else umin
         hi = max(self.umax, other.umax) if umax is None else umax
-        if _region is None:
-            rel, u_hi = self.product_bounds(other)
-            acc = convolve(self.rows, other.rows, rel)
-        else:
-            rel, u_hi = _region
-            acc = convolve(self.rows, other.rows, rel, u_hi)
+        rel, u_hi = product_bounds(min(self.W, other.W), (self.rows, self.reliable, self.u_hi),
+                                   (other.rows, other.reliable, other.u_hi))
         return TruncatedSeries._built(
-            family=self.family, W=min(self.W, other.W), rows=summed_rows(acc),
+            family=self.family, W=min(self.W, other.W),
+            rows=summed_rows(convolve(self.rows, other.rows, rel)),
             den=self.den * other.den, umin=lo, umax=hi, reliable=rel, u_hi=u_hi)
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
@@ -690,12 +717,8 @@ class TruncatedSeries:
 
     def partial(self, i: int) -> TruncatedSeries:
         """d/dx_i.  Weight drops by i, so the reliable weight drops too."""
-        if i < 1:
-            raise ValueError("variable index must be >= 1")
-        # dividing by x_i is one-to-one, so no two rows meet
-        rows = [(mono_div_var(m, i), w - i, tuple((e, k * n) for e, n in r))
-                for m, w, r in self.rows if (k := mono_exp(m, i))]
-        return self._with(rows, reliable=self.reliable - i)
+        rows, reliable = derivative(self.rows, self.reliable, i)
+        return self._with(rows, reliable=reliable)
 
     def truncate(self, W: int) -> TruncatedSeries:
         if W >= self.W:

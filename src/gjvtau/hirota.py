@@ -13,8 +13,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, prod
+from operator import itemgetter
 
-from .exactalg import FamilyError, Rat, TruncatedSeries
+from .exactalg import (
+    FamilyError,
+    Rat,
+    TruncatedSeries,
+    combine_rows,
+    convolve,
+    derivative,
+    product_bounds,
+    summed_rows,
+)
 from .report import CheckReport, residual_report
 
 T_CONVENTION = "x_i = i*t_i"
@@ -61,17 +71,18 @@ def to_hirota_vars(s: TruncatedSeries) -> TruncatedSeries:
 
 
 def _multi_partial(s: TruncatedSeries, kvec: tuple[int, ...],
-                   memo: dict) -> TruncatedSeries:
-    """d^kvec s, as one partial of the memoised derivative one step below
-    (kvec with its last nonzero exponent lowered by one)."""
+                   memo: dict) -> tuple[list, int]:
+    """d^kvec s as (rows in ascending weight over s.den, reliable weight):
+    one derivative of the memoised one step below (kvec with its last
+    nonzero exponent lowered by one).  Its W, band and u_hi are those of s."""
     got = memo.get(kvec)
     if got is None:
         i = max((i for i, k in enumerate(kvec) if k), default=None)
         if i is None:
-            got = s
+            got = (s.rows, s.reliable)
         else:
             below = kvec[:i] + (kvec[i] - 1,) + kvec[i + 1:]
-            got = _multi_partial(s, below, memo).partial(i + 1)
+            got = derivative(*_multi_partial(s, below, memo), i + 1)
         memo[kvec] = got
     return got
 
@@ -88,7 +99,10 @@ def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
     weight R and u_hi U among the pairs' products, read off the factors
     before any product is formed, and each product is formed only through
     (R, U): the result stores no entry above weight R or above u^U.
-    A P that forms no product certifies nothing: R is -1."""
+    A P that forms no product certifies nothing: R is -1.
+
+    The derivatives, the partner sums and the products stay integer rows;
+    the residual is the one series built."""
     pairs: dict = {}
     for coef, avec in P.terms:
         for kvec in iproduct(*(range(a + 1) for a in avec)):
@@ -101,29 +115,33 @@ def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
     pairs = {key: c for key, c in pairs.items() if c}
     memo: dict = {}
 
-    def d(kvec: tuple[int, ...]) -> TruncatedSeries:
+    def d(kvec: tuple[int, ...]) -> tuple[list, int]:
         return _multi_partial(tau, kvec, memo)
 
     R, U = tau.W if pairs else -1, None
     for kvec, rest in pairs:
-        rel, u_hi = d(kvec).product_bounds(d(rest))
+        rel, u_hi = product_bounds(tau.W, (*d(kvec), tau.u_hi), (*d(rest), tau.u_hi))
         R, U = min(R, rel), TruncatedSeries._merge_u_hi(U, u_hi)
-    # products can reach twice the factor's extremes, so widen up front
-    lo, hi = 2 * tau.umin, 2 * tau.umax
-    products = []
+    products = []  # (c, the product's rows, their denominator)
     while pairs:
         counts: dict = {}
         for pair in pairs:
             for kvec in set(pair):
                 counts[kvec] = counts.get(kvec, 0) + 1
         shared = max(counts, key=counts.get)
-        partners = [(pairs.pop(pair), d(pair[pair[0] == shared]))
+        partners = [(pairs.pop(pair), d(pair[pair[0] == shared])[0], tau.den)
                     for pair in [pair for pair in pairs if shared in pair]]
-        c, g = partners[0] if len(partners) == 1 else (1, TruncatedSeries.zero(
-            tau.family, tau.W, umin=tau.umin, umax=tau.umax).add_scaled(partners))
-        products.append((c, d(shared).mul(g, umin=lo, umax=hi, _region=(R, U))))
-    zero = TruncatedSeries.zero(tau.family, tau.W, umin=lo, umax=hi, reliable=R)
-    return zero.add_scaled(products)
+        if len(partners) == 1:
+            c, g, den = partners[0]
+        else:
+            acc, den = combine_rows(partners)
+            c, g = 1, sorted(summed_rows(acc), key=itemgetter(1))
+        products.append((c, summed_rows(convolve(d(shared)[0], g, R, U)), tau.den * den))
+    acc, den = combine_rows(products)
+    # products can reach twice the factor's extremes, so widen up front
+    return TruncatedSeries._built(family=tau.family, W=tau.W, rows=summed_rows(acc),
+                                  den=den, umin=2 * tau.umin, umax=2 * tau.umax,
+                                  reliable=R, u_hi=U)
 
 
 def check_kp(
@@ -151,8 +169,11 @@ def check_kp(
 def check_linearized_kp(s: TruncatedSeries, *, tau_label: str = "tau") -> CheckReport:
     """The single-function shadow: KP1 with D_i read as plain d/dt_i."""
     memo: dict = {}
-    residual = TruncatedSeries.zero(s.family, s.W, umin=s.umin, umax=s.umax).add_scaled(
-        (coef, _multi_partial(s, avec, memo)) for coef, avec in KP1.terms)
+    parts = [(coef, *_multi_partial(s, avec, memo)) for coef, avec in KP1.terms]
+    acc, den = combine_rows((coef, rows, s.den) for coef, rows, _ in parts)
+    residual = TruncatedSeries._built(
+        family=s.family, W=s.W, rows=summed_rows(acc), den=den, umin=s.umin, umax=s.umax,
+        reliable=min([s.W] + [rel for _, _, rel in parts]), u_hi=s.u_hi)
     return residual_report(
         "linearized_" + KP1.name,
         residual,

@@ -283,6 +283,19 @@ def test_verify_filter_can_go_green(tmp_path):
     assert len(rows) == 6 and all(r["pass"] for r in rows)
 
 
+def test_a_run_that_certifies_nothing_exits_3(tmp_path, capsys):
+    # at W = 4 every proposition from n = 3 on is vacuous: no report failed,
+    # and none passed either
+    assert run(tmp_path, "verify", "--W", "4", "--checks",
+               "proposition_n3,proposition_n4,proposition_n5") == 3
+    rows = json.loads((tmp_path / "verify.json").read_text())
+    assert [r["status"] for r in rows] == ["vacuous"] * 3
+    assert "certified nothing" in capsys.readouterr().err
+    # one passing report among the vacuous ones is a run that certified it
+    assert run(tmp_path, "verify", "--W", "4", "--checks",
+               "proposition_n1,proposition_n3") == 0
+
+
 def test_corruption_fixture_trips_the_battery(tmp_path, monkeypatch):
     intersection_F = cli.intersection_F
 

@@ -228,22 +228,22 @@ def test_extract_G_builds_one_count_series(monkeypatch):
 def test_extract_G_is_one_change_of_variables(monkeypatch, W, Mmax):
     # Mmax orders of the cut-and-join exponential; W - 1 orders of
     # exp(-Lambda_1/u) in the change of variables, on a series that starts at
-    # weight 2: Mmax + W - 1 Sum applies, and no series product
-    calls = {"apply": 0, "mul": 0}
-    apply, mul = operators.Sum.apply, TruncatedSeries.mul
+    # weight 2: Mmax + W - 1 stencil passes over rows, and no series product
+    calls = {"pass": 0, "mul": 0}
+    rows_pass, mul = operators._stencil_rows, TruncatedSeries.mul
 
-    def counting_apply(self, s):
-        calls["apply"] += 1
-        return apply(self, s)
+    def counting_pass(*a):
+        calls["pass"] += 1
+        return rows_pass(*a)
 
     def counting_mul(self, other, **kw):
         calls["mul"] += 1
         return mul(self, other, **kw)
 
-    monkeypatch.setattr(operators.Sum, "apply", counting_apply)
+    monkeypatch.setattr(operators, "_stencil_rows", counting_pass)
     monkeypatch.setattr(TruncatedSeries, "mul", counting_mul)
     extract_G(W, Mmax)
-    assert calls == {"apply": Mmax + W - 1, "mul": 0}
+    assert calls == {"pass": Mmax + W - 1, "mul": 0}
 
 
 @pytest.mark.parametrize("W", range(3, 13))

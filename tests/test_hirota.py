@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjvtau import cli, exactalg
+from gjvtau import cli, exactalg, hirota
 from gjvtau.exactalg import (
     FamilyError,
     TruncatedSeries,
     UPOLY_ONE,
     UPoly,
+    convolve,
     mono,
     mono_var,
+    product_bounds,
+    summed_rows,
 )
 from gjvtau.gjv import assemble_tau_exponential, exp_join_of_q1
 from gjvtau.hirota import (
@@ -23,7 +26,6 @@ from gjvtau.hirota import (
     KP2,
     T_CONVENTION,
     HirotaPolynomial,
-    _multi_partial,
     check_kp,
     check_linearized_kp,
     hirota_apply,
@@ -152,8 +154,9 @@ def test_pair_gathering_matches_the_ordered_expansion(P, tau):
 
 
 def pairwise_hirota_apply(P, tau):
-    """P(D) tau.tau with one product per unordered pair {k, a - k}, each
-    formed through the region (R, U) of all the pairs' products."""
+    """P(D) tau.tau with one series per derivative and per product, one
+    product per unordered pair {k, a - k}, each formed through the region
+    (R, U) of all the pairs' products and summed by add_scaled."""
     pairs = {}
     for coef, avec in P.terms:
         for kvec in iproduct(*(range(a + 1) for a in avec)):
@@ -161,33 +164,46 @@ def pairwise_hirota_apply(P, tau):
             c = coef * prod(comb(a, k) for a, k in zip(avec, kvec))
             key = (min(kvec, rest), max(kvec, rest))
             pairs[key] = pairs.get(key, 0) + (-c if sum(rest) % 2 else c)
-    memo = {}
-    factors = [(c, _multi_partial(tau, k, memo), _multi_partial(tau, r, memo))
-               for (k, r), c in pairs.items() if c]
+
+    def d(kvec):
+        out = tau
+        for i, k in enumerate(kvec):
+            for _ in range(k):
+                out = out.partial(i + 1)
+        return out
+
+    factors = [(c, d(k), d(r)) for (k, r), c in pairs.items() if c]
     R, U = tau.W if factors else -1, None
     for _, a, b in factors:
-        rel, u_hi = a.product_bounds(b)
+        rel, u_hi = product_bounds(tau.W, (a.rows, a.reliable, a.u_hi),
+                                   (b.rows, b.reliable, b.u_hi))
         R, U = min(R, rel), TruncatedSeries._merge_u_hi(U, u_hi)
     lo, hi = 2 * tau.umin, 2 * tau.umax
+
+    def region_product(a, b):
+        return TruncatedSeries._built(
+            family=a.family, W=a.W, rows=summed_rows(convolve(a.rows, b.rows, R, U)),
+            den=a.den * b.den, umin=lo, umax=hi, reliable=R, u_hi=U)
+
     zero = TruncatedSeries.zero(tau.family, tau.W, umin=lo, umax=hi, reliable=R)
-    return zero.add_scaled((c, a.mul(b, umin=lo, umax=hi, _region=(R, U)))
-                           for c, a, b in factors)
+    return zero.add_scaled((c, region_product(a, b)) for c, a, b in factors)
 
 
 def layout(s):
-    return (s.family, s.W, s.den, s.umin, s.umax, s.reliable, s.u_hi,
-            {m: (w, r) for m, w, r in s.rows})
+    return (s.family, s.W, s.den, s.umin, s.umax, s.reliable, s.u_hi, s.rows)
 
 
-@pytest.mark.parametrize("W", range(6, 13))
+@pytest.mark.parametrize("W", range(4, 13))
 def test_grouped_products_match_the_pairwise_sum(W):
-    # one product per shared factor sums the same pairs as one product per
-    # unordered pair: the same rows, denominator, band and bookkeeping
+    # one product per shared factor, with every intermediate kept as rows,
+    # sums the same pairs as one product series per unordered pair: the
+    # same rows in the same order, denominator, band and bookkeeping
     for route in cli.ROUTES:
-        tau = cli._tau(route, UPOLY_ONE, W, cli.DEFAULT_MMAX)
-        for kp in (KP1, KP2):
-            assert layout(hirota_apply(kp, tau)) == layout(pairwise_hirota_apply(kp, tau)), \
-                (route, kp.name)
+        for c in cli.VERIFY_C:
+            tau = cli._tau(route, c, W, cli.DEFAULT_MMAX)
+            for kp in (KP1, KP2):
+                assert layout(hirota_apply(kp, tau)) == layout(pairwise_hirota_apply(kp, tau)), \
+                    (route, str(c), kp.name)
 
 
 # KP1's seven pairs: three share d^0 tau, two d_1 tau, so four products;
@@ -195,14 +211,13 @@ def test_grouped_products_match_the_pairwise_sum(W):
 @pytest.mark.parametrize("kp, muls", [(KP1, 4), (KP2, 4)], ids=["kp1", "kp2"])
 def test_one_product_per_unordered_pair(kp, muls, monkeypatch):
     calls = []
-    mul = TruncatedSeries.mul
 
-    def counting(self, other, **kw):
+    def counting(*a, _real=hirota.convolve):
         calls.append(1)
-        return mul(self, other, **kw)
+        return _real(*a)
 
     tau = to_hirota_vars(cutjoin_series(6, 3, UPOLY_ONE))
-    monkeypatch.setattr(TruncatedSeries, "mul", counting)
+    monkeypatch.setattr(hirota, "convolve", counting)
     hirota_apply(kp, tau)
     assert len(calls) == muls
 
@@ -231,17 +246,16 @@ def test_products_stop_at_the_residual_region(kp, most, monkeypatch):
     (check_linearized_kp, 7),
 ], ids=["kp1", "kp2", "linearized_kp1"])
 def test_each_derivative_is_one_partial_of_a_memoised_one(run, partials, monkeypatch):
-    # every distinct derivative d^k tau with k != 0 costs one partial: KP1
-    # needs d1..d1^4, d2, d2^2, d3 and d1 d3
+    # every distinct derivative d^k tau with k != 0 costs one pass of the
+    # derivative core: KP1 needs d1..d1^4, d2, d2^2, d3 and d1 d3
     calls = []
-    partial = TruncatedSeries.partial
 
-    def counting(self, i):
+    def counting(rows, reliable, i, _real=hirota.derivative):
         calls.append(i)
-        return partial(self, i)
+        return _real(rows, reliable, i)
 
     tau = to_hirota_vars(assemble_tau_exponential(UPOLY_ONE, 6))
-    monkeypatch.setattr(TruncatedSeries, "partial", counting)
+    monkeypatch.setattr(hirota, "derivative", counting)
     run(tau)
     assert len(calls) == partials
 
@@ -372,16 +386,16 @@ def test_kp_reports_do_not_depend_on_the_product_cut(monkeypatch):
     }
     cut = {(kp.name, label): check_kp(tau, kp, tau_label=label).to_json_obj()
            for kp in (KP1, KP2) for label, tau in taus.items()}
-    mul = TruncatedSeries.mul
     above = []
 
-    def full_mul(self, other, _region=None, **kw):
-        got = mul(self, other, **kw)
-        full = mul(self.with_reliable(self.W), other.with_reliable(other.W), **kw)
-        above.append(len(full.rows) > len(got.rows))
-        return full.with_reliable(got.reliable)
+    def full_convolve(left, right, W, U=None, _real=hirota.convolve):
+        # every pair through the taus' own W = 8 and every u-exponent
+        got = _real(left, right, W, U)
+        full = _real(left, right, 8)
+        above.append(len(full) > len(got))
+        return full
 
-    monkeypatch.setattr(TruncatedSeries, "mul", full_mul)
+    monkeypatch.setattr(hirota, "convolve", full_convolve)
     full = {(kp.name, label): check_kp(tau, kp, tau_label=label).to_json_obj()
             for kp in (KP1, KP2) for label, tau in taus.items()}
     assert any(above)

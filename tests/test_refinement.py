@@ -9,6 +9,7 @@ the bookkeeping's tightness; it is a figure, not a gate.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from gjvtau.exactalg import (
     TruncatedSeries,
+    UBandError,
     UPOLY_ZERO,
     UPoly,
     band_for_weight,
@@ -28,9 +30,11 @@ from gjvtau.gjv import (
     exp_join_of_q1,
     extract_G,
 )
+from gjvtau import hirota
 from gjvtau.hirota import KP1, hirota_apply, to_hirota_vars
 from gjvtau.hurwitz import cutjoin_series
 from gjvtau.operators import (
+    Compose,
     CutJoin,
     Lambda,
     Sum,
@@ -143,25 +147,26 @@ def _clip_keeping_u_hi(clip):
     return faulty
 
 
-def _partial_keeping_reliable(partial):
-    def faulty(self, i):
-        return partial(self, i).with_reliable(self.reliable)
+def _derivative_keeping_reliable(derivative):
+    def faulty(rows, reliable, i):
+        return derivative(rows, reliable, i)[0], reliable
     return faulty
 
 
-@pytest.mark.parametrize("method,fault,fails", [
+@pytest.mark.parametrize("owner,name,fault,fails", [
     # no summand of the closed-form exponential lowers u, so what its box
     # clip drops never comes back: only the products read off it see the fault
-    pytest.param("clip_u_above", _clip_keeping_u_hi, {"kp1_residual"},
+    pytest.param(TruncatedSeries, "clip_u_above", _clip_keeping_u_hi, {"kp1_residual"},
                  id="clip_keeps_u_hi"),
-    pytest.param("partial", _partial_keeping_reliable, {"kp1_residual"},
+    # the derivative core, as the Hirota kernel calls it
+    pytest.param(hirota, "derivative", _derivative_keeping_reliable, {"kp1_residual"},
                  id="partial_keeps_reliable"),
 ])
-def test_planted_bookkeeping_fault_fails_the_oracle(monkeypatch, fresh_memos, method, fault,
-                                                   fails):
+def test_planted_bookkeeping_fault_fails_the_oracle(monkeypatch, fresh_memos, owner, name,
+                                                   fault, fails):
     # the closed-form tau and exp(M2) q1 are memoised: the fixture drops the
     # healthy ones, so the builders run under the fault
-    monkeypatch.setattr(TruncatedSeries, method, fault(getattr(TruncatedSeries, method)))
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
     assert disagreeing_builders() == fails
 
 
@@ -228,3 +233,83 @@ def test_exponential_certifies_only_what_refinement_keeps(op_cap, pair):
     op, cap = op_cap
     small, big = (exponential_apply(op, s, max_order=cap) for s in pair)
     assert refinement(small, big)[0] == []
+
+
+def reference_exponential_apply(op, s, *, max_order=None):
+    """exp(op) s with one series per order: each order through op.apply,
+    clipped by clip_u_above in the box grading, and the orders summed by
+    add_scaled with coefficients 1/k!."""
+    shifts = [(p.weight_shift(), (c.min_exp(), c.max_exp()) if c else (0, 0))
+              for c, p in Sum(op).parts]
+    clip = False
+    if max_order is None:
+        box = all(w >= 0 and ul >= 0 and w + ul >= 1 for w, (ul, _) in shifts)
+        raising = all(w >= 1 and uh <= 0 for w, (_, uh) in shifts)
+        assert box or raising
+        clip = box and any(uh > 0 for _, (_, uh) in shifts)
+        cap = s.W + (s.umax - s.umin) + 2
+    else:
+        cap = max_order
+    step_up = max((uh for _, (_, uh) in shifts), default=0)
+
+    def powers():
+        cur = s
+        for k in range(1, cap + 1):
+            if clip:
+                wide = cur.with_band(s.umin, s.umax + step_up)
+                cur = op.apply(wide).clip_u_above(s.umax)
+            else:
+                cur = op.apply(cur)
+            if cur.is_zero():
+                return
+            yield Fraction(1, factorial(k)), cur
+        assert max_order is not None
+
+    total = s.add_scaled(powers())
+    ulo = min((ul for _, (ul, _) in shifts), default=0)
+    if ulo < 0 and s.u_hi is not None:
+        steps = s.W if max_order is None else max_order
+        total = total.with_u_hi(min(total.u_hi, s.u_hi + ulo * steps))
+    return total.clip_u_above(s.umax) if clip else total
+
+
+def layout(s):
+    return (s.family, s.W, s.den, s.umin, s.umax, s.reliable, s.u_hi, s.rows)
+
+
+# exponents with a Compose part: bare, which acts by its own steps, and as
+# a part of a Sum in the box grading, which acts as Sum.apply adds it
+COMPOSED = [
+    Compose(Lambda(1), CutJoin(2), Lambda(1)),
+    Sum(scaled(Lambda(0), UPoly.u(1)), scaled(Compose(Lambda(1), CutJoin(0)), UPoly.u(1, 2))),
+]
+
+
+def exponential_seeds(W):
+    """q1/u, as the closed form's seed, and a seed with denominators, an
+    entry at weight 0 and its own reliable weight and u_hi."""
+    lo, hi = band_for_weight(W)
+    yield TruncatedSeries.variable("q", W, 1).scale(UPoly.u(-1))
+    terms = {(): "1/3", ((1, 1), (2, 1)): "u - 5/4", ((1, 2),): "2/7*u^2"}
+    yield TruncatedSeries("q", W, {m: UPoly.parse(c) for m, c in terms.items()},
+                          umin=lo, umax=hi, reliable=W - 1, u_hi=hi - 1)
+
+
+@pytest.mark.parametrize("W", range(4, 13))
+def test_exponential_matches_the_one_series_per_order_reference(W):
+    cases = ([(op, None) for op in GRADED] + [(op, 3) for op in CAPPED]
+             + [(op, None) for op in COMPOSED] + [(COMPOSED[0], 2)])
+    for op, cap in cases:
+        for s in exponential_seeds(W):
+            got = exponential_apply(op, s, max_order=cap)
+            assert layout(got) == layout(reference_exponential_apply(op, s, max_order=cap)), \
+                (op, cap)
+
+
+def test_both_exponentials_raise_on_an_image_that_leaves_the_band():
+    # u^-3 Lambda(1) lowers u by 3 per order: q1 at W = 6 reaches u^-9 at
+    # its third order, below the band's -8
+    op, s = scaled(Lambda(1), UPoly.u(-3)), TruncatedSeries.variable("q", 6, 1)
+    for kernel in (exponential_apply, reference_exponential_apply):
+        with pytest.raises(UBandError):
+            kernel(op, s)
