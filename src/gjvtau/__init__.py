@@ -4,6 +4,7 @@ numbers extracted from them, and the associated KP tau functions."""
 from gjvtau.exactalg import (
     FamilyError,
     Monomial,
+    PackCapacityError,
     TruncatedSeries,
     TruncationError,
     UBandError,
@@ -16,6 +17,7 @@ from gjvtau.exactalg import (
 __all__ = [
     "FamilyError",
     "Monomial",
+    "PackCapacityError",
     "TruncatedSeries",
     "TruncationError",
     "UBandError",

@@ -37,6 +37,17 @@ of scaled rows over one common denominator.
 :meth:`~TruncatedSeries.scale` and the linear substitution go through, runs
 the last one; so do the operator exponential and the Hirota residual, which
 sum rows they never build as series.
+
+Inside the kernels a monomial is packed into one int, one byte per
+exponent (:func:`pack`): a product of monomials is ``+`` and a division by
+a variable is ``-``, with no tuple built.  :func:`convolve`,
+:func:`derivative` and the operators' stencil pass work on packed rows;
+``mul`` and ``partial`` pack on entry and unpack on exit through two memo
+dicts, one per direction.  ``rows``, ``terms``, every artifact and every
+public signature hold tuple monomials.  A byte holds an exponent through
+255, so a kernel that forms monomials by ``+`` refuses a truncation of
+:data:`PACK_LIMIT` = 256 or more with :class:`PackCapacityError`, and
+packing a larger exponent raises it too.
 """
 
 from __future__ import annotations
@@ -279,13 +290,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(acc.items()))
 
 
-def mono_exp(m: Monomial, i: int) -> int:
-    for j, e in m:
-        if j == i:
-            return e
-    return 0
-
-
 def mono_div_var(m: Monomial, i: int) -> Monomial:
     """Divide by x_i; the variable must be present."""
     acc = dict(m)
@@ -335,6 +339,70 @@ def monomials_up_to_weight(W: int) -> Iterator[Monomial]:
 
 
 # ---------------------------------------------------------------------------
+# Packed monomials
+# ---------------------------------------------------------------------------
+
+# Inside the kernels a monomial is one int, its exponent vector packed one
+# byte per variable: x_i's exponent is byte i - 1.  Multiplying two packed
+# monomials is +, dividing by x_i subtracts 1 << 8 (i - 1), and x_i's
+# exponent is p >> 8 (i - 1) & 255.  A byte holds exponents through 255, and
+# no monomial of weight below PACK_LIMIT has a larger one, so a kernel that
+# forms monomials by + refuses a truncation at or above it.
+PACK_LIMIT = 256
+
+
+class PackCapacityError(OverflowError):
+    """A monomial's exponent would not fit in its byte of a packed monomial."""
+
+
+# one memo per direction, filled on first use; pack fills both
+_PACKED: dict[Monomial, int] = {}
+_UNPACKED: dict[int, Monomial] = {}
+
+
+def check_packable(W: int) -> None:
+    """Raise :class:`PackCapacityError` if a packed kernel truncated at W
+    could form an exponent that carries into the next variable's byte."""
+    if W >= PACK_LIMIT:
+        raise PackCapacityError(
+            f"truncation W={W} reaches exponents a byte cannot hold (limit {PACK_LIMIT})")
+
+
+def pack(m: Monomial) -> int:
+    """m as one int, x_i's exponent in byte i - 1."""
+    p = _PACKED.get(m)
+    if p is None:
+        p = 0
+        for i, e in m:
+            if e >= PACK_LIMIT:
+                raise PackCapacityError(f"exponent {e} of variable {i} does not fit a byte")
+            p += e << 8 * (i - 1)
+        _PACKED[m] = p
+        _UNPACKED.setdefault(p, m)
+    return p
+
+
+def unpack(p: int) -> Monomial:
+    """The monomial a packed int holds."""
+    m = _UNPACKED.get(p)
+    if m is None:
+        m = _UNPACKED[p] = tuple(
+            (i, e) for i, e in enumerate(p.to_bytes((p.bit_length() + 7) // 8, "little"), 1)
+            if e)
+    return m
+
+
+def packed_rows(rows: list) -> list:
+    """rows with each monomial packed."""
+    return [(pack(m), w, r) for m, w, r in rows]
+
+
+def unpacked_rows(rows: list) -> list:
+    """Packed rows with each monomial unpacked."""
+    return [(unpack(p), w, r) for p, w, r in rows]
+
+
+# ---------------------------------------------------------------------------
 # Truncated series
 # ---------------------------------------------------------------------------
 
@@ -350,18 +418,19 @@ def numerators(terms: Mapping[Monomial, UPoly]) -> tuple[list, int]:
 
 
 def convolve(left: list, right: list, W: int,
-             U: int | None = None) -> dict[Monomial, tuple[int, dict]]:
-    """The product of two row lists through weight W and, unless U is None,
-    u-exponent U, as (weight, {u-exp: n}) per monomial; right must be sorted
-    by weight.  No pair above W is visited, so a negative W gives an empty
-    product.  A row's exponents ascend, so a pair whose two lowest exponents
-    sum above U is not visited, and each inner u-loop stops at U: no
-    u-product above U is formed."""
+             U: int | None = None) -> dict[int, tuple[int, dict]]:
+    """The product of two packed row lists through weight W and, unless U is
+    None, u-exponent U, as (weight, {u-exp: n}) per packed monomial; right
+    must be sorted by weight.  No pair above W is visited, so a negative W
+    gives an empty product.  A row's exponents ascend, so a pair whose two
+    lowest exponents sum above U is not visited, and each inner u-loop stops
+    at U: no u-product above U is formed."""
+    check_packable(W)
     if U is None:
         # no exponent sum reaches past the two highest exponents
         U = (max((r[-1][0] for _, _, r in left), default=0)
              + max((r[-1][0] for _, _, r in right), default=0))
-    acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
+    acc: dict[int, tuple[int, dict[int, int]]] = {}
     for m1, w1, c1 in left:
         top = U - c1[0][0]
         for m2, w2, c2 in right:
@@ -370,7 +439,7 @@ def convolve(left: list, right: list, W: int,
             low = c2[0][0]
             if low > top:
                 continue
-            m = mono_mul(m1, m2)
+            m = m1 + m2
             got = acc.get(m)
             if got is None:
                 got = acc[m] = (w1 + w2, {})
@@ -386,10 +455,17 @@ def convolve(left: list, right: list, W: int,
     return acc
 
 
-def summed_rows(acc: Mapping[Monomial, tuple[int, Mapping[int, int]]]) -> list:
-    """A kernel's (weight, {u-exp: n}) sums per monomial as rows, zeros dropped."""
-    return [(m, w, r) for m, (w, row) in acc.items()
-            if (r := tuple(sorted(kv for kv in row.items() if kv[1])))]
+def summed_rows(acc: Mapping) -> list:
+    """A kernel's (weight, {u-exp: n}) sums per monomial as rows, zeros
+    dropped; the monomials stay as the kernel keyed them."""
+    rows = []
+    for m, (w, row) in acc.items():
+        r = sorted(row.items())
+        if not all(row.values()):
+            r = [kv for kv in r if kv[1]]
+        if r:
+            rows.append((m, w, tuple(r)))
+    return rows
 
 
 def combine_rows(parts: Iterable[tuple[UPoly | Rat | int, list, int]]
@@ -416,21 +492,17 @@ def combine_rows(parts: Iterable[tuple[UPoly | Rat | int, list, int]]
 
 
 def derivative(rows: list, reliable: int, i: int) -> tuple[list, int]:
-    """d/dx_i of rows in ascending weight, over the same denominator and in
-    ascending weight, with the reliable weight of the result: the weight
-    drops by i, so the reliable weight drops too."""
+    """d/dx_i of packed rows in ascending weight, over the same denominator
+    and in ascending weight, with the reliable weight of the result: the
+    weight drops by i, so the reliable weight drops too."""
     if i < 1:
         raise ValueError("variable index must be >= 1")
-    # dividing by x_i is one-to-one, so no two rows meet
-    out = []
-    for m, w, r in rows:
-        for j, (v, k) in enumerate(m):
-            if v == i:
-                # m is sorted by index, and lowering one exponent keeps it so
-                m = m[:j] + ((v, k - 1),) + m[j + 1:] if k > 1 else m[:j] + m[j + 1:]
-                out.append((m, w - i, tuple((e, k * n) for e, n in r)))
-                break
-    return out, reliable - i
+    shift = 8 * (i - 1)
+    step = 1 << shift
+    # dividing by x_i is one-to-one, so no two rows meet; an exponent of 1
+    # keeps the row's numerators
+    return [(m - step, w - i, r if k == 1 else tuple([(e, k * n) for e, n in r]))
+            for m, w, r in rows if (k := m >> shift & 255)], reliable - i
 
 
 def product_bounds(W: int, a: tuple[list, int, int | None],
@@ -709,7 +781,8 @@ class TruncatedSeries:
                                    (other.rows, other.reliable, other.u_hi))
         return TruncatedSeries._built(
             family=self.family, W=min(self.W, other.W),
-            rows=summed_rows(convolve(self.rows, other.rows, rel)),
+            rows=unpacked_rows(summed_rows(
+                convolve(packed_rows(self.rows), packed_rows(other.rows), rel))),
             den=self.den * other.den, umin=lo, umax=hi, reliable=rel, u_hi=u_hi)
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
@@ -717,8 +790,8 @@ class TruncatedSeries:
 
     def partial(self, i: int) -> TruncatedSeries:
         """d/dx_i.  Weight drops by i, so the reliable weight drops too."""
-        rows, reliable = derivative(self.rows, self.reliable, i)
-        return self._with(rows, reliable=reliable)
+        rows, reliable = derivative(packed_rows(self.rows), self.reliable, i)
+        return self._with(unpacked_rows(rows), reliable=reliable)
 
     def truncate(self, W: int) -> TruncatedSeries:
         if W >= self.W:

@@ -22,8 +22,10 @@ from .exactalg import (
     combine_rows,
     convolve,
     derivative,
+    packed_rows,
     product_bounds,
     summed_rows,
+    unpacked_rows,
 )
 from .report import CheckReport, residual_report
 
@@ -70,16 +72,17 @@ def to_hirota_vars(s: TruncatedSeries) -> TruncatedSeries:
     return s._with(rows, family="t")
 
 
-def _multi_partial(s: TruncatedSeries, kvec: tuple[int, ...],
+def _multi_partial(s: tuple[list, int], kvec: tuple[int, ...],
                    memo: dict) -> tuple[list, int]:
-    """d^kvec s as (rows in ascending weight over s.den, reliable weight):
-    one derivative of the memoised one step below (kvec with its last
-    nonzero exponent lowered by one).  Its W, band and u_hi are those of s."""
+    """d^kvec s for s = (packed rows in ascending weight, reliable weight),
+    in the same form: one derivative of the memoised one step below (kvec
+    with its last nonzero exponent lowered by one), over the same
+    denominator."""
     got = memo.get(kvec)
     if got is None:
         i = max((i for i, k in enumerate(kvec) if k), default=None)
         if i is None:
-            got = (s.rows, s.reliable)
+            got = s
         else:
             below = kvec[:i] + (kvec[i] - 1,) + kvec[i + 1:]
             got = derivative(*_multi_partial(s, below, memo), i + 1)
@@ -101,8 +104,9 @@ def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
     (R, U): the result stores no entry above weight R or above u^U.
     A P that forms no product certifies nothing: R is -1.
 
-    The derivatives, the partner sums and the products stay integer rows;
-    the residual is the one series built."""
+    tau's rows are packed once (see exactalg.pack); the derivatives, the
+    partner sums and the products stay packed integer rows, and only the
+    residual, the one series built, is unpacked."""
     pairs: dict = {}
     for coef, avec in P.terms:
         for kvec in iproduct(*(range(a + 1) for a in avec)):
@@ -114,9 +118,10 @@ def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
             pairs[key] = pairs.get(key, 0) + c
     pairs = {key: c for key, c in pairs.items() if c}
     memo: dict = {}
+    base = (packed_rows(tau.rows), tau.reliable)
 
     def d(kvec: tuple[int, ...]) -> tuple[list, int]:
-        return _multi_partial(tau, kvec, memo)
+        return _multi_partial(base, kvec, memo)
 
     R, U = tau.W if pairs else -1, None
     for kvec, rest in pairs:
@@ -139,9 +144,9 @@ def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
         products.append((c, summed_rows(convolve(d(shared)[0], g, R, U)), tau.den * den))
     acc, den = combine_rows(products)
     # products can reach twice the factor's extremes, so widen up front
-    return TruncatedSeries._built(family=tau.family, W=tau.W, rows=summed_rows(acc),
-                                  den=den, umin=2 * tau.umin, umax=2 * tau.umax,
-                                  reliable=R, u_hi=U)
+    return TruncatedSeries._built(family=tau.family, W=tau.W,
+                                  rows=unpacked_rows(summed_rows(acc)), den=den,
+                                  umin=2 * tau.umin, umax=2 * tau.umax, reliable=R, u_hi=U)
 
 
 def check_kp(
@@ -169,11 +174,13 @@ def check_kp(
 def check_linearized_kp(s: TruncatedSeries, *, tau_label: str = "tau") -> CheckReport:
     """The single-function shadow: KP1 with D_i read as plain d/dt_i."""
     memo: dict = {}
-    parts = [(coef, *_multi_partial(s, avec, memo)) for coef, avec in KP1.terms]
+    base = (packed_rows(s.rows), s.reliable)
+    parts = [(coef, *_multi_partial(base, avec, memo)) for coef, avec in KP1.terms]
     acc, den = combine_rows((coef, rows, s.den) for coef, rows, _ in parts)
     residual = TruncatedSeries._built(
-        family=s.family, W=s.W, rows=summed_rows(acc), den=den, umin=s.umin, umax=s.umax,
-        reliable=min([s.W] + [rel for _, _, rel in parts]), u_hi=s.u_hi)
+        family=s.family, W=s.W, rows=unpacked_rows(summed_rows(acc)), den=den,
+        umin=s.umin, umax=s.umax, reliable=min([s.W] + [rel for _, _, rel in parts]),
+        u_hi=s.u_hi)
     return residual_report(
         "linearized_" + KP1.name,
         residual,

@@ -5,15 +5,19 @@ lowering family Lambda(a), the three cut-and-join operators, Compose, and
 Sum, a linear combination whose coefficients are Laurent polynomials in u;
 a Bracket is the Sum a.b - b.a.  A scalar is a coefficient: scaled(op, c)
 is a one-part Sum.  A leaf, the derivative included, declares only a
-stencil: the (target monomial, integer multiplier) pairs of one source
-monomial, over a class-level denominator, memoised in one dict per leaf
-since it does not depend on the truncation.
+stencil: the (target, integer multiplier) pairs of one source monomial, over
+a class-level denominator.  Source and targets are packed monomials, one int
+each (see exactalg.pack), and a stencil writes its targets by integer
+arithmetic; it is memoised in one dict per leaf, keyed by the packed
+source, since it does not depend on the truncation.
 One stencil pass applies a leaf, and every leaf part of a Sum at once: over
-the input's integer rows it sums c_i * leaf_i(s) into one integer
-accumulator.  apply writes the output's rows as a series; a Sum sums its
-Compose parts into it through add_scaled.  An exponential runs the same pass
-once per order on the rows of the order before and builds one series, its
-sum.
+the input's integer rows, packed once on entry, it sums c_i * leaf_i(s) into
+one integer accumulator keyed by packed target.  apply unpacks the output's
+rows and writes them as a series; a Sum sums its Compose parts into it
+through add_scaled.  An exponential packs its seed once, runs the same pass
+once per order on the packed rows of the order before, and unpacks and
+builds one series, its sum.  The symbol route reads a leaf's stencil on a
+few monomials and unpacks its targets.
 
 Every leaf declares its exact weight shift and keeps u-exponents.
 Application propagates the reliability metadata of the series: an operator
@@ -58,15 +62,18 @@ from gjvtau.exactalg import (
     UPOLY_ONE,
     UPoly,
     band_for_weight,
+    check_packable,
     combine_rows,
     mono,
-    mono_div_var,
-    mono_exp,
     mono_mul,
     mono_var,
     mono_weight,
     monomials_up_to_weight,
+    pack,
+    packed_rows,
     summed_rows,
+    unpack,
+    unpacked_rows,
 )
 
 
@@ -74,22 +81,22 @@ class OperatorGradingError(ValueError):
     """An operator exponential cannot be truncated soundly as requested."""
 
 
-# per leaf, {monomial: its merged stencil}: a stencil holds no W, so one
-# entry serves every truncation.  The stencil kernel fetches a leaf's dict
-# once per pass, so the leaf is hashed once per pass, not once per row.
-_STENCILS: dict[Operator, dict[Monomial, tuple[tuple[Monomial, int], ...]]] = {}
+# per leaf, {packed monomial: its merged stencil}: a stencil holds no W, so
+# one entry serves every truncation.  The stencil kernel fetches a leaf's
+# dict once per pass, so the leaf is hashed once per pass, not once per row.
+_STENCILS: dict[Operator, dict[int, tuple[tuple[int, int], ...]]] = {}
 
 
-def _stencil(op: Operator, m: Monomial) -> tuple[tuple[Monomial, int], ...]:
-    """op's stencil at m with repeated targets merged, memoised per (leaf,
-    monomial)."""
+def _stencil(op: Operator, p: int) -> tuple[tuple[int, int], ...]:
+    """op's stencil at the packed monomial p with repeated targets merged,
+    in the order the leaf first emits them, memoised per (leaf, monomial)."""
     memo = _STENCILS.setdefault(op, {})
-    got = memo.get(m)
+    got = memo.get(p)
     if got is None:
-        merged: dict[Monomial, int] = {}
-        for target, k in op.stencil(m):
+        merged: dict[int, int] = {}
+        for target, k in op.stencil(p):
             merged[target] = merged.get(target, 0) + k
-        got = memo[m] = tuple((t, k) for t, k in merged.items() if k)
+        got = memo[p] = tuple((t, k) for t, k in merged.items() if k)
     return got
 
 
@@ -100,14 +107,15 @@ def clear_stencils() -> None:
 
 def _stencil_rows(rows: list, W: int, parts: list[tuple[UPoly, Operator]],
                   umin: int, umax: int) -> tuple[dict, int]:
-    """The one stencil pass: Sum_i c_i * leaf_i over rows in ascending weight
-    at truncation W, into one integer accumulator, {target: (weight, {u-exp:
-    n})} over the rows' denominator times lcm_i(den(c_i) * leaf_i.den), and
-    that lcm.  A c_i that moves u raises :class:`UBandError` if it moves
-    the u-range of the rows that reach one of leaf_i's targets out of [umin,
-    umax]: that range covers leaf_i's image's, so the check is never looser
-    than add_scaled's on c_i * leaf_i(s), also when another part cancels the
-    escape."""
+    """The one stencil pass: Sum_i c_i * leaf_i over packed rows in ascending
+    weight at truncation W, into one integer accumulator, {packed target:
+    (weight, {u-exp: n})} over the rows' denominator times lcm_i(den(c_i) *
+    leaf_i.den), and that lcm.  A c_i that moves u raises
+    :class:`UBandError` if it moves the u-range of the rows that reach one
+    of leaf_i's targets out of [umin, umax]: that range covers leaf_i's
+    image's, so the check is never looser than add_scaled's on
+    c_i * leaf_i(s), also when another part cancels the escape."""
+    check_packable(W)
     den = lcm(*(op.den * v.denominator for c, op in parts for _, v in c.terms))
     # per nonzero part: c_i, its leaf, its stencil memo, its weight shift, its
     # (u-power, integer factor) pairs, and if c_i moves u, the [lowest,
@@ -118,7 +126,7 @@ def _stencil_rows(rows: list, W: int, parts: list[tuple[UPoly, Operator]],
             for c, op in parts if c]
     # the rows are in ascending weight: none past top reaches the truncation
     top = W - min((shift for _, _, _, shift, _, _ in legs), default=0)
-    acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
+    acc: dict[int, tuple[int, dict[int, int]]] = {}
     for m, w, r in rows:
         if w > top:
             break
@@ -160,20 +168,25 @@ def _stencil_sum(s: TruncatedSeries, parts: list[tuple[UPoly, Operator]],
     """Sum_i c_i * leaf_i(s) over stencil leaves, as one stencil pass over the
     rows of s.  The result keeps the W and band of s, is exact through
     reliable, and lowers u_hi by _u_drop(parts)."""
-    acc, den = _stencil_rows(s.rows, s.W, parts, s.umin, s.umax)
+    acc, den = _stencil_rows(packed_rows(s.rows), s.W, parts, s.umin, s.umax)
     u_hi = None if s.u_hi is None else s.u_hi + _u_drop(parts)
-    return s._with(summed_rows(acc), s.den * den, reliable=reliable, u_hi=u_hi)
+    return s._with(unpacked_rows(summed_rows(acc)), s.den * den, reliable=reliable,
+                   u_hi=u_hi)
 
 
 class Operator:
     """Base class.  A stencil leaf implements stencil, den and weight_shift
-    and acts through apply; Sum and Compose act their own way."""
+    and acts through apply; Sum and Compose act their own way.  A stencil
+    reads and writes packed monomials (see exactalg.pack): x_v is
+    1 << 8 (v - 1), so moving a unit of exponent from x_v to x_t adds
+    (1 << 8 (t - 1)) - (1 << 8 (v - 1))."""
 
     # the stencil multipliers are integers over this denominator
     den = 1
 
-    def stencil(self, m: Monomial) -> Iterator[tuple[Monomial, int]]:
-        """(target monomial, multiplier over den) pairs of the action on m."""
+    def stencil(self, p: int) -> Iterator[tuple[int, int]]:
+        """(packed target, multiplier over den) pairs of the action on the
+        packed monomial p."""
         raise NotImplementedError
 
     def weight_shift(self) -> int:
@@ -197,20 +210,13 @@ class Partial(Operator):
         if self.n < 1:
             raise ValueError("derivative index must be >= 1")
 
-    def stencil(self, m):
-        if e := mono_exp(m, self.n):
-            yield mono_div_var(m, self.n), e
+    def stencil(self, p):
+        shift = 8 * (self.n - 1)
+        if e := p >> shift & 255:
+            yield p - (1 << shift), e
 
     def weight_shift(self):
         return -self.n
-
-
-def _lower(exps: dict[int, int], v: int) -> None:
-    """Divide the monomial held as {index: exponent} by x_v, in place."""
-    if exps[v] == 1:
-        del exps[v]
-    else:
-        exps[v] -= 1
 
 
 @dataclass(frozen=True)
@@ -226,13 +232,10 @@ class Lambda(Operator):
         if self.a > 1:
             raise ValueError("index shift must be <= 1")
 
-    def stencil(self, m):
-        for v, e in m:
+    def stencil(self, p):
+        for v, e in unpack(p):
             if (t := v + self.a) >= 1:
-                acc = dict(m)
-                _lower(acc, v)
-                acc[t] = acc.get(t, 0) + 1
-                yield tuple(sorted(acc.items())), v * e
+                yield p + (1 << 8 * (t - 1)) - (1 << 8 * (v - 1)), v * e
 
     def weight_shift(self):
         return self.a
@@ -246,18 +249,15 @@ class CutPart(Operator):
     k: int
     den = 2
 
-    def stencil(self, m):
-        for v, e in m:
+    def stencil(self, p):
+        for v, e in unpack(p):
             # derivative slot v, replaced by each unordered split {i, j} of
             # v + k; a split with i != j stands for the two ordered ones
-            base = dict(m)
-            _lower(base, v)
+            base = p - (1 << 8 * (v - 1))
             n = v + self.k
             for i in range(1, n // 2 + 1):
-                acc = base.copy()
-                acc[i] = acc.get(i, 0) + 1
-                acc[n - i] = acc.get(n - i, 0) + 1
-                yield tuple(sorted(acc.items())), v * e if 2 * i == n else 2 * v * e
+                yield (base + (1 << 8 * (i - 1)) + (1 << 8 * (n - i - 1)),
+                       v * e if 2 * i == n else 2 * v * e)
 
     def weight_shift(self):
         return self.k
@@ -271,19 +271,16 @@ class JoinPart(Operator):
     k: int
     den = 2
 
-    def stencil(self, m):
+    def stencil(self, p):
         # each unordered pair of derivative slots {vi, vj} once; a pair with
         # vi != vj stands for the two ordered ones
+        m = unpack(p)
         for a, (vi, ei) in enumerate(m):
             for vj, ej in m[a:]:
                 n = vi * vi * ei * (ei - 1) if vi == vj else 2 * vi * vj * ei * ej
                 if n:
-                    acc = dict(m)
-                    _lower(acc, vi)
-                    _lower(acc, vj)
-                    t = vi + vj + self.k
-                    acc[t] = acc.get(t, 0) + 1
-                    yield tuple(sorted(acc.items())), n
+                    yield (p - (1 << 8 * (vi - 1)) - (1 << 8 * (vj - 1))
+                           + (1 << 8 * (vi + vj + self.k - 1))), n
 
     def weight_shift(self):
         return self.k
@@ -300,9 +297,10 @@ class CutJoin(Operator):
         if self.k not in (0, 1, 2):
             raise ValueError("cut-and-join shift must be 0, 1 or 2")
 
-    def stencil(self, m):
-        yield from CutPart(self.k).stencil(m)
-        yield from JoinPart(self.k).stencil(m)
+    def stencil(self, p):
+        # the two parts' stencils read only k, which this leaf shares
+        yield from CutPart.stencil(self, p)
+        yield from JoinPart.stencil(self, p)
 
     def weight_shift(self):
         return self.k
@@ -506,7 +504,7 @@ def _leaf_layer(op: Operator, d: int) -> dict[Monomial, dict[Monomial, int]]:
     times beta!, and the beta! = 2 of d_v^2 divides.  Layer 0 is the action
     on 1.  Each layer is read once, for every N that reaches it."""
     def act(m: Monomial) -> dict[Monomial, int]:
-        return {t: 2 * k for t, k in _stencil(op, m)}
+        return {unpack(t): 2 * k for t, k in _stencil(op, pack(m))}
 
     if d == 0:
         zero = act(())
@@ -689,7 +687,7 @@ def exponential_apply(
     drop = _u_drop(parts)
     # the rows of order k are op^k(s) / k! over den: each order runs op on
     # the rows of the one before and folds 1/k into its denominator
-    rows, den, rel, u_hi = s.rows, s.den, s.reliable, s.u_hi
+    rows, den, rel, u_hi = packed_rows(s.rows), s.den, s.reliable, s.u_hi
     held = [(UPOLY_ONE, rows, den)]
     total_rel, total_u_hi = rel, u_hi
     for k in range(1, cap + 1):
@@ -697,9 +695,9 @@ def exponential_apply(
             # a Compose part acts on this order as a series, as Sum.apply
             # adds it, and so does a Compose exponent
             out = op.apply(TruncatedSeries._built(
-                family=s.family, W=s.W, rows=rows, den=den, umin=s.umin, umax=top,
-                reliable=rel, u_hi=u_hi))
-            rows, den, rel, u_hi = out.rows, out.den, out.reliable, out.u_hi
+                family=s.family, W=s.W, rows=unpacked_rows(rows), den=den, umin=s.umin,
+                umax=top, reliable=rel, u_hi=u_hi))
+            rows, den, rel, u_hi = packed_rows(out.rows), out.den, out.reliable, out.u_hi
         else:
             acc, f = _stencil_rows(rows, s.W, parts, s.umin, top)
             rows, den = summed_rows(acc), den * f
@@ -728,7 +726,8 @@ def exponential_apply(
         steps = s.W if max_order is None else max_order
         total_u_hi = min(total_u_hi, s.u_hi + ulo * steps)
     acc, den = combine_rows(held)
-    total = TruncatedSeries._built(family=s.family, W=s.W, rows=summed_rows(acc), den=den,
+    total = TruncatedSeries._built(family=s.family, W=s.W,
+                                   rows=unpacked_rows(summed_rows(acc)), den=den,
                                    umin=s.umin, umax=s.umax, reliable=total_rel,
                                    u_hi=total_u_hi)
     return total.clip_u_above(s.umax) if clip else total

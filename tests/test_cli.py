@@ -16,7 +16,7 @@ import pytest
 
 from gjvtau import cli, gjv, operators
 from gjvtau.cli import main
-from gjvtau.exactalg import TruncatedSeries, UPoly, mono, mono_div_var, mono_mul, mono_var
+from gjvtau.exactalg import TruncatedSeries, UPoly, mono, mono_var, pack, unpack
 from gjvtau.hurwitz import HurwitzIndex
 from gjvtau.operators import CutJoin, JoinPart, Sum, scaled
 
@@ -184,13 +184,12 @@ STANDING_FAILS = {"o_operators_n4", "o_operators_n5", "proposition_n4", "proposi
 
 def _join_with_a_cube_term(stencil):
     """JoinPart.stencil plus a spurious diagonal term v^2 x_v^(e-2) x_(2v+k)
-    on each x_v^e with e >= 3."""
-    def faulty(self, m):
-        yield from stencil(self, m)
-        for v, e in m:
+    on each x_v^e with e >= 3, in packed arithmetic."""
+    def faulty(self, p):
+        yield from stencil(self, p)
+        for v, e in unpack(p):
             if e >= 3:
-                base = mono_div_var(mono_div_var(m, v), v)
-                yield mono_mul(base, mono_var(2 * v + self.k)), v * v
+                yield p - 2 * pack(mono_var(v)) + pack(mono_var(2 * v + self.k)), v * v
     return faulty
 
 

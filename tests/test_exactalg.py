@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from gjvtau.exactalg import (
     FAMILIES,
+    PACK_LIMIT,
     FamilyError,
+    PackCapacityError,
     TruncatedSeries,
     TruncationError,
     UBandError,
@@ -27,12 +29,14 @@ from gjvtau.exactalg import (
     mono_weight,
     monomials_of_weight,
     monomials_up_to_weight,
+    pack,
     substitute_linear,
+    unpack,
 )
 from gjvtau.gjv import change_of_variables
-from gjvtau.hirota import to_hirota_vars
+from gjvtau.hirota import KP1, hirota_apply, to_hirota_vars
 from gjvtau.hurwitz import cutjoin_series, h01_h02_closed_forms
-from gjvtau.operators import Lambda
+from gjvtau.operators import CutJoin, Lambda, Partial, exponential_apply
 
 
 def q(i, W=6, **kw):
@@ -102,6 +106,52 @@ def test_monomials_of_weight():
 # ---------------------------------------------------------------------------
 # TruncatedSeries ring structure
 # ---------------------------------------------------------------------------
+
+
+# every monomial through weight 14, for the packed-monomial checks
+MONOS_14 = list(monomials_up_to_weight(14))
+
+
+def test_pack_then_unpack_gives_back_the_monomial():
+    assert len(MONOS_14) == 508 and len({pack(m) for m in MONOS_14}) == 508
+    for m in MONOS_14:
+        assert unpack(pack(m)) == m
+        assert pack(m) == sum(e << 8 * (i - 1) for i, e in m)
+
+
+def test_packed_product_is_the_sum_of_the_packed_factors():
+    for a in MONOS_14:
+        pa = pack(a)
+        for b in MONOS_14:
+            assert pack(mono_mul(a, b)) == pa + pack(b), (a, b)
+
+
+def test_packed_kernels_refuse_a_weight_a_byte_cannot_hold():
+    # q1^256 would carry into q2's byte; every kernel raises by name first
+    assert PACK_LIMIT == 256
+    big = mono_var(1, PACK_LIMIT)
+    s = TruncatedSeries.monomial("q", PACK_LIMIT, big)
+    with pytest.raises(PackCapacityError):
+        pack(big)
+    with pytest.raises(PackCapacityError):
+        s.partial(1)
+    with pytest.raises(PackCapacityError):
+        s.mul(q(1, W=PACK_LIMIT))
+    with pytest.raises(PackCapacityError):
+        Lambda(0).apply(s)
+    with pytest.raises(PackCapacityError):
+        hirota_apply(KP1, to_hirota_vars(s))
+    # a kernel that forms monomials by + refuses the truncation itself, even
+    # on a series whose own exponents fit
+    one = q(1, W=PACK_LIMIT)
+    for run in (lambda: one.mul(one), lambda: Partial(1).apply(one),
+                lambda: exponential_apply(CutJoin(2), one)):
+        with pytest.raises(PackCapacityError):
+            run()
+    # one below the limit packs and runs
+    top = PACK_LIMIT - 1
+    assert unpack(pack(mono_var(1, top))) == mono_var(1, top)
+    assert q(1, W=top).mul(q(1, W=top)) == TruncatedSeries.monomial("q", top, mono_var(1, 2))
 
 
 def test_truncation_is_silent_in_products():

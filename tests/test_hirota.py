@@ -8,17 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjvtau import cli, exactalg, hirota
+from gjvtau import cli, hirota
 from gjvtau.exactalg import (
     FamilyError,
     TruncatedSeries,
     UPOLY_ONE,
     UPoly,
-    convolve,
     mono,
+    mono_mul,
     mono_var,
     product_bounds,
-    summed_rows,
 )
 from gjvtau.gjv import assemble_tau_exponential, exp_join_of_q1
 from gjvtau.hirota import (
@@ -153,10 +152,31 @@ def test_pair_gathering_matches_the_ordered_expansion(P, tau):
     assert got.u_hi is None or got.u_hi >= want.u_hi
 
 
+def region_product(a, b, R, U, lo, hi):
+    """a * b through weight R and u-exponent U (every one if None), a double
+    loop over the two factors' rows with mono_mul: no packed monomial and no
+    convolve."""
+    out = {}
+    for m1, w1, r1 in a.rows:
+        for m2, w2, r2 in b.rows:
+            if w1 + w2 > R:
+                break
+            row = out.setdefault(mono_mul(m1, m2), (w1 + w2, {}))[1]
+            for e1, n1 in r1:
+                for e2, n2 in r2:
+                    if U is None or e1 + e2 <= U:
+                        row[e1 + e2] = row.get(e1 + e2, 0) + n1 * n2
+    rows = [(m, w, r) for m, (w, row) in out.items()
+            if (r := tuple(sorted((e, n) for e, n in row.items() if n)))]
+    return TruncatedSeries._built(family=a.family, W=a.W, rows=rows, den=a.den * b.den,
+                                  umin=lo, umax=hi, reliable=R, u_hi=U)
+
+
 def pairwise_hirota_apply(P, tau):
     """P(D) tau.tau with one series per derivative and per product, one
     product per unordered pair {k, a - k}, each formed through the region
-    (R, U) of all the pairs' products and summed by add_scaled."""
+    (R, U) of all the pairs' products by region_product and summed by
+    add_scaled."""
     pairs = {}
     for coef, avec in P.terms:
         for kvec in iproduct(*(range(a + 1) for a in avec)):
@@ -179,31 +199,58 @@ def pairwise_hirota_apply(P, tau):
                                    (b.rows, b.reliable, b.u_hi))
         R, U = min(R, rel), TruncatedSeries._merge_u_hi(U, u_hi)
     lo, hi = 2 * tau.umin, 2 * tau.umax
-
-    def region_product(a, b):
-        return TruncatedSeries._built(
-            family=a.family, W=a.W, rows=summed_rows(convolve(a.rows, b.rows, R, U)),
-            den=a.den * b.den, umin=lo, umax=hi, reliable=R, u_hi=U)
-
     zero = TruncatedSeries.zero(tau.family, tau.W, umin=lo, umax=hi, reliable=R)
-    return zero.add_scaled((c, region_product(a, b)) for c, a, b in factors)
+    return zero.add_scaled((c, region_product(a, b, R, U, lo, hi)) for c, a, b in factors)
 
 
 def layout(s):
-    return (s.family, s.W, s.den, s.umin, s.umax, s.reliable, s.u_hi, s.rows)
+    # a grouped sum meets the monomials of a nonzero residual in another
+    # order than the pairwise one, so the rows compare as a set
+    return (s.family, s.W, s.den, s.umin, s.umax, s.reliable, s.u_hi, sorted(s.rows))
+
+
+def grouped_mismatches(W):
+    """The (route, c, tau, kp) cases at W whose grouped residual differs from
+    the pairwise one, over each route's tau, which passes KP1 and KP2, and
+    that tau perturbed by t_1 t_2 / 7, whose residuals reach every weight."""
+    bad = []
+    for route in cli.ROUTES:
+        for c in cli.VERIFY_C:
+            tau = cli._tau(route, c, W, cli.DEFAULT_MMAX)
+            bump = TruncatedSeries.monomial("t", W, mono((1, 1), (2, 1)), UPoly.const(F(1, 7)))
+            for label, t in (("tau", tau), ("perturbed", tau + bump)):
+                for kp in (KP1, KP2):
+                    if layout(hirota_apply(kp, t)) != layout(pairwise_hirota_apply(kp, t)):
+                        bad.append((route, str(c), label, kp.name))
+    return bad
 
 
 @pytest.mark.parametrize("W", range(4, 13))
 def test_grouped_products_match_the_pairwise_sum(W):
-    # one product per shared factor, with every intermediate kept as rows,
-    # sums the same pairs as one product series per unordered pair: the
-    # same rows in the same order, denominator, band and bookkeeping
-    for route in cli.ROUTES:
-        for c in cli.VERIFY_C:
-            tau = cli._tau(route, c, W, cli.DEFAULT_MMAX)
-            for kp in (KP1, KP2):
-                assert layout(hirota_apply(kp, tau)) == layout(pairwise_hirota_apply(kp, tau)), \
-                    (route, str(c), kp.name)
+    # one product per shared factor, with every intermediate kept as packed
+    # rows, sums the same pairs as one product series per unordered pair:
+    # the same rows, denominator, band and bookkeeping
+    assert not grouped_mismatches(W)
+
+
+def _cut_one_weight_short(convolve):
+    """The product kernel with its weight cut-off one too low: the top
+    layer of every product is dropped."""
+    return lambda left, right, W, U=None: convolve(left, right, W - 1, U)
+
+
+def _cut_one_u_short(convolve):
+    """The product kernel with its u cut-off one too low."""
+    return lambda left, right, W, U=None: convolve(left, right, W, None if U is None else U - 1)
+
+
+@pytest.mark.parametrize("fault", [_cut_one_weight_short, _cut_one_u_short],
+                         ids=["weight_cut_off_by_one", "u_cut_off_by_one"])
+def test_grouped_product_comparison_catches_a_planted_kernel_fault(fault, monkeypatch):
+    # the pairwise reference forms no product through convolve, so a fault
+    # in the kernel that hirota_apply runs shows as a mismatch
+    monkeypatch.setattr(hirota, "convolve", fault(hirota.convolve))
+    assert grouped_mismatches(8)
 
 
 # KP1's seven pairs: three share d^0 tau, two d_1 tau, so four products;
@@ -228,14 +275,19 @@ def test_products_stop_at_the_residual_region(kp, most, monkeypatch):
     # u_hi; formed through its own region instead, KP1 and KP2 visit 540 and
     # 352 monomial pairs on this tau
     pairs = []
-    mono_mul = exactalg.mono_mul
 
-    def counting(a, b):
-        pairs.append(1)
-        return mono_mul(a, b)
+    class Counted(int):
+        """A packed monomial that counts the products it enters."""
+
+        def __add__(self, other):
+            pairs.append(1)
+            return int(self) + other
+
+    def counting(left, right, W, U=None, _real=hirota.convolve):
+        return _real([(Counted(m), w, r) for m, w, r in left], right, W, U)
 
     tau = to_hirota_vars(assemble_tau_exponential(UPOLY_ONE, 8))
-    monkeypatch.setattr(exactalg, "mono_mul", counting)
+    monkeypatch.setattr(hirota, "convolve", counting)
     hirota_apply(kp, tau)
     assert 0 < len(pairs) <= most
 

@@ -26,6 +26,8 @@ from gjvtau.exactalg import (
     mono_var,
     mono_weight,
     monomials_up_to_weight,
+    pack,
+    unpack,
 )
 from gjvtau.operators import (
     Compose,
@@ -454,7 +456,7 @@ def whole_read_leaf_symbol(op, N):
     q_v q_w in one pass, with no layer shared between N: the reference for
     the layered reader."""
     def act(m):
-        return {t: 2 * k for t, k in operators._stencil(op, m)}
+        return {unpack(t): 2 * k for t, k in operators._stencil(op, pack(m))}
 
     zero = act(())
     acc = {(t, (), 0): n for t, n in zero.items()}
@@ -642,11 +644,11 @@ class Cancelling(Operator):
     """q1^2 -> q2 and q2 -> -q2: its images cancel in the plain sum of the
     weight <= W monomials, but not on the tagged probe."""
 
-    def stencil(self, m):
-        if m == mono((1, 2)):
-            yield mono_var(2), 1
-        elif m == mono_var(2):
-            yield mono_var(2), -1
+    def stencil(self, p):
+        if p == pack(mono((1, 2))):
+            yield pack(mono_var(2)), 1
+        elif p == pack(mono_var(2)):
+            yield p, -1
 
     def weight_shift(self):
         return 0
@@ -656,9 +658,9 @@ class Cancelling(Operator):
 class OnlyQ1(Operator):
     """The projection onto q1."""
 
-    def stencil(self, m):
-        if m == mono_var(1):
-            yield m, 1
+    def stencil(self, p):
+        if p == pack(mono_var(1)):
+            yield p, 1
 
     def weight_shift(self):
         return 0
@@ -689,11 +691,15 @@ def test_ops_equal_refuses_a_clip_in_u():
 
 
 def ordered_stencil(op, m):
-    """The leaf stencils spelled through mono_mul and mono_div_var, the
-    cut-and-join ones over ordered pairs: Lambda(a) moves slot v to v + a,
-    CutPart replaces slot v by every ordered (i, j) with i + j = v + k,
-    JoinPart joins every ordered pair of slots."""
-    if isinstance(op, Lambda):
+    """The leaf stencils spelled on tuple monomials through mono_mul and
+    mono_div_var, the cut-and-join ones over ordered pairs: Partial(n) lowers
+    slot n, Lambda(a) moves slot v to v + a, CutPart replaces slot v by
+    every ordered (i, j) with i + j = v + k, JoinPart joins every ordered
+    pair of slots."""
+    if isinstance(op, Partial):
+        if e := dict(m).get(op.n):
+            yield mono_div_var(m, op.n), e
+    elif isinstance(op, Lambda):
         for v, e in m:
             if v + op.a >= 1:
                 yield mono_mul(mono_div_var(m, v), mono_var(v + op.a)), v * e
@@ -716,32 +722,37 @@ def ordered_stencil(op, m):
 
 @pytest.mark.parametrize("op", [cls(k) for cls in (CutPart, JoinPart, CutJoin)
                                 for k in (0, 1, 2)]
-                         + [Lambda(a) for a in range(-3, 2)], ids=repr)
+                         + [Lambda(a) for a in range(-3, 2)] + [Partial(1), Partial(4)],
+                         ids=repr)
 def test_unordered_stencils_match_the_ordered_expansion(fresh_memos, op):
-    for m in monomials_up_to_weight(10):
+    # the packed stencil, unpacked, has the targets and multipliers of the
+    # tuple reference, in the order the reference first reaches them
+    for m in monomials_up_to_weight(14):
         want: dict = {}
         for t, k in ordered_stencil(op, m):
             want[t] = want.get(t, 0) + k
-        assert dict(operators._stencil(op, m)) == {t: k for t, k in want.items() if k}, m
+        got = [(unpack(t), k) for t, k in operators._stencil(op, pack(m))]
+        assert got == [(t, k) for t, k in want.items() if k], m
 
 
-def _cut_only_m2(self, m):
-    yield from CutPart(self.k).stencil(m)
+def _cut_only_m2(self, p):
+    yield from CutPart(self.k).stencil(p)
     if self.k != 2:
-        yield from JoinPart(self.k).stencil(m)
+        yield from JoinPart(self.k).stencil(p)
 
 
-def _cut_with_one_multiplier_doubled(self, m):
-    # CutPart.stencil, but the x_1^2 d_2 term of CutPart(0) is doubled
-    for v, e in m:
-        base = mono_div_var(m, v)
+def _cut_with_one_multiplier_doubled(self, p):
+    # CutPart.stencil over ordered splits, in packed arithmetic, but the
+    # x_1^2 d_2 term of CutPart(0) is doubled
+    for v, e in unpack(p):
+        base = p - pack(mono_var(v))
         for i in range(1, v + self.k):
             bump = 2 if (self.k, v, i) == (0, 2, 1) else 1
-            yield mono_mul(base, mono((i, 1), (v + self.k - i, 1))), v * e * bump
+            yield base + pack(mono_var(i)) + pack(mono_var(v + self.k - i)), v * e * bump
 
 
-def _lambda1_sign_flipped(self, m, stencil=Lambda.stencil):
-    for t, k in stencil(self, m):
+def _lambda1_sign_flipped(self, p, stencil=Lambda.stencil):
+    for t, k in stencil(self, p):
         yield t, -k if self.a == 1 else k
 
 
