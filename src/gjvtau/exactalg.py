@@ -424,8 +424,11 @@ def convolve(left: list, right: list, W: int,
     must be sorted by weight.  No pair above W is visited, so a negative W
     gives an empty product.  A row's exponents ascend, so a pair whose two
     lowest exponents sum above U is not visited, and each inner u-loop stops
-    at U: no u-product above U is formed."""
+    at U: no u-product above U is formed.  Rows whose monomials are not
+    packed ints raise TypeError: tuples would concatenate under +."""
     check_packable(W)
+    if any(rows and not isinstance(rows[0][0], int) for rows in (left, right)):
+        raise TypeError("convolve takes packed rows, each monomial one int (see pack)")
     if U is None:
         # no exponent sum reaches past the two highest exponents
         U = (max((r[-1][0] for _, _, r in left), default=0)

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
+from operator import itemgetter
 from typing import Iterable
 
 from .exactalg import (
@@ -21,11 +22,17 @@ from .exactalg import (
     FamilyError,
     Rat,
     TruncatedSeries,
+    UBandError,
     UPoly,
+    _band_error,
     band_for_weight,
+    convolve,
     mono,
     mono_str,
     mono_var,
+    packed_rows,
+    summed_rows,
+    unpack,
 )
 from .hurwitz import HurwitzIndex, cutjoin_series, hurwitz_closed_form, profiles
 from .operators import (
@@ -286,50 +293,111 @@ def extract_intersections_tbasis(G: TruncatedSeries) -> list[IntersectionNumber]
     twice its cut-and-join order, and is complete once that is <= 2*Mmax;
     each T_k is homogeneous in w + e, so no block moves an entry into the
     region from outside it.  So G needs Mmax >= (W + 1) // 2, and a larger
-    Mmax only adds entries that are skipped (see tbasis_records).
+    Mmax only adds entries that are skipped (see tbasis_records).  An entry
+    in the region at an even or negative power of u, or at one that gives
+    its record no whole genus >= 0, is not a T-monomial term: it raises
+    ArithmeticError naming the monomial and the power.
 
-    The T-monomial products share one memo across all layers, keyed by the
+    The residue is one integer accumulator, {packed monomial: {u-exp: n}}
+    per weight, every n over one denominator; the monomials of a layer are
+    read in the order G's rows and then the products first list them.
+    Before a layer subtracts its blocks, the layers below it and the
+    denominator are multiplied by the lcm of the layer's prod(k_i!), so
+    every block coefficient is an integer.  The T-monomial products are
+    packed integer rows that share one memo across all layers, keyed by the
     sorted word (k1, ..., kr): tprod(word) = tprod(word[:-1]) * T_{kr}, so
-    each distinct prefix costs one mul for the whole reduction.  A word's
-    leading weight is sum(k_i + 1), and layer w reads only words of that
-    weight and their prefixes, so entries of weight >= w are dropped once
-    layer w is done.
+    each distinct prefix costs one convolve for the whole reduction and no
+    series is built.  A word's leading weight is sum(k_i + 1), and layer w
+    reads only words of that weight and their prefixes, so products of
+    weight >= w are dropped once layer w is done.  Band and family faults
+    raise as a reduction through series products would.
     """
-    W = G.W
-    basis = build_tbasis(W - 1, W)
-    memo = {(): TruncatedSeries.const("q", W, UPoly.const(1), umin=G.umin, umax=G.umax)}
+    if G.family != "q":
+        raise FamilyError(f"T-basis reduction of a {G.family}-family series")
+    W, lo, hi = G.W, G.umin, G.umax
+    basis = [packed_rows(t.rows) for t in build_tbasis(W - 1, W)]
+    one = [(0, 0, ((0, 1),))]
+    memo = {(): (one, _u_span(one, lo, hi))}
 
-    def tprod(word: tuple[int, ...]) -> TruncatedSeries:
-        if word not in memo:
-            memo[word] = tprod(word[:-1]).mul(basis[word[-1]], umin=G.umin, umax=G.umax)
-        return memo[word]
+    def tprod(word: tuple[int, ...]) -> tuple[list, tuple[int, int]]:
+        got = memo.get(word)
+        if got is None:
+            rows = summed_rows(convolve(tprod(word[:-1])[0], basis[word[-1]], W))
+            span = _u_span(rows, lo, hi)
+            rows.sort(key=itemgetter(1))
+            got = memo[word] = (rows, span)
+        return got
 
-    residue = G
+    layers: list[dict[int, dict[int, int]]] = [{} for _ in range(W + 1)]
+    for m, w, r in packed_rows(G.rows):
+        layers[w][m] = dict(r)
+    den = G.den
     records: list[IntersectionNumber] = []
     for w in range(W, -1, -1):
         blocks = []
-        for m, coef in residue.weight_slice(w).terms.items():
-            ks = tuple(sorted(i - 1 for i, e in m for _ in range(e)))
-            c_k = coef.scale(Fraction(1, prod(factorial(k) for k in ks)))
-            blocks.append((ks, c_k.scale(-1)))
-            aut = prod(factorial(ks.count(k)) for k in set(ks))
-            for exp, val in c_k.terms:
+        for m, row in layers[w].items():
+            r = sorted(en for en in row.items() if en[1])
+            if not r:
+                continue
+            pairs = unpack(m)
+            ks = tuple(i - 1 for i, e in pairs for _ in range(e))
+            k_fact = prod(factorial(k) for k in ks)
+            blocks.append((ks, k_fact, r))
+            aut = prod(factorial(e) for _, e in pairs)
+            for exp, n in r:
                 # only layers inside the emit region are certified; beyond it
                 # the coefficients may be truncation artifacts and are dropped
                 if exp + w - 1 > G.reliable:
                     continue
-                if exp < 1 or exp % 2 == 0:
+                # u^(2j+1) carries <lambda_2j tau_d1..tau_dn>, whose genus
+                # (2j + sum d + 3 - n) / 4 is (exp + w + 2 - 2n) / 4
+                g4 = exp + w + 2 - 2 * len(ks)
+                if exp < 1 or exp % 2 == 0 or g4 % 4 or g4 < 0:
                     raise ArithmeticError(
-                        f"residue not expressible in T-monomials: {mono_str(m)} "
+                        f"residue not expressible in T-monomials: {mono_str(pairs)} "
                         f"carries u^{exp}"
                     )
                 j = (exp - 1) // 2
-                records.append(IntersectionNumber(j, ks, (-1) ** j * val * aut))
-        if blocks:
-            residue = residue.add_scaled((c, tprod(ks)) for ks, c in blocks)
+                records.append(IntersectionNumber(
+                    j, ks, Fraction((-1) ** j * n * aut, den * k_fact)))
+        scale = lcm(*(k_fact for _, k_fact, _ in blocks))
+        if scale > 1:
+            den *= scale
+            for layer in layers[:w]:
+                for row in layer.values():
+                    for e in row:
+                        row[e] *= scale
+        for ks, k_fact, r in blocks:
+            # minus the entry over prod(k_i!), now an integer over den
+            f = -(scale // k_fact)
+            c = [(e, f * n) for e, n in r]
+            rows, (slo, shi) = tprod(ks)
+            ulo, uhi = c[0][0], c[-1][0]
+            if (ulo or uhi) and (slo + ulo < lo or shi + uhi > hi):
+                coef = UPoly({e: Fraction(n, den) for e, n in c})
+                raise UBandError(f"{coef} times a series escapes its band [{lo}, {hi}]")
+            for m2, w2, r2 in rows:
+                # the product's one row of weight w is the entry's own monomial
+                if w2 < w:
+                    got = layers[w2].get(m2)
+                    if got is None:
+                        got = layers[w2][m2] = {}
+                    for ce, cn in c:
+                        for e, n in r2:
+                            got[e + ce] = got.get(e + ce, 0) + cn * n
         for word in [word for word in memo if sum(word) + len(word) >= w]:
             del memo[word]
     return sorted(records, key=_record_sort_key)
+
+
+def _u_span(rows: list, lo: int, hi: int) -> tuple[int, int]:
+    """The lowest and highest u-exponent of nonempty rows; the first row
+    outside [lo, hi] raises UBandError, as a series built from them would."""
+    span = min(r[0][0] for _, _, r in rows), max(r[-1][0] for _, _, r in rows)
+    if span[0] < lo or span[1] > hi:
+        r = next(r for _, _, r in rows if r[0][0] < lo or r[-1][0] > hi)
+        raise _band_error(r[0][0], r[-1][0], lo, hi)
+    return span
 
 
 def _monomial_symmetric(lam: tuple[int, ...], b: tuple[int, ...]) -> Rat:

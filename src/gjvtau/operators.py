@@ -17,7 +17,7 @@ rows and writes them as a series; a Sum sums its Compose parts into it
 through add_scaled.  An exponential packs its seed once, runs the same pass
 once per order on the packed rows of the order before, and unpacks and
 builds one series, its sum.  The symbol route reads a leaf's stencil on a
-few monomials and unpacks its targets.
+few monomials and keeps its targets packed.
 
 Every leaf declares its exact weight shift and keeps u-exponents.
 Application propagates the reliability metadata of the series: an operator
@@ -34,8 +34,12 @@ symbol(op, N) is the normal-ordered form: op's terms c * x^alpha d^beta
 with d-weight <= N, each leaf's read off its own stencil one d-weight layer
 at a time, each layer once for every N, composed by the Leibniz rule; a
 bracket sums only the contractions, the Leibniz terms with kappa != 0, as
-its uncontracted terms cancel.  Two operators act equally on every monomial
-of weight <= N iff their symbols at N are equal.  Identities between
+its uncontracted terms cancel.  A Symbol and the leaf layers key alpha and
+beta as packed monomials, so the Leibniz rule and the peeling of layers
+multiply monomials by + and read d-weights from a memo; Symbol.terms, keyed
+by tuple monomials, is a view built on first read.  Two operators act
+equally on every monomial of weight <= N iff their symbols at N are
+equal.  Identities between
 operators compare symbols; the conjugation sandwich, which acts on series,
 compares with ops_equal.  The O-operator actions are the u-layers of one
 conjugation by exp((1-u)M2), formed by two exponentials, with no bracket
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, gcd, inf, lcm
 from operator import itemgetter
@@ -64,12 +68,9 @@ from gjvtau.exactalg import (
     band_for_weight,
     check_packable,
     combine_rows,
-    mono,
-    mono_mul,
     mono_var,
     mono_weight,
     monomials_up_to_weight,
-    pack,
     packed_rows,
     summed_rows,
     unpack,
@@ -442,17 +443,41 @@ def ops_equal(
 # Normal-ordered symbols
 # ---------------------------------------------------------------------------
 
-SymbolKey = tuple[Monomial, Monomial, int]
+# (x^alpha, d^beta, u-exponent), alpha and beta packed monomials
+SymbolKey = tuple[int, int, int]
+
+# the weight of each packed monomial the symbol route has met, filled on
+# first use: no weight is summed over exponents twice
+_WEIGHTS: dict[int, int] = {}
+
+
+def _weight(p: int) -> int:
+    w = _WEIGHTS.get(p)
+    if w is None:
+        w = _WEIGHTS[p] = mono_weight(unpack(p))
+    return w
 
 
 @dataclass(frozen=True)
 class Symbol:
     """Normal-ordered terms n/den * u^e * x^alpha d^beta as integer numerators
     {(alpha, beta, e): n} over one positive denominator, reduced, with no zero
-    numerator, so equal symbols compare equal; the zero symbol has no terms."""
+    numerator, so equal symbols compare equal; the zero symbol has no terms.
+    The store, packed, keys alpha and beta as packed monomials (see
+    exactalg.pack); terms, the same numerators keyed by tuple monomials, is
+    a view built on first read."""
 
-    terms: Mapping[SymbolKey, int]
+    packed: Mapping[SymbolKey, int]
     den: int
+    _terms: Mapping[tuple[Monomial, Monomial, int], int] | None = field(
+        default=None, init=False, compare=False, repr=False)
+
+    @property
+    def terms(self) -> Mapping[tuple[Monomial, Monomial, int], int]:
+        if self._terms is None:
+            object.__setattr__(self, "_terms", MappingProxyType({
+                (unpack(x), unpack(d), e): n for (x, d, e), n in self.packed.items()}))
+        return self._terms
 
 
 def _reduced(acc: dict[SymbolKey, int], den: int) -> Symbol:
@@ -470,8 +495,11 @@ def symbol(op: Operator, N: int) -> Symbol:
     A term of d-weight above N kills every monomial of weight <= N, and the
     lowest-beta term of a nonzero symbol acts nonzero on x^beta, so two
     operators act equally on every monomial of weight <= N exactly when
-    their symbols at N are equal.
+    their symbols at N are equal.  A symbol holds packed monomials, so N
+    at or above PACK_LIMIT raises PackCapacityError, as a stencil pass
+    truncated there does.
     """
+    check_packable(N)
     if isinstance(op, Bracket):
         a, b = op.pair
         sa, sb = symbol(a, N), symbol(b, N)
@@ -496,63 +524,66 @@ def _leaf_symbol(op: Operator, N: int) -> Symbol:
 
 
 @functools.cache
-def _leaf_layer(op: Operator, d: int) -> dict[Monomial, dict[Monomial, int]]:
+def _leaf_layer(op: Operator, d: int) -> dict[int, dict[int, int]]:
     """A stencil leaf's symbol terms of d-weight d, as {beta: {alpha: n}}
-    with numerators n over 2 * op.den, read off its actions on q_d and on
-    q_v q_w with v + w = d: every leaf has order <= 2, so peeling the terms
-    of the lower layers off each action leaves the coefficient of d^beta
-    times beta!, and the beta! = 2 of d_v^2 divides.  Layer 0 is the action
-    on 1.  Each layer is read once, for every N that reaches it."""
-    def act(m: Monomial) -> dict[Monomial, int]:
-        return {unpack(t): 2 * k for t, k in _stencil(op, pack(m))}
+    on packed monomials, with numerators n over 2 * op.den, read off its
+    actions on q_d and on q_v q_w with v + w = d: every leaf has order <= 2,
+    so peeling the terms of the lower layers off each action leaves the
+    coefficient of d^beta times beta!, and the beta! = 2 of d_v^2 divides.
+    Layer 0 is the action on 1.  Each layer is read once, for every N that
+    reaches it."""
+    def act(p: int) -> dict[int, int]:
+        return {t: 2 * k for t, k in _stencil(op, p)}
 
     if d == 0:
-        zero = act(())
-        return {(): zero} if zero else {}
-    zero = _leaf_layer(op, 0).get((), {})
+        zero = act(0)
+        return {0: zero} if zero else {}
+    zero = _leaf_layer(op, 0).get(0, {})
 
-    def first(v: int) -> dict[Monomial, int]:
-        return _leaf_layer(op, v).get(mono_var(v), {})
+    def first(v: int) -> dict[int, int]:
+        return _leaf_layer(op, v).get(1 << 8 * (v - 1), {})
 
-    qd = mono_var(d)
+    qd = 1 << 8 * (d - 1)
     out = {qd: _peel(act(qd), zero, qd)}
     for v in range(1, d // 2 + 1):
         w = d - v
-        beta = mono((v, 1), (w, 1))
+        qv, qw = 1 << 8 * (v - 1), 1 << 8 * (w - 1)
+        beta = qv + qw
         rest = _peel(act(beta), zero, beta)
         if v == w:  # d_v q_v^2 = 2 q_v, d_v^2 q_v^2 = 2
-            rest = {t: n // 2 for t, n in _peel(rest, first(v), mono_var(v), 2).items()}
+            rest = {t: n // 2 for t, n in _peel(rest, first(v), qv, 2).items()}
         else:
-            rest = _peel(_peel(rest, first(v), mono_var(w)), first(w), mono_var(v))
+            rest = _peel(_peel(rest, first(v), qw), first(w), qv)
         out[beta] = rest
     return {beta: terms for beta, terms in out.items() if terms}
 
 
-def _peel(acted: dict, terms: dict, factor: Monomial, mult: int = 1) -> dict:
-    """acted - mult * factor * terms, with no zero entries."""
+def _peel(acted: dict, terms: dict, factor: int, mult: int = 1) -> dict:
+    """acted - mult * factor * terms on packed monomials, with no zero
+    entries."""
     out = dict(acted)
     for t, n in terms.items():
-        t = mono_mul(t, factor)
+        t += factor
         out[t] = out.get(t, 0) - mult * n
     return {t: n for t, n in out.items() if n}
 
 
 @functools.cache
-def _leibniz(beta: Monomial, gamma: Monomial) -> tuple[tuple[Monomial, Monomial, int, int], ...]:
-    """d^beta x^gamma in normal order: (gamma - kappa, beta - kappa, weight of
-    beta - kappa, C(beta, kappa) C(gamma, kappa) kappa!) over kappa <= beta, gamma."""
-    g = dict(gamma)
-    shared = [(v, e, g[v]) for v, e in beta if v in g]
+def _leibniz(beta: int, gamma: int) -> tuple[tuple[int, int, int, int], ...]:
+    """d^beta x^gamma in normal order on packed monomials: (gamma - kappa,
+    beta - kappa, weight of beta - kappa, C(beta, kappa) C(gamma, kappa)
+    kappa!) over kappa <= beta, gamma, kappa = 0 first."""
+    g = dict(unpack(gamma))
+    shared = [(v, e, g[v]) for v, e in unpack(beta) if v in g]
+    w_beta = _weight(beta)
     out = []
     for kappa in itertools.product(*(range(min(e, f) + 1) for _, e, f in shared)):
-        b_left, g_left, mult = dict(beta), dict(g), 1
+        k_packed, k_weight, mult = 0, 0, 1
         for (v, e, f), k in zip(shared, kappa):
-            b_left[v] -= k
-            g_left[v] -= k
+            k_packed += k << 8 * (v - 1)
+            k_weight += v * k
             mult *= comb(e, k) * comb(f, k) * factorial(k)
-        b_rest = tuple((v, e) for v, e in b_left.items() if e)
-        out.append((tuple((v, e) for v, e in g_left.items() if e), b_rest,
-                    mono_weight(b_rest), mult))
+        out.append((gamma - k_packed, beta - k_packed, w_beta - k_weight, mult))
     return tuple(out)
 
 
@@ -562,30 +593,31 @@ def _compose(a: Symbol, b: Symbol, N: int, *, free: bool = True) -> Symbol:
         = Sum_kappa C(beta, kappa) C(gamma, kappa) kappa!
                     x^(alpha+gamma-kappa) d^(beta+delta-kappa).
     A product term's d-weight is at least beta's minus b's raise, so a must
-    be exact through N + _raise(b) and b through N.
+    be exact through N + _raise(b) and b through N.  On packed monomials
+    a product is +.
 
     With free=False, only the contractions, the terms with kappa != 0, are
     summed, so only the pairs in which beta shares a variable with gamma
     are visited: b's terms are indexed by the variables of gamma."""
-    right = [(x, d, e, n, mono_weight(x), mono_weight(d)) for (x, d, e), n in b.terms.items()]
+    right = [(x, d, e, n, _weight(x), _weight(d)) for (x, d, e), n in b.packed.items()]
     by_var: dict[int, list[int]] = {}
     if not free:
         for i, (x, *_) in enumerate(right):
-            for v, _ in x:
+            for v, _ in unpack(x):
                 by_var.setdefault(v, []).append(i)
     skip = 0 if free else 1  # _leibniz lists kappa = 0 first
     acc: dict[SymbolKey, int] = {}
-    for (xa, da, ea), na in a.terms.items():
-        wa = mono_weight(da)
+    for (xa, da, ea), na in a.packed.items():
+        wa = _weight(da)
         pairs = right if free else [right[i] for i in set().union(
-            *(by_var.get(v, ()) for v, _ in da))]
+            *(by_var.get(v, ()) for v, _ in unpack(da)))]
         for xb, db, eb, nb, wx, wd in pairs:
             if wa + wd - wx > N:
                 continue
             n = na * nb
             for x_rest, d_rest, wr, mult in _leibniz(da, xb)[skip:]:
                 if wr + wd <= N:
-                    key = (mono_mul(xa, x_rest), mono_mul(d_rest, db), ea + eb)
+                    key = (xa + x_rest, d_rest + db, ea + eb)
                     acc[key] = acc.get(key, 0) + mult * n
     return _reduced(acc, a.den * b.den)
 
@@ -607,16 +639,16 @@ def _bracket(y: Symbol, x: Operator, N: int) -> Symbol:
 
 def _raise(s: Symbol) -> int:
     """The largest weight shift of a term of s, or 0 if none raises."""
-    return max((mono_weight(x) - mono_weight(d) for x, d, _ in s.terms), default=0)
+    return max((_weight(x) - _weight(d) for x, d, _ in s.packed), default=0)
 
 
 def _linear(parts: Iterable[tuple[UPoly, Symbol]], N: int | None = None) -> Symbol:
     """Sum_i c_i * s_i over UPoly coefficients c_i, cut at d-weight N if given."""
-    parts = [(c, s) for c, s in parts if c and s.terms]
+    parts = [(c, s) for c, s in parts if c and s.packed]
     den = lcm(*(s.den * cc.denominator for c, s in parts for _, cc in c.terms))
     acc: dict[SymbolKey, int] = {}
     for c, s in parts:
-        terms = [(k, n) for k, n in s.terms.items() if N is None or mono_weight(k[1]) <= N]
+        terms = [(k, n) for k, n in s.packed.items() if N is None or _weight(k[1]) <= N]
         for ce, cc in c.terms:
             f = cc.numerator * (den // (s.den * cc.denominator))
             for (x, d, e), n in terms:
@@ -752,7 +784,7 @@ def conjugate(x: Operator, a: Operator, *, W: int) -> Symbol:
         for _ in range(depth):
             top -= step
             chain.append(_bracket(chain[-1], x, top))
-        if not chain[-1].terms:
+        if not chain[-1].packed:
             return _linear(((UPoly.const(Fraction(1, factorial(k))), t)
                             for k, t in enumerate(chain[:-1])), W)
     raise OperatorGradingError(

@@ -468,9 +468,10 @@ def test_benchmark_tracer_finds_every_layer(tmp_path):
     checks = [k for k in got["metrics"] if k.startswith("cli.check.")]
     assert len(checks) == 11 and all(got["metrics"][k] > 0 for k in checks)
     assert got["metrics"]["hirota.hirota_apply.calls"] > 0
-    # the product kernel must stay inside the traced TruncatedSeries.mul
-    assert got["metrics"]["exactalg.mul.calls"] > 0
-    assert got["metrics"]["exactalg.mul.terms_out"] > 0
+    # the T-basis reduction forms its products through convolve, inside its
+    # own traced span, which must be found
+    assert got["metrics"]["gjv.tbasis_reduce.calls"] > 0
+    assert got["metrics"]["gjv.tbasis_reduce.records"] > 0
     # and the operator kernel inside the traced apply and ops_equal spans
     assert got["metrics"]["operators.apply.calls"] > 0
     assert got["metrics"]["operators.ops_equal.probes"] > 0

@@ -21,6 +21,7 @@ from gjvtau.exactalg import (
     UPOLY_ZERO,
     UPoly,
     band_for_weight,
+    convolve,
     mono,
     mono_key,
     mono_mul,
@@ -30,13 +31,15 @@ from gjvtau.exactalg import (
     monomials_of_weight,
     monomials_up_to_weight,
     pack,
+    packed_rows,
     substitute_linear,
     unpack,
 )
 from gjvtau.gjv import change_of_variables
 from gjvtau.hirota import KP1, hirota_apply, to_hirota_vars
 from gjvtau.hurwitz import cutjoin_series, h01_h02_closed_forms
-from gjvtau.operators import CutJoin, Lambda, Partial, exponential_apply
+from gjvtau import operators
+from gjvtau.operators import CutJoin, Lambda, Partial, commutator, exponential_apply, symbol
 
 
 def q(i, W=6, **kw):
@@ -148,10 +151,28 @@ def test_packed_kernels_refuse_a_weight_a_byte_cannot_hold():
                 lambda: exponential_apply(CutJoin(2), one)):
         with pytest.raises(PackCapacityError):
             run()
+    # and so does a symbol at d-weight PACK_LIMIT, before it reads any stencil
+    layers = operators._leaf_layer.cache_info().currsize
+    for op in (Partial(1), commutator(CutJoin(2), Lambda(1))):
+        with pytest.raises(PackCapacityError):
+            symbol(op, PACK_LIMIT)
+    assert operators._leaf_layer.cache_info().currsize == layers
     # one below the limit packs and runs
     top = PACK_LIMIT - 1
     assert unpack(pack(mono_var(1, top))) == mono_var(1, top)
     assert q(1, W=top).mul(q(1, W=top)) == TruncatedSeries.monomial("q", top, mono_var(1, 2))
+
+
+def test_convolve_refuses_tuple_rows():
+    # tuple monomials would concatenate under +, giving a wrong product
+    s = q(1, 4) + q(2, 4)
+    packed = packed_rows(s.rows)
+    for left, right in ((s.rows, packed), (packed, s.rows), (s.rows, s.rows)):
+        with pytest.raises(TypeError, match="packed rows"):
+            convolve(left, right, 4)
+    assert convolve(packed, packed, 4) == {pack(mono_var(1, 2)): (2, {0: 1}),
+                                           pack(mono((1, 1), (2, 1))): (3, {0: 2}),
+                                           pack(mono_var(2, 2)): (4, {0: 1})}
 
 
 def test_truncation_is_silent_in_products():

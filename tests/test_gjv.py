@@ -180,6 +180,23 @@ def test_planted_unstable_part_fault_fails_the_tau_routes(tmp_path, monkeypatch,
         "g_structure"}
 
 
+def test_planted_entry_with_no_integer_genus_fails_g_structure_by_name(
+        tmp_path, monkeypatch, fresh_memos, fresh_records):
+    # u/13 on q5 asks for <tau_4>_g with 4g = 0 + 4 + 3 - 1: no whole genus.
+    # The reduction names the entry, as it names an even power of u, so
+    # g_structure reports it as its verdict instead of crashing
+    real = gjv.extract_G
+
+    def faulty(W, Mmax):
+        return perturbed(real(W, Mmax), mono_var(5), UPoly.u(1, F(1, 13)))
+    monkeypatch.setattr(gjv, "extract_G", faulty)
+    assert main(["verify", "--W", "8", "--out", str(tmp_path)]) == 1
+    rows = {r["check"]: r for r in json.loads((tmp_path / "verify.json").read_text())}
+    row = rows["g_structure"]
+    assert (row["status"], row["reliable_weight"]) == (FAIL, 8)
+    assert row["error"] == "residue not expressible in T-monomials: q5 carries u^1"
+
+
 # ---------------------------------------------------------------------------
 # G and the two tau assemblies
 # ---------------------------------------------------------------------------
@@ -450,18 +467,28 @@ def outcome(reduce, G):
         return str(e)
 
 
-@pytest.mark.parametrize("W", range(4, 11))
+@pytest.mark.parametrize("W", [*range(4, 12), 13])
 def test_layer_reduction_matches_the_greedy_one(W):
     G = extract_G(W, W // 2 + 1)
     assert extract_intersections_tbasis(G) == greedy_tbasis(G)[0]
     # one perturbed entry: on q1^3 it moves <tau_0^3> and nothing else; on
     # q1*q2 its block carries u^4 onto q1^2, an error once that is in the
-    # emit region (W >= 5)
+    # emit region (W >= 5); on q2*q3*q4, whose word (1, 2, 3) has
+    # prod(k_i!) = 12, its layer scales the residue below it, and its block
+    # carries u^4 onto q1*q3*q4, an error once that is in the region (W >= 11)
+    off_unit = mono((2, 1), (3, 1), (4, 1))
     for m, coef in ((mono((1, 3)), UPoly.u(1, F(1, 7))),
-                    (mono((1, 1), (2, 1)), UPoly.u(3, F(1, 7)))):
+                    (mono((1, 1), (2, 1)), UPoly.u(3, F(1, 7))),
+                    (off_unit, UPoly.u(3, F(5, 11)))):
+        if mono_weight(m) > W:
+            continue
         bad = perturbed(G, m, coef)
-        assert outcome(extract_intersections_tbasis, bad) == outcome(
-            lambda g: greedy_tbasis(g)[0], bad)
+        got = outcome(extract_intersections_tbasis, bad)
+        assert got == outcome(lambda g: greedy_tbasis(g)[0], bad)
+        if m == off_unit and W < 11:
+            assert isinstance(got, list), W
+        elif m == off_unit:
+            assert got.endswith("q1*q3*q4 carries u^4"), W
 
 
 def test_even_u_power_raises_inside_the_emit_region_only():
@@ -478,26 +505,32 @@ def test_even_u_power_raises_inside_the_emit_region_only():
 
 
 def test_layer_reduction_folds_each_layer_once(monkeypatch):
-    for W, Mmax, muls in ((10, 6, 102), (13, 7, 184), (14, 8, 373)):
+    for W, Mmax, products in ((10, 6, 102), (13, 7, 184), (14, 8, 373)):
         G = extract_G(W, Mmax)
         _, visited = greedy_tbasis(G)
         words = {tuple(i - 1 for i, e in m for _ in range(e)) for m in visited}
-        # all layers' blocks share one prefix memo; each distinct prefix is one mul
+        # all layers' blocks share one prefix memo; each distinct prefix is
+        # one convolve, and the residue is summed with no series built
         prefixes = {w[:k] for w in words for k in range(1, len(w) + 1)}
-        assert len(prefixes) == muls
-        layers = {mono_weight(m) for m in visited}
+        assert len(prefixes) == products
         basis = build_tbasis(W - 1, W)
-        calls = {"mul": 0, "add_scaled": 0, "__sub__": 0, "scale": 0}
+        calls = dict.fromkeys(["convolve", "mul", "add_scaled", "weight_slice", "__sub__",
+                               "scale"], 0)
         with monkeypatch.context() as mp:
             mp.setattr(gjv, "build_tbasis", lambda K, W: basis)
-            for name in calls:
+
+            def counting_convolve(*a, _f=gjv.convolve, **kw):
+                calls["convolve"] += 1
+                return _f(*a, **kw)
+            mp.setattr(gjv, "convolve", counting_convolve)
+            for name in list(calls)[1:]:
                 def counting(self, *a, _name=name, _f=getattr(TruncatedSeries, name), **kw):
                     calls[_name] += 1
                     return _f(self, *a, **kw)
                 mp.setattr(TruncatedSeries, name, counting)
             extract_intersections_tbasis(G)
-        assert calls == {"mul": muls, "add_scaled": len(layers), "__sub__": 0,
-                         "scale": 0}, W
+        assert calls == {"convolve": products, "mul": 0, "add_scaled": 0, "weight_slice": 0,
+                         "__sub__": 0, "scale": 0}, W
 
 
 def full_build_records(W):

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import json
 import re
@@ -451,10 +451,20 @@ def test_leaf_symbol_reproduces_the_action(leaf):
         assert symbol_on(sym, m) == dict(leaf.apply(qmono(m, W=10)).terms), m
 
 
+def tuple_peel(acted, terms, factor, mult=1):
+    """acted - mult * factor * terms on tuple monomials, with no zero entries."""
+    out = dict(acted)
+    for t, n in terms.items():
+        t = mono_mul(t, factor)
+        out[t] = out.get(t, 0) - mult * n
+    return {t: n for t, n in out.items() if n}
+
+
 def whole_read_leaf_symbol(op, N):
     """A stencil leaf's symbol at N read off its actions on 1, q_v and
-    q_v q_w in one pass, with no layer shared between N: the reference for
-    the layered reader."""
+    q_v q_w in one pass, with no layer shared between N, on tuple monomials
+    and with its own peel and reduction: the reference for the layered
+    reader, as (terms keyed by tuple monomials, den)."""
     def act(m):
         return {unpack(t): 2 * k for t, k in operators._stencil(op, pack(m))}
 
@@ -463,27 +473,28 @@ def whole_read_leaf_symbol(op, N):
     first = {}
     for v in range(1, N + 1):
         qv = mono_var(v)
-        first[v] = operators._peel(act(qv), zero, qv)
+        first[v] = tuple_peel(act(qv), zero, qv)
         acc.update(((t, qv, 0), n) for t, n in first[v].items())
     for v in range(1, N // 2 + 1):
         for w in range(v, N - v + 1):
             beta = mono((v, 1), (w, 1))
-            rest = operators._peel(act(beta), zero, beta)
+            rest = tuple_peel(act(beta), zero, beta)
             if v == w:
-                rest = operators._peel(rest, first[v], mono_var(v), 2)
+                rest = tuple_peel(rest, first[v], mono_var(v), 2)
                 acc.update(((t, beta, 0), n // 2) for t, n in rest.items())
             else:
-                rest = operators._peel(operators._peel(rest, first[v], mono_var(w)),
-                                       first[w], mono_var(v))
+                rest = tuple_peel(tuple_peel(rest, first[v], mono_var(w)), first[w], mono_var(v))
                 acc.update(((t, beta, 0), n) for t, n in rest.items())
-    return operators._reduced(acc, 2 * op.den)
+    g = gcd(2 * op.den, *acc.values())
+    return {k: n // g for k, n in acc.items() if n}, 2 * op.den // g
 
 
 @pytest.mark.parametrize("leaf", SYMBOL_LEAVES, ids=repr)
 def test_layered_leaf_symbol_matches_the_whole_read(fresh_memos, leaf):
     # N ascending, then descending: every N reads the layers the others left
     for N in [*range(13), *range(12, -1, -1)]:
-        assert operators._leaf_symbol(leaf, N) == whole_read_leaf_symbol(leaf, N), N
+        sym = operators._leaf_symbol(leaf, N)
+        assert (dict(sym.terms), sym.den) == whole_read_leaf_symbol(leaf, N), N
 
 
 CLOSED_FORM = Sum(CutJoin(2), scaled(CutJoin(1), UPoly.u(1, 2)), scaled(CutJoin(0), UPoly.u(2)))
