@@ -23,13 +23,15 @@ high-index variable) lower it; verification code compares series only up to the
 minimum reliable weight of the operands.
 
 A series stores its coefficients as integer rows over one denominator:
-``(monomial, weight, ((u-exp, n), ...))`` per nonzero coefficient, each entry
-``n / den``.  The exact kernels read and write those rows and never do
-``Fraction`` arithmetic term by term; their outputs go through one internal
-constructor that checks weight and band on the rows.  ``terms``, the
-``monomial -> UPoly`` map, is a view built on first read.  Each kernel has
-one core that works on rows alone, so a caller can keep its intermediates
-as rows and build only its result: :func:`convolve` is the product
+``(packed monomial, weight, ((u-exp, n), ...))`` per nonzero coefficient,
+each entry ``n / den``.  A monomial is stored packed into one int, one byte
+per exponent (:func:`pack`): a product of monomials is ``+`` and a division
+by a variable is ``-``, with no tuple built.  The exact kernels read and
+write those rows and never do ``Fraction`` arithmetic term by term; their
+outputs go through one internal constructor that checks weight and band on
+the rows and refuses a monomial that is not an int.  Each kernel has one
+core that works on rows alone, so a caller can keep its intermediates as
+rows and build only its result: :func:`convolve` is the product
 (:meth:`TruncatedSeries.mul` runs it), :func:`derivative` the derivative
 (:meth:`~TruncatedSeries.partial` runs it) and :func:`combine_rows` the sum
 of scaled rows over one common denominator.
@@ -38,14 +40,11 @@ of scaled rows over one common denominator.
 the last one; so do the operator exponential and the Hirota residual, which
 sum rows they never build as series.
 
-Inside the kernels a monomial is packed into one int, one byte per
-exponent (:func:`pack`): a product of monomials is ``+`` and a division by
-a variable is ``-``, with no tuple built.  :func:`convolve`,
-:func:`derivative` and the operators' stencil pass work on packed rows;
-``mul`` and ``partial`` pack on entry and unpack on exit through two memo
-dicts, one per direction.  ``rows``, ``terms``, every artifact and every
-public signature hold tuple monomials.  A byte holds an exponent through
-255, so a kernel that forms monomials by ``+`` refuses a truncation of
+Tuple monomials live only at the edge: the public constructor's ``terms``,
+packed once; ``terms``, the ``monomial -> UPoly`` view built on first read;
+``canonical_items``, :meth:`~TruncatedSeries.coefficient_of`, printed
+monomials and every artifact.  A byte holds an exponent through 255, so a
+kernel that forms monomials by ``+`` refuses a truncation of
 :data:`PACK_LIMIT` = 256 or more with :class:`PackCapacityError`, and
 packing a larger exponent raises it too.
 """
@@ -279,28 +278,6 @@ def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    acc = dict(a)
-    for i, e in b:
-        acc[i] = acc.get(i, 0) + e
-    return tuple(sorted(acc.items()))
-
-
-def mono_div_var(m: Monomial, i: int) -> Monomial:
-    """Divide by x_i; the variable must be present."""
-    acc = dict(m)
-    if not acc.get(i):
-        raise ValueError(f"monomial {m} not divisible by variable {i}")
-    acc[i] -= 1
-    if acc[i] == 0:
-        del acc[i]
-    return tuple(sorted(acc.items()))
-
-
 def mono_key(m: Monomial) -> tuple:
     """Canonical sort key: ascending weight, then lexicographic on the
     (index, exponent) pairs read from the highest index down."""
@@ -342,12 +319,12 @@ def monomials_up_to_weight(W: int) -> Iterator[Monomial]:
 # Packed monomials
 # ---------------------------------------------------------------------------
 
-# Inside the kernels a monomial is one int, its exponent vector packed one
-# byte per variable: x_i's exponent is byte i - 1.  Multiplying two packed
-# monomials is +, dividing by x_i subtracts 1 << 8 (i - 1), and x_i's
-# exponent is p >> 8 (i - 1) & 255.  A byte holds exponents through 255, and
-# no monomial of weight below PACK_LIMIT has a larger one, so a kernel that
-# forms monomials by + refuses a truncation at or above it.
+# A monomial is stored as one int, its exponent vector packed one byte per
+# variable: x_i's exponent is byte i - 1.  Multiplying two packed monomials
+# is +, dividing by x_i subtracts 1 << 8 (i - 1), and x_i's exponent is
+# p >> 8 (i - 1) & 255.  A byte holds exponents through 255, and no monomial
+# of weight below PACK_LIMIT has a larger one, so a kernel that forms
+# monomials by + refuses a truncation at or above it.
 PACK_LIMIT = 256
 
 
@@ -355,8 +332,8 @@ class PackCapacityError(OverflowError):
     """A monomial's exponent would not fit in its byte of a packed monomial."""
 
 
-# one memo per direction, filled on first use; pack fills both
-_PACKED: dict[Monomial, int] = {}
+# the tuple monomial of each packed int that has been read back, filled on
+# first use
 _UNPACKED: dict[int, Monomial] = {}
 
 
@@ -370,15 +347,11 @@ def check_packable(W: int) -> None:
 
 def pack(m: Monomial) -> int:
     """m as one int, x_i's exponent in byte i - 1."""
-    p = _PACKED.get(m)
-    if p is None:
-        p = 0
-        for i, e in m:
-            if e >= PACK_LIMIT:
-                raise PackCapacityError(f"exponent {e} of variable {i} does not fit a byte")
-            p += e << 8 * (i - 1)
-        _PACKED[m] = p
-        _UNPACKED.setdefault(p, m)
+    p = 0
+    for i, e in m:
+        if e >= PACK_LIMIT:
+            raise PackCapacityError(f"exponent {e} of variable {i} does not fit a byte")
+        p += e << 8 * (i - 1)
     return p
 
 
@@ -392,27 +365,17 @@ def unpack(p: int) -> Monomial:
     return m
 
 
-def packed_rows(rows: list) -> list:
-    """rows with each monomial packed."""
-    return [(pack(m), w, r) for m, w, r in rows]
-
-
-def unpacked_rows(rows: list) -> list:
-    """Packed rows with each monomial unpacked."""
-    return [(unpack(p), w, r) for p, w, r in rows]
-
-
 # ---------------------------------------------------------------------------
 # Truncated series
 # ---------------------------------------------------------------------------
 
 
 def numerators(terms: Mapping[Monomial, UPoly]) -> tuple[list, int]:
-    """The nonzero terms as rows (monomial, weight, ((u-exp, n), ...)), each
-    entry n / den over one den: the lcm of their denominators, so no prime
-    divides den and every n."""
+    """The nonzero terms as rows (packed monomial, weight, ((u-exp, n), ...)),
+    each entry n / den over one den: the lcm of their denominators, so no
+    prime divides den and every n."""
     den = math.lcm(*(v.denominator for c in terms.values() for _, v in c.terms))
-    return [(m, mono_weight(m), tuple((e, v.numerator * (den // v.denominator))
+    return [(pack(m), mono_weight(m), tuple((e, v.numerator * (den // v.denominator))
                                       for e, v in c.terms))
             for m, c in terms.items() if c], den
 
@@ -472,7 +435,7 @@ def summed_rows(acc: Mapping) -> list:
 
 
 def combine_rows(parts: Iterable[tuple[UPoly | Rat | int, list, int]]
-                 ) -> tuple[dict[Monomial, tuple[int, dict[int, int]]], int]:
+                 ) -> tuple[dict[int, tuple[int, dict[int, int]]], int]:
     """Sum_i c_i * rows_i / den_i over one common denominator, the lcm of
     the den(c_i) * den_i, taken once, as ((weight, {u-exp: n}) per monomial,
     den); c_i is a rational or a UPoly, whose powers of u shift exponents.
@@ -480,7 +443,7 @@ def combine_rows(parts: Iterable[tuple[UPoly | Rat | int, list, int]]
     parts = [(c.terms if isinstance(c, UPoly) else ((0, Fraction(c)),) if c else (),
               rows, d) for c, rows, d in parts]
     den = math.lcm(*(v.denominator * d for cs, _, d in parts for _, v in cs))
-    acc: dict[Monomial, tuple[int, dict[int, int]]] = {}
+    acc: dict[int, tuple[int, dict[int, int]]] = {}
     for cs, rows, d in parts:
         fs = [(k, v.numerator * (den // (v.denominator * d))) for k, v in cs]
         for m, w, row_in in rows:
@@ -531,13 +494,14 @@ def product_bounds(W: int, a: tuple[list, int, int | None],
 class TruncatedSeries:
     """Sparse weight-truncated series with UPoly coefficients.
 
-    Immutable after construction.  The store is ``rows``: one (monomial,
-    weight, ((u-exp, n), ...)) entry per nonzero coefficient in ascending
-    weight, each n over the one denominator ``den``, which shares no prime
-    with all of them; ``terms`` is the read-only monomial -> UPoly view,
-    built on first read.  ``reliable`` is the weight up to which the entries
-    are exact; ``u_hi`` is the u-exponent up to which they are exact (None =
-    exact at every stored exponent).  Entries of weight > W are rejected,
+    Immutable after construction.  The store is ``rows``: one (packed
+    monomial, weight, ((u-exp, n), ...)) entry per nonzero coefficient in
+    ascending weight, each n over the one denominator ``den``, which shares
+    no prime with all of them; a row whose monomial is not an int (see
+    :func:`pack`) raises TypeError.  ``terms`` is the read-only view keyed
+    by tuple monomials, built on first read.  ``reliable`` is the weight up
+    to which the entries are exact; ``u_hi`` is the u-exponent up to which
+    they are exact (None = exact at every stored exponent).  Entries of weight > W are rejected,
     u-exponents outside [umin, umax] raise :class:`UBandError`.  Rows between
     ``reliable`` and W may be inexact, except in a product: :meth:`mul` stores
     no rows above its reliable weight.
@@ -582,8 +546,12 @@ class TruncatedSeries:
             rows = [(m, w, tuple((e, n // g) for e, n in r)) for m, w, r in rows]
             den //= g
         for m, w, r in rows:
+            if type(m) is not int:
+                raise TypeError(f"a row's monomial must be packed into an int (see pack), "
+                                f"got {m!r}")
             if w > W:
-                raise TruncationError(f"monomial {mono_str(m, family)} has weight > W={W}")
+                raise TruncationError(
+                    f"monomial {mono_str(unpack(m), family)} has weight > W={W}")
             if r[0][0] < umin or r[-1][0] > umax:
                 raise _band_error(r[0][0], r[-1][0], umin, umax)
         put = object.__setattr__
@@ -604,7 +572,7 @@ class TruncatedSeries:
     def terms(self) -> Mapping[Monomial, UPoly]:
         if self._terms is None:
             object.__setattr__(self, "_terms", MappingProxyType({
-                m: UPoly({e: Fraction(n, self.den) for e, n in r})
+                unpack(m): UPoly({e: Fraction(n, self.den) for e, n in r})
                 for m, _, r in self.rows}))
         return self._terms
 
@@ -701,18 +669,12 @@ class TruncatedSeries:
             )
         return self.terms.get(m, UPOLY_ZERO)
 
-    def min_weight(self) -> int | None:
-        return self.rows[0][1] if self.rows else None
-
     def min_u_exp(self) -> int:
         """Smallest u-exponent appearing anywhere (0 for the zero series)."""
         return min((r[0][0] for _, _, r in self.rows), default=0)
 
     def canonical_items(self) -> list[tuple[Monomial, UPoly]]:
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
-
-    def weight_slice(self, w: int) -> TruncatedSeries:
-        return self._with([row for row in self.rows if row[1] == w])
 
     def up_to_weight(self, w: int) -> TruncatedSeries:
         """Restrict to weight <= w (keeps W and band unchanged)."""
@@ -784,8 +746,7 @@ class TruncatedSeries:
                                    (other.rows, other.reliable, other.u_hi))
         return TruncatedSeries._built(
             family=self.family, W=min(self.W, other.W),
-            rows=unpacked_rows(summed_rows(
-                convolve(packed_rows(self.rows), packed_rows(other.rows), rel))),
+            rows=summed_rows(convolve(self.rows, other.rows, rel)),
             den=self.den * other.den, umin=lo, umax=hi, reliable=rel, u_hi=u_hi)
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
@@ -793,8 +754,8 @@ class TruncatedSeries:
 
     def partial(self, i: int) -> TruncatedSeries:
         """d/dx_i.  Weight drops by i, so the reliable weight drops too."""
-        rows, reliable = derivative(packed_rows(self.rows), self.reliable, i)
-        return self._with(unpacked_rows(rows), reliable=reliable)
+        rows, reliable = derivative(self.rows, self.reliable, i)
+        return self._with(rows, reliable=reliable)
 
     def truncate(self, W: int) -> TruncatedSeries:
         if W >= self.W:

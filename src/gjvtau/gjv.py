@@ -30,7 +30,6 @@ from .exactalg import (
     mono,
     mono_str,
     mono_var,
-    packed_rows,
     summed_rows,
     unpack,
 )
@@ -191,27 +190,20 @@ def extract_G(W: int, Mmax: int) -> TruncatedSeries:
     return change_of_variables(H._with(rows, H.den * scale))
 
 
-def verify_tau_routes(
-    c: UPoly, W: int, *, G: TruncatedSeries | None = None
-) -> CheckReport:
-    """Exact per-coefficient equality of the two tau assemblies at weight W.
-
-    With Mmax = W + 1 the G-route is complete on weight + u-exponent
-    <= 2W + 2, which covers the whole default band box {w <= W, e <= W+2};
-    clipping both routes to that band makes them exact on everything stored,
-    also when c reaches above it and widens the exponential's band.
-    """
-    (rep,) = tau_route_reports((c,), W, G=G)
-    return rep
-
-
 def tau_route_reports(
     cs: Iterable[UPoly], W: int, *, G: TruncatedSeries | None = None
 ) -> list[CheckReport]:
-    """verify_tau_routes for each c, with the G-route's tau_0 formed once:
-    each c that leaves its band alone reads c + tau_0 on both routes, which
-    is the tau at c (test_taus_are_affine_in_c); any other c is built
-    directly."""
+    """For each c, exact per-coefficient equality of the two tau assemblies
+    at weight W, with the G-route's tau_0 formed once: each c that leaves
+    its band alone reads c + tau_0 on both routes, which is the tau at c
+    (test_taus_are_affine_in_c); any other c is built directly.
+
+    G defaults to extract_G(W, Mmax=W + 1).  With that Mmax the G-route is
+    complete on weight + u-exponent <= 2W + 2, which covers the whole
+    default band box {w <= W, e <= W+2}; clipping both routes to that band
+    makes them exact on everything stored, also when c reaches above it and
+    widens the exponential's band.
+    """
     if G is None:
         G = extract_G(W, Mmax=W + 1)
     _, hi = band_for_weight(W)
@@ -288,12 +280,13 @@ def extract_intersections_tbasis(G: TruncatedSeries) -> list[IntersectionNumber]
     lower weights and each layer's coefficients are read once.
 
     An emitted record reads the u^(2j+1) layer of a weight-w coefficient with
-    2j + w <= W, the emit region w + e <= W + 1; entries beyond it are
-    skipped.  An entry of extract_G(W, Mmax) has even weight + u-exponent,
-    twice its cut-and-join order, and is complete once that is <= 2*Mmax;
-    each T_k is homogeneous in w + e, so no block moves an entry into the
-    region from outside it.  So G needs Mmax >= (W + 1) // 2, and a larger
-    Mmax only adds entries that are skipped (see tbasis_records).  An entry
+    2j + w <= W, the emit region w + e <= W + 1, W here G's reliable weight;
+    entries beyond it are skipped and form no block.  An entry of
+    extract_G(W, Mmax) has even weight + u-exponent, twice its cut-and-join
+    order, and is complete once that is <= 2*Mmax; each T_k is homogeneous
+    in w + e, so no block moves an entry into or out of the region.  So G
+    needs Mmax >= (W + 1) // 2, and a larger Mmax only adds entries that
+    are skipped (see tbasis_records).  An entry
     in the region at an even or negative power of u, or at one that gives
     its record no whole genus >= 0, is not a T-monomial term: it raises
     ArithmeticError naming the monomial and the power.
@@ -315,7 +308,7 @@ def extract_intersections_tbasis(G: TruncatedSeries) -> list[IntersectionNumber]
     if G.family != "q":
         raise FamilyError(f"T-basis reduction of a {G.family}-family series")
     W, lo, hi = G.W, G.umin, G.umax
-    basis = [packed_rows(t.rows) for t in build_tbasis(W - 1, W)]
+    basis = [t.rows for t in build_tbasis(W - 1, W)]
     one = [(0, 0, ((0, 1),))]
     memo = {(): (one, _u_span(one, lo, hi))}
 
@@ -329,14 +322,16 @@ def extract_intersections_tbasis(G: TruncatedSeries) -> list[IntersectionNumber]
         return got
 
     layers: list[dict[int, dict[int, int]]] = [{} for _ in range(W + 1)]
-    for m, w, r in packed_rows(G.rows):
+    for m, w, r in G.rows:
         layers[w][m] = dict(r)
     den = G.den
     records: list[IntersectionNumber] = []
     for w in range(W, -1, -1):
         blocks = []
         for m, row in layers[w].items():
-            r = sorted(en for en in row.items() if en[1])
+            # only entries inside the emit region are certified; beyond it the
+            # coefficients may be truncation artifacts and are dropped
+            r = sorted(en for en in row.items() if en[1] and en[0] + w - 1 <= G.reliable)
             if not r:
                 continue
             pairs = unpack(m)
@@ -345,10 +340,6 @@ def extract_intersections_tbasis(G: TruncatedSeries) -> list[IntersectionNumber]
             blocks.append((ks, k_fact, r))
             aut = prod(factorial(e) for _, e in pairs)
             for exp, n in r:
-                # only layers inside the emit region are certified; beyond it
-                # the coefficients may be truncation artifacts and are dropped
-                if exp + w - 1 > G.reliable:
-                    continue
                 # u^(2j+1) carries <lambda_2j tau_d1..tau_dn>, whose genus
                 # (2j + sum d + 3 - n) / 4 is (exp + w + 2 - 2n) / 4
                 g4 = exp + w + 2 - 2 * len(ks)

@@ -22,10 +22,9 @@ from .exactalg import (
     combine_rows,
     convolve,
     derivative,
-    packed_rows,
     product_bounds,
     summed_rows,
-    unpacked_rows,
+    unpack,
 )
 from .report import CheckReport, residual_report
 
@@ -62,19 +61,20 @@ KP2 = HirotaPolynomial(
 
 def to_hirota_vars(s: TruncatedSeries) -> TruncatedSeries:
     """Rename a p- or q-series into the t-family, reading the source variable
-    x_i as i * t_i (each monomial picks up prod i^e_i)."""
+    x_i as i * t_i (each monomial picks up prod i^e_i); the packed monomials
+    are kept."""
     if s.family == "t":
         raise FamilyError("series is already in the t-family")
     rows = []
     for m, w, r in s.rows:
-        k = prod(i**e for i, e in m)
+        k = prod(i**e for i, e in unpack(m))
         rows.append((m, w, tuple((e, k * n) for e, n in r)))
     return s._with(rows, family="t")
 
 
 def _multi_partial(s: tuple[list, int], kvec: tuple[int, ...],
                    memo: dict) -> tuple[list, int]:
-    """d^kvec s for s = (packed rows in ascending weight, reliable weight),
+    """d^kvec s for s = (rows in ascending weight, reliable weight),
     in the same form: one derivative of the memoised one step below (kvec
     with its last nonzero exponent lowered by one), over the same
     denominator."""
@@ -104,9 +104,9 @@ def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
     (R, U): the result stores no entry above weight R or above u^U.
     A P that forms no product certifies nothing: R is -1.
 
-    tau's rows are packed once (see exactalg.pack); the derivatives, the
-    partner sums and the products stay packed integer rows, and only the
-    residual, the one series built, is unpacked."""
+    The derivatives, the partner sums and the products stay integer rows
+    on tau's packed monomials (see exactalg.pack), as the residual, the one
+    series built, stores them."""
     pairs: dict = {}
     for coef, avec in P.terms:
         for kvec in iproduct(*(range(a + 1) for a in avec)):
@@ -118,7 +118,7 @@ def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
             pairs[key] = pairs.get(key, 0) + c
     pairs = {key: c for key, c in pairs.items() if c}
     memo: dict = {}
-    base = (packed_rows(tau.rows), tau.reliable)
+    base = (tau.rows, tau.reliable)
 
     def d(kvec: tuple[int, ...]) -> tuple[list, int]:
         return _multi_partial(base, kvec, memo)
@@ -144,8 +144,7 @@ def hirota_apply(P: HirotaPolynomial, tau: TruncatedSeries) -> TruncatedSeries:
         products.append((c, summed_rows(convolve(d(shared)[0], g, R, U)), tau.den * den))
     acc, den = combine_rows(products)
     # products can reach twice the factor's extremes, so widen up front
-    return TruncatedSeries._built(family=tau.family, W=tau.W,
-                                  rows=unpacked_rows(summed_rows(acc)), den=den,
+    return TruncatedSeries._built(family=tau.family, W=tau.W, rows=summed_rows(acc), den=den,
                                   umin=2 * tau.umin, umax=2 * tau.umax, reliable=R, u_hi=U)
 
 
@@ -174,11 +173,11 @@ def check_kp(
 def check_linearized_kp(s: TruncatedSeries, *, tau_label: str = "tau") -> CheckReport:
     """The single-function shadow: KP1 with D_i read as plain d/dt_i."""
     memo: dict = {}
-    base = (packed_rows(s.rows), s.reliable)
+    base = (s.rows, s.reliable)
     parts = [(coef, *_multi_partial(base, avec, memo)) for coef, avec in KP1.terms]
     acc, den = combine_rows((coef, rows, s.den) for coef, rows, _ in parts)
     residual = TruncatedSeries._built(
-        family=s.family, W=s.W, rows=unpacked_rows(summed_rows(acc)), den=den,
+        family=s.family, W=s.W, rows=summed_rows(acc), den=den,
         umin=s.umin, umax=s.umax, reliable=min([s.W] + [rel for _, _, rel in parts]),
         u_hi=s.u_hi)
     return residual_report(

@@ -7,17 +7,16 @@ a Bracket is the Sum a.b - b.a.  A scalar is a coefficient: scaled(op, c)
 is a one-part Sum.  A leaf, the derivative included, declares only a
 stencil: the (target, integer multiplier) pairs of one source monomial, over
 a class-level denominator.  Source and targets are packed monomials, one int
-each (see exactalg.pack), and a stencil writes its targets by integer
-arithmetic; it is memoised in one dict per leaf, keyed by the packed
-source, since it does not depend on the truncation.
+each, as a series stores them (see exactalg.pack), and a stencil writes its
+targets by integer arithmetic; it is memoised in one dict per leaf, keyed by
+the packed source, since it does not depend on the truncation.
 One stencil pass applies a leaf, and every leaf part of a Sum at once: over
-the input's integer rows, packed once on entry, it sums c_i * leaf_i(s) into
-one integer accumulator keyed by packed target.  apply unpacks the output's
-rows and writes them as a series; a Sum sums its Compose parts into it
-through add_scaled.  An exponential packs its seed once, runs the same pass
-once per order on the packed rows of the order before, and unpacks and
-builds one series, its sum.  The symbol route reads a leaf's stencil on a
-few monomials and keeps its targets packed.
+the input's integer rows it sums c_i * leaf_i(s) into one integer
+accumulator keyed by packed target, whose rows apply writes as a series; a
+Sum sums its Compose parts into it through add_scaled.  An exponential runs
+the same pass once per order on the rows of the order before and builds one
+series, its sum.  The symbol route reads a leaf's stencil on a few
+monomials.
 
 Every leaf declares its exact weight shift and keeps u-exponents.
 Application propagates the reliability metadata of the series: an operator
@@ -71,10 +70,9 @@ from gjvtau.exactalg import (
     mono_var,
     mono_weight,
     monomials_up_to_weight,
-    packed_rows,
+    pack,
     summed_rows,
     unpack,
-    unpacked_rows,
 )
 
 
@@ -169,18 +167,17 @@ def _stencil_sum(s: TruncatedSeries, parts: list[tuple[UPoly, Operator]],
     """Sum_i c_i * leaf_i(s) over stencil leaves, as one stencil pass over the
     rows of s.  The result keeps the W and band of s, is exact through
     reliable, and lowers u_hi by _u_drop(parts)."""
-    acc, den = _stencil_rows(packed_rows(s.rows), s.W, parts, s.umin, s.umax)
+    acc, den = _stencil_rows(s.rows, s.W, parts, s.umin, s.umax)
     u_hi = None if s.u_hi is None else s.u_hi + _u_drop(parts)
-    return s._with(unpacked_rows(summed_rows(acc)), s.den * den, reliable=reliable,
-                   u_hi=u_hi)
+    return s._with(summed_rows(acc), s.den * den, reliable=reliable, u_hi=u_hi)
 
 
 class Operator:
     """Base class.  A stencil leaf implements stencil, den and weight_shift
     and acts through apply; Sum and Compose act their own way.  A stencil
-    reads and writes packed monomials (see exactalg.pack): x_v is
-    1 << 8 (v - 1), so moving a unit of exponent from x_v to x_t adds
-    (1 << 8 (t - 1)) - (1 << 8 (v - 1))."""
+    reads and writes packed monomials, the form a series' rows store (see
+    exactalg.pack): x_v is 1 << 8 (v - 1), so moving a unit of exponent
+    from x_v to x_t adds (1 << 8 (t - 1)) - (1 << 8 (v - 1))."""
 
     # the stencil multipliers are integers over this denominator
     den = 1
@@ -393,7 +390,7 @@ def tagged_probe(W: int, headroom: int = 0) -> TruncatedSeries:
     m_i, so the blocks of two results agree exactly when the two maps agree
     on every m_i; the windows are disjoint, so no two blocks can cancel."""
     lo, hi, K = _probe_windows(W, headroom)
-    rows = [(m, mono_weight(m), ((i * K, 1),))
+    rows = [(pack(m), mono_weight(m), ((i * K, 1),))
             for i, m in enumerate(monomials_up_to_weight(W))]
     return TruncatedSeries._built(family="q", W=W + headroom, rows=rows, den=1, umin=lo,
                                   umax=(len(rows) - 1) * K + hi, reliable=None, u_hi=None)
@@ -719,7 +716,7 @@ def exponential_apply(
     drop = _u_drop(parts)
     # the rows of order k are op^k(s) / k! over den: each order runs op on
     # the rows of the one before and folds 1/k into its denominator
-    rows, den, rel, u_hi = packed_rows(s.rows), s.den, s.reliable, s.u_hi
+    rows, den, rel, u_hi = s.rows, s.den, s.reliable, s.u_hi
     held = [(UPOLY_ONE, rows, den)]
     total_rel, total_u_hi = rel, u_hi
     for k in range(1, cap + 1):
@@ -727,9 +724,9 @@ def exponential_apply(
             # a Compose part acts on this order as a series, as Sum.apply
             # adds it, and so does a Compose exponent
             out = op.apply(TruncatedSeries._built(
-                family=s.family, W=s.W, rows=unpacked_rows(rows), den=den, umin=s.umin,
+                family=s.family, W=s.W, rows=rows, den=den, umin=s.umin,
                 umax=top, reliable=rel, u_hi=u_hi))
-            rows, den, rel, u_hi = packed_rows(out.rows), out.den, out.reliable, out.u_hi
+            rows, den, rel, u_hi = out.rows, out.den, out.reliable, out.u_hi
         else:
             acc, f = _stencil_rows(rows, s.W, parts, s.umin, top)
             rows, den = summed_rows(acc), den * f
@@ -758,8 +755,7 @@ def exponential_apply(
         steps = s.W if max_order is None else max_order
         total_u_hi = min(total_u_hi, s.u_hi + ulo * steps)
     acc, den = combine_rows(held)
-    total = TruncatedSeries._built(family=s.family, W=s.W,
-                                   rows=unpacked_rows(summed_rows(acc)), den=den,
+    total = TruncatedSeries._built(family=s.family, W=s.W, rows=summed_rows(acc), den=den,
                                    umin=s.umin, umax=s.umax, reliable=total_rel,
                                    u_hi=total_u_hi)
     return total.clip_u_above(s.umax) if clip else total

@@ -24,14 +24,12 @@ from gjvtau.exactalg import (
     convolve,
     mono,
     mono_key,
-    mono_mul,
     mono_str,
     mono_var,
     mono_weight,
     monomials_of_weight,
     monomials_up_to_weight,
     pack,
-    packed_rows,
     substitute_linear,
     unpack,
 )
@@ -40,6 +38,7 @@ from gjvtau.hirota import KP1, hirota_apply, to_hirota_vars
 from gjvtau.hurwitz import cutjoin_series, h01_h02_closed_forms
 from gjvtau import operators
 from gjvtau.operators import CutJoin, Lambda, Partial, commutator, exponential_apply, symbol
+from reference import mono_mul, monomial_of, packed_of, tuple_rows
 
 
 def q(i, W=6, **kw):
@@ -118,8 +117,8 @@ MONOS_14 = list(monomials_up_to_weight(14))
 def test_pack_then_unpack_gives_back_the_monomial():
     assert len(MONOS_14) == 508 and len({pack(m) for m in MONOS_14}) == 508
     for m in MONOS_14:
-        assert unpack(pack(m)) == m
-        assert pack(m) == sum(e << 8 * (i - 1) for i, e in m)
+        assert unpack(pack(m)) == m == monomial_of(pack(m))
+        assert pack(m) == sum(e << 8 * (i - 1) for i, e in m) == packed_of(m)
 
 
 def test_packed_product_is_the_sum_of_the_packed_factors():
@@ -130,25 +129,21 @@ def test_packed_product_is_the_sum_of_the_packed_factors():
 
 
 def test_packed_kernels_refuse_a_weight_a_byte_cannot_hold():
-    # q1^256 would carry into q2's byte; every kernel raises by name first
+    # q1^256 would carry into q2's byte: it is refused by name when packed,
+    # so no series can hold it, in any family
     assert PACK_LIMIT == 256
     big = mono_var(1, PACK_LIMIT)
-    s = TruncatedSeries.monomial("q", PACK_LIMIT, big)
     with pytest.raises(PackCapacityError):
         pack(big)
-    with pytest.raises(PackCapacityError):
-        s.partial(1)
-    with pytest.raises(PackCapacityError):
-        s.mul(q(1, W=PACK_LIMIT))
-    with pytest.raises(PackCapacityError):
-        Lambda(0).apply(s)
-    with pytest.raises(PackCapacityError):
-        hirota_apply(KP1, to_hirota_vars(s))
+    for family in ("q", "t"):
+        with pytest.raises(PackCapacityError):
+            TruncatedSeries.monomial(family, PACK_LIMIT, big)
     # a kernel that forms monomials by + refuses the truncation itself, even
     # on a series whose own exponents fit
     one = q(1, W=PACK_LIMIT)
     for run in (lambda: one.mul(one), lambda: Partial(1).apply(one),
-                lambda: exponential_apply(CutJoin(2), one)):
+                lambda: Lambda(0).apply(one), lambda: exponential_apply(CutJoin(2), one),
+                lambda: hirota_apply(KP1, to_hirota_vars(one))):
         with pytest.raises(PackCapacityError):
             run()
     # and so does a symbol at d-weight PACK_LIMIT, before it reads any stencil
@@ -166,13 +161,26 @@ def test_packed_kernels_refuse_a_weight_a_byte_cannot_hold():
 def test_convolve_refuses_tuple_rows():
     # tuple monomials would concatenate under +, giving a wrong product
     s = q(1, 4) + q(2, 4)
-    packed = packed_rows(s.rows)
-    for left, right in ((s.rows, packed), (packed, s.rows), (s.rows, s.rows)):
+    tuples = tuple_rows(s)
+    for left, right in ((tuples, s.rows), (s.rows, tuples), (tuples, tuples)):
         with pytest.raises(TypeError, match="packed rows"):
             convolve(left, right, 4)
-    assert convolve(packed, packed, 4) == {pack(mono_var(1, 2)): (2, {0: 1}),
+    assert convolve(s.rows, s.rows, 4) == {pack(mono_var(1, 2)): (2, {0: 1}),
                                            pack(mono((1, 1), (2, 1))): (3, {0: 2}),
                                            pack(mono_var(2, 2)): (4, {0: 1})}
+
+
+def test_row_constructor_refuses_tuple_monomials():
+    # every stored monomial is a packed int: a tuple row is refused when the
+    # series is built, before any kernel can read it
+    kw = dict(family="q", W=4, den=1, umin=-2, umax=2, reliable=None, u_hi=None)
+    s = q(1, 4) + q(2, 4)
+    with pytest.raises(TypeError, match="packed into an int"):
+        TruncatedSeries._built(rows=tuple_rows(s), **kw)
+    with pytest.raises(TypeError, match="packed into an int"):
+        s._with(tuple_rows(s))
+    assert TruncatedSeries._built(rows=s.rows, **kw) == s
+
 
 
 def test_truncation_is_silent_in_products():
@@ -235,7 +243,7 @@ def test_partial_weight_drop():
 def test_truncate_and_slices():
     s = q(1) + q(2) * q(3) + q(1) * q(1) * q(1) * q(1)
     assert str(s.truncate(2)) == "q1"
-    assert str(s.weight_slice(5)) == "q2*q3"
+    assert str(s.up_to_weight(5) - s.up_to_weight(4)) == "q2*q3"
     assert str(s.up_to_weight(4)) == "q1 + q1^4"
 
 
@@ -296,13 +304,14 @@ def test_band_escape_in_mul_raises_from_the_row_check():
 
 
 def test_row_constructor_checks_weight_and_band():
-    row = [(mono_var(3), 3, ((0, 1),))]
+    q3 = pack(mono_var(3))
+    row = [(q3, 3, ((0, 1),))]
     kw = dict(family="q", den=1, umin=-2, umax=2, reliable=None, u_hi=None)
     assert str(TruncatedSeries._built(W=3, rows=row, **kw)) == "q3"
     with pytest.raises(TruncationError, match="q3 has weight > W=2"):
         TruncatedSeries._built(W=2, rows=row, **kw)
     with pytest.raises(UBandError, match=re.escape("[3, 3] escapes band [-2, 2]")):
-        TruncatedSeries._built(W=3, rows=[(mono_var(3), 3, ((3, 1),))], **kw)
+        TruncatedSeries._built(W=3, rows=[(q3, 3, ((3, 1),))], **kw)
     # narrowing the band re-checks the rows
     s = TruncatedSeries("q", 4, {mono_var(1): UPoly.u(3)})
     with pytest.raises(UBandError, match=re.escape("[3, 3] escapes band [-6, 2]")):
@@ -314,12 +323,12 @@ def test_row_constructor_checks_weight_and_band():
 def test_rows_share_one_reduced_denominator():
     s = TruncatedSeries("q", 4, {mono_var(1): UPoly.u(1, Fraction(1, 6)),
                                  mono_var(2): UPoly.const(Fraction(3, 4))})
-    assert s.den == 12 and s.rows == [(mono_var(1), 1, ((1, 2),)),
-                                      (mono_var(2), 2, ((0, 9),))]
+    assert s.den == 12 and tuple_rows(s) == [(mono_var(1), 1, ((1, 2),)),
+                                             (mono_var(2), 2, ((0, 9),))]
     # 2 * s less its weight-2 part is 1/3 u q1, over 3
-    assert (s.scale(2) - s.weight_slice(2).scale(2)).rows == [(mono_var(1), 1, ((1, 1),))]
-    assert (s.scale(2) - s.weight_slice(2).scale(2)).den == 3
-    assert (s.partial(2).den, s.partial(2).rows) == (4, [((), 0, ((0, 3),))])
+    less = s.scale(2) - (s - s.up_to_weight(1)).scale(2)
+    assert (less.den, tuple_rows(less)) == (3, [(mono_var(1), 1, ((1, 1),))])
+    assert (s.partial(2).den, tuple_rows(s.partial(2))) == (4, [((), 0, ((0, 3),))])
     assert (s - s).den == 1 and (s - s).rows == []
 
 
@@ -368,7 +377,8 @@ def reference_mul(a, b, *, umin=None, umax=None):
     hi = max(a.umax, b.umax) if umax is None else umax
     rel = W
     if a.terms and b.terms:
-        rel = min(W, a.reliable + b.min_weight(), b.reliable + a.min_weight())
+        rel = min(W, a.reliable + min(map(mono_weight, b.terms)),
+                  b.reliable + min(map(mono_weight, a.terms)))
     acc = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
@@ -509,7 +519,7 @@ def test_add_scaled_matches_the_per_term_sum(s, parts):
        st.integers(1, 3), st.integers(-1, 7))
 def test_every_kernel_output_is_what_the_public_constructor_builds(a, b, c, i, w):
     outs = [a.mul(b, umin=-8, umax=8), a.partial(i), a.clip_u_above(w - 3),
-            a.weight_slice(w), a.up_to_weight(w), a.truncate(max(w, 0)),
+            a.u_layer(w - 3), a.up_to_weight(w), a.truncate(max(w, 0)),
             a.with_band(a.umin - 1, a.umax + 1), a - a, to_hirota_vars(a)]
     for kernel in (lambda: a.scale(c), lambda: a.add_scaled([(c, b), (-1, a)])):
         try:
@@ -518,6 +528,18 @@ def test_every_kernel_output_is_what_the_public_constructor_builds(a, b, c, i, w
             pass
     for s in outs:
         assert_as_public(s)
+
+
+@settings(deadline=None, max_examples=100)
+@given(kernel_series(), st.sampled_from(FAMILIES))
+def test_a_series_built_from_its_terms_is_equal_and_keyed_by_tuples(s, family):
+    s = s._with(family=family)
+    back = TruncatedSeries(family, s.W, s.terms, **s._meta())
+    assert back == s and back.terms == s.terms
+    assert (back.den, sorted(back.rows)) == (s.den, sorted(s.rows))
+    assert all(type(m) is tuple for m in back.terms)
+    assert all(type(m) is int for m, _, _ in back.rows)
+    assert {m: w for m, w, _ in tuple_rows(back)} == {m: mono_weight(m) for m in s.terms}
 
 
 def test_add_scaled_checks_each_part_in_its_band():

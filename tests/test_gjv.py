@@ -35,12 +35,12 @@ from gjvtau.gjv import (
     hurwitz_grid,
     intersection_F,
     lambda_g_mismatches,
+    tau_route_reports,
     tbasis_records,
     verify_lambda_square,
     verify_proposition,
     verify_second_derivative,
     verify_string,
-    verify_tau_routes,
 )
 from gjvtau.cli import INTERSECTION_GRIDS, main
 from gjvtau.operators import CutJoin, Lambda, Sum, scaled
@@ -309,7 +309,7 @@ def test_extract_G_is_stable_in_Mmax():
 
 @pytest.mark.parametrize("c", [UPOLY_ZERO, UPOLY_ONE, UPoly.parse("u^-1+2")])
 def test_tau_routes_agree(c):
-    rep = verify_tau_routes(c, 6)
+    (rep,) = tau_route_reports((c,), 6)
     assert rep.status == "pass"
     assert rep.reliable_weight == 6
 
@@ -320,10 +320,10 @@ def test_tau_routes_agree_when_c_reaches_above_the_band():
     W = 6
     G = extract_G(W, W + 1)
     for c in (UPoly.u(W + 3), UPoly.parse("u^10 + 1")):
-        assert verify_tau_routes(c, W, G=G).status == "pass", c
+        assert tau_route_reports((c,), W, G=G)[0].status == "pass", c
         planted = G + TruncatedSeries.monomial("q", W, mono_var(2), UPoly.u(1, F(1, 7)),
                                                umin=G.umin, umax=G.umax)
-        assert verify_tau_routes(c, W, G=planted).status == "fail", c
+        assert tau_route_reports((c,), W, G=planted)[0].status == "fail", c
 
 
 def _draw_c(rng, W):
@@ -349,7 +349,7 @@ def test_taus_are_affine_in_c(W):
     # plus c: the same rows, denominator, band and bookkeeping.  The draws
     # stay inside the band: a c above u^(W+2) widens the closed form's band,
     # and the closed form then keeps more of tau_0 instead of clipping it at
-    # W + 2.  verify_tau_routes clips both routes at W + 2, so its residual is
+    # W + 2.  tau_route_reports clips both routes at W + 2, so its residual is
     # the c = 0 one for every c, and the battery's VERIFY_C choices certify
     # no more than c = 0 does.
     rng = random.Random(W)
@@ -427,14 +427,22 @@ def test_tbasis_extraction_full_table():
 
 def greedy_tbasis(G):
     """Reference: the greedy reduction, one T-monomial block per step for the
-    residue's highest monomial, each block multiplied out from the constant.
-    Returns the records and the monomials visited, in order."""
+    residue's highest monomial, each block multiplied out from the constant;
+    entries beyond the emit region are dropped and form no block.  Returns
+    the records and the monomials visited, in order."""
     W = G.W
     basis = build_tbasis(W - 1, W)
     residue = G
     records, visited = [], []
     while residue:
         m, coef = max(residue.terms.items(), key=lambda mc: mono_key(mc[0]))
+        # an entry beyond the emit region is dropped with no block
+        beyond = UPoly({e: v for e, v in coef.terms if e + mono_weight(m) - 1 > G.reliable})
+        residue = residue - TruncatedSeries.monomial("q", W, m, beyond, umin=G.umin,
+                                                     umax=G.umax)
+        coef = coef + beyond.scale(-1)
+        if not coef:
+            continue
         visited.append(m)
         ks = tuple(sorted(i - 1 for i, e in m for _ in range(e)))
         c_k = coef.scale(Fraction(1, prod(factorial(k) for k in ks)))
@@ -444,8 +452,6 @@ def greedy_tbasis(G):
         residue = residue - block.scale(c_k)
         aut = prod(factorial(ks.count(k)) for k in set(ks))
         for exp, val in c_k.terms:
-            if exp + mono_weight(m) - 1 > G.reliable:
-                continue
             if exp < 1 or exp % 2 == 0:
                 raise ArithmeticError(
                     f"residue not expressible in T-monomials: {mono_str(m)} "
@@ -504,8 +510,20 @@ def test_even_u_power_raises_inside_the_emit_region_only():
     assert got == extract_intersections_tbasis(G.with_reliable(3))
 
 
+@pytest.mark.parametrize("W", range(7, 14))
+def test_entries_beyond_the_emit_region_form_no_block(W):
+    # u^(W+1)/2 on q3 sits at weight + u-exponent W + 4, beyond the emit
+    # region w + e <= W + 1; every T-product keeps w + e, so its block could
+    # not reach the region, and subtracting it would leave G's band
+    G = extract_G(W, W // 2 + 1)
+    planted = perturbed(G, mono_var(3), UPoly.u(W + 1, F(1, 2)))
+    assert extract_intersections_tbasis(planted) == extract_intersections_tbasis(G)
+    assert extract_intersections_tbasis(planted) == greedy_tbasis(planted)[0]
+
+
 def test_layer_reduction_folds_each_layer_once(monkeypatch):
-    for W, Mmax, products in ((10, 6, 102), (13, 7, 184), (14, 8, 373)):
+    # entries beyond the emit region form no block, so no prefix of theirs
+    for W, Mmax, products in ((10, 6, 47), (13, 7, 184), (14, 8, 184)):
         G = extract_G(W, Mmax)
         _, visited = greedy_tbasis(G)
         words = {tuple(i - 1 for i, e in m for _ in range(e)) for m in visited}
@@ -514,8 +532,7 @@ def test_layer_reduction_folds_each_layer_once(monkeypatch):
         prefixes = {w[:k] for w in words for k in range(1, len(w) + 1)}
         assert len(prefixes) == products
         basis = build_tbasis(W - 1, W)
-        calls = dict.fromkeys(["convolve", "mul", "add_scaled", "weight_slice", "__sub__",
-                               "scale"], 0)
+        calls = dict.fromkeys(["convolve", "mul", "add_scaled", "__sub__", "scale"], 0)
         with monkeypatch.context() as mp:
             mp.setattr(gjv, "build_tbasis", lambda K, W: basis)
 
@@ -529,8 +546,8 @@ def test_layer_reduction_folds_each_layer_once(monkeypatch):
                     return _f(self, *a, **kw)
                 mp.setattr(TruncatedSeries, name, counting)
             extract_intersections_tbasis(G)
-        assert calls == {"convolve": products, "mul": 0, "add_scaled": 0, "weight_slice": 0,
-                         "__sub__": 0, "scale": 0}, W
+        assert calls == {"convolve": products, "mul": 0, "add_scaled": 0, "__sub__": 0,
+                         "scale": 0}, W
 
 
 def full_build_records(W):

@@ -15,7 +15,6 @@ from gjvtau.exactalg import (
     UPOLY_ONE,
     UPoly,
     mono,
-    mono_mul,
     mono_var,
     product_bounds,
 )
@@ -31,6 +30,7 @@ from gjvtau.hirota import (
     to_hirota_vars,
 )
 from gjvtau.hurwitz import cutjoin_series
+from reference import mono_mul, packed_of, tuple_rows
 
 F = Fraction
 
@@ -154,11 +154,11 @@ def test_pair_gathering_matches_the_ordered_expansion(P, tau):
 
 def region_product(a, b, R, U, lo, hi):
     """a * b through weight R and u-exponent U (every one if None), a double
-    loop over the two factors' rows with mono_mul: no packed monomial and no
-    convolve."""
+    loop over the two factors' rows on tuple monomials with mono_mul: no
+    packed product and no convolve."""
     out = {}
-    for m1, w1, r1 in a.rows:
-        for m2, w2, r2 in b.rows:
+    for m1, w1, r1 in tuple_rows(a):
+        for m2, w2, r2 in tuple_rows(b):
             if w1 + w2 > R:
                 break
             row = out.setdefault(mono_mul(m1, m2), (w1 + w2, {}))[1]
@@ -166,7 +166,7 @@ def region_product(a, b, R, U, lo, hi):
                 for e2, n2 in r2:
                     if U is None or e1 + e2 <= U:
                         row[e1 + e2] = row.get(e1 + e2, 0) + n1 * n2
-    rows = [(m, w, r) for m, (w, row) in out.items()
+    rows = [(packed_of(m), w, r) for m, (w, row) in out.items()
             if (r := tuple(sorted((e, n) for e, n in row.items() if n)))]
     return TruncatedSeries._built(family=a.family, W=a.W, rows=rows, den=a.den * b.den,
                                   umin=lo, umax=hi, reliable=R, u_hi=U)
